@@ -10,10 +10,10 @@ this harness times the four construction workloads that exercise it —
 - ``table1_reindex`` — the Table-1 update path: re-indexing the index
   graph at lowered levels (Theorem 2 / ``reindex_index_graph``)
 
-— on the seeded XMark/NASA generators, once per engine (``legacy``
-full-rehash vs ``worklist`` vs the CSR-batch ``columnar``; plus the
-parallel worklist/columnar rows when ``jobs > 1``), across a *scale
-axis* (``--scale small,medium``), and writes the medians plus a
+— on the seeded XMark/NASA generators, once per engine (the ``legacy``
+full-rehash reference vs the CSR-batch ``columnar`` engine; plus a
+parallel columnar row when ``jobs > 1``), across a *scale axis*
+(``--scale small,medium``), and writes the medians plus a
 ``tracemalloc`` peak-memory column to ``BENCH_refinement.json``.  The
 committed baseline is this file's first entry; every future perf PR
 re-runs the harness so the repository carries a recorded performance
@@ -44,21 +44,22 @@ from repro.partition.engine import resolve_jobs
 from repro.partition.refinement import bisim_partition, kbisim_partition
 
 #: Schema identifier written into (and expected from) the report JSON.
-#: Version 2 adds the scale axis (one row per scale), the ``peak_kb``
+#: Version 2 added the scale axis (one row per scale), the ``peak_kb``
 #: tracemalloc column, the columnar engine rows, and records resolved
 #: worker counts in ``jobs`` (never the raw ``0`` CLI default).
-SCHEMA = "dkindex-bench-refinement/2"
+#: Version 3 drops the worklist rows; ``speedup`` is legacy over
+#: columnar.
+SCHEMA = "dkindex-bench-refinement/3"
 
 #: Named scales: dataset scale factors sized so "small" suits CI smoke
 #: runs and "large" stresses the engines on ~10^5-edge graphs.
 SCALE_NAMES: dict[str, float] = {"small": 0.2, "medium": 0.6, "large": 1.5}
 
 #: The engines every cell is timed under (name, jobs-override).  The
-#: parallel rows (``worklist-parallel``/``columnar-parallel``) are
-#: appended per run when ``--jobs`` resolves past 1.
+#: parallel ``columnar-parallel`` row is appended per run when
+#: ``--jobs`` resolves past 1.
 SERIAL_ENGINES: tuple[tuple[str, int], ...] = (
     ("legacy", 1),
-    ("worklist", 1),
     ("columnar", 1),
 )
 
@@ -74,8 +75,8 @@ class RefineBenchConfig:
         repeats: timed runs per (dataset, scenario, engine, scale); the
             report records the median.
         seed: dataset generator seed.
-        jobs: worker processes for the additional parallel rows;
-            resolving to ``<= 1`` skips them (the serial engines always
+        jobs: worker processes for the additional parallel row;
+            resolving to ``<= 1`` skips it (the serial engines always
             run).
         datasets: generator names to measure (see
             :data:`repro.bench.harness.DATASET_BUILDERS`).
@@ -205,7 +206,6 @@ def run_refine_bench(config: RefineBenchConfig) -> dict[str, object]:
     parallel_jobs = resolve_jobs(config.jobs)
     engines = list(SERIAL_ENGINES)
     if parallel_jobs > 1:
-        engines.append(("worklist-parallel", parallel_jobs))
         engines.append(("columnar-parallel", parallel_jobs))
 
     dataset_stats: dict[str, dict[str, int]] = {}
@@ -272,11 +272,10 @@ def run_refine_bench(config: RefineBenchConfig) -> dict[str, object]:
 def _speedups(
     results: list[dict[str, object]],
 ) -> dict[str, dict[str, float]]:
-    """Per (dataset, scenario, scale): serial engine medians and ratios.
+    """Per (dataset, scenario, scale): serial engine medians and ratio.
 
-    ``speedup`` keeps its schema-v1 meaning (legacy over worklist);
-    ``columnar_vs_worklist`` is the headline ratio of this harness
-    version (> 1 means the columnar engine is faster).
+    ``speedup`` is legacy over columnar (> 1 means the columnar engine
+    is faster).
     """
     medians: dict[tuple[str, str, str, str], float] = {}
     for row in results:
@@ -293,18 +292,13 @@ def _speedups(
     for (dataset, scenario, scale, engine), median in sorted(medians.items()):
         if engine != "legacy":
             continue
-        worklist = medians.get((dataset, scenario, scale, "worklist"))
         columnar = medians.get((dataset, scenario, scale, "columnar"))
-        if worklist is None or columnar is None:
+        if columnar is None:
             continue
         speedups[f"{dataset}/{scenario}@{scale}"] = {
             "legacy_s": median,
-            "worklist_s": worklist,
             "columnar_s": columnar,
-            "speedup": median / worklist if worklist > 0 else float("inf"),
-            "columnar_vs_worklist": (
-                worklist / columnar if columnar > 0 else float("inf")
-            ),
+            "speedup": median / columnar if columnar > 0 else float("inf"),
         }
     return speedups
 
@@ -324,9 +318,8 @@ def format_report(report: dict[str, object]) -> str:
         [
             key,
             f"{entry['legacy_s'] * 1000:.1f}",
-            f"{entry['worklist_s'] * 1000:.1f}",
             f"{entry['columnar_s'] * 1000:.1f}",
-            f"{entry['columnar_vs_worklist']:.2f}x",
+            f"{entry['speedup']:.2f}x",
         ]
         for key, entry in speedups.items()
     ]
@@ -340,9 +333,8 @@ def format_report(report: dict[str, object]) -> str:
         [
             "dataset/scenario@scale",
             "legacy (ms)",
-            "worklist (ms)",
             "columnar (ms)",
-            "col/wl",
+            "leg/col",
         ],
         rows,
         title=title,

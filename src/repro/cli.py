@@ -6,7 +6,7 @@ Commands:
   paper's tables/figures as text (fig4, fig5, table1, fig6, fig7,
   promote, demote, subgraph, construct).
 - ``dkindex bench refine [--scale small,medium,...] [--repeats N]
-  [--jobs J] [--out FILE]`` — time the legacy vs worklist vs columnar
+  [--jobs J] [--out FILE]`` — time the legacy vs columnar
   refinement engines on every construction workload across the scale
   axis (with tracemalloc peak memory per cell) and write the
   ``BENCH_refinement.json`` perf trajectory (see docs/performance.md).
@@ -467,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0,
                        help="(refine/update/recovery) dataset generator seed")
     bench.add_argument("--jobs", type=int, default=0,
-                       help="(refine) also time the parallel worklist "
-                       "and columnar engines with this many worker "
-                       "processes")
+                       help="(refine) also time the parallel columnar "
+                       "engine with this many worker processes")
     bench.add_argument("--edges", type=int, default=100,
                        help="(update) edge additions per timed run; "
                        "(recovery) journaled operations to replay")

@@ -62,8 +62,8 @@ def build_dk_index(
         graph: the data graph.
         requirements: ``{label name: local similarity requirement}``
             mined from the query load; unmentioned labels default to 0.
-        engine: refinement engine (``"worklist"``/``"columnar"``/
-            ``"legacy"``; the default ``"auto"`` resolves to worklist
+        engine: refinement engine (``"columnar"``/``"external"``/
+            ``"legacy"``; the default ``"auto"`` resolves to columnar
             unless ``DKINDEX_ENGINE`` says otherwise).
         jobs: worker processes for parallel signature hashing.
 

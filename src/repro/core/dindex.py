@@ -128,8 +128,8 @@ class DKIndex:
         """Build from explicit per-label local-similarity requirements.
 
         ``engine`` and ``jobs`` select the partition-refinement engine
-        and its parallelism (see :mod:`repro.partition.engine`); the
-        default is the serial worklist engine.
+        and its parallelism (see :mod:`repro.partition.refinement`); the
+        default is the serial columnar engine.
         """
         index, _levels = build_dk_index(
             graph, requirements, engine=engine, jobs=jobs

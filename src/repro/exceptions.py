@@ -143,11 +143,12 @@ class PagedStoreError(SerializationError):
 class StorageDegradationWarning(UserWarning):
     """A refinement engine failed on storage I/O and a fallback took over.
 
-    Emitted by :func:`repro.partition.refinement.resolve_engine`'s
-    degradation path (``DKINDEX_DEGRADE=warn``, the default) when the
-    requested engine died on an exhausted storage path — retry budget
-    spent, disk full, pool unsatisfiable — and the build restarted on
-    the next engine down the ``external -> columnar -> worklist`` chain.
+    Emitted by the refinement drivers' degradation path
+    (``repro.partition.refinement._run_degradable``, under
+    ``DKINDEX_DEGRADE=warn``, the default) when the external engine died
+    on an exhausted storage path — retry budget spent, disk full, pool
+    unsatisfiable — and the build restarted on the columnar engine
+    (the ``external -> columnar`` chain).
     The result is still *correct* (every engine computes the identical
     partition); what changed is the resource profile, which is why this
     is a warning rather than an error.  A :class:`UserWarning` subclass

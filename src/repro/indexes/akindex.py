@@ -28,15 +28,15 @@ def build_ak_index(
 
     Construction runs ``k`` split rounds from the label-split graph —
     O(k·m) for m data edges, matching the bound cited in Section 4.1.
-    The default worklist engine only re-hashes nodes whose parents'
+    The default columnar engine only re-hashes nodes whose parents'
     blocks split in the previous round, which is substantially faster on
     document-shaped graphs (see ``docs/performance.md``).
 
     Args:
         graph: the data graph.
         k: the uniform local-similarity bound (>= 0).
-        engine: refinement engine (``"worklist"``/``"columnar"``/
-            ``"legacy"``; the default ``"auto"`` resolves to worklist
+        engine: refinement engine (``"columnar"``/``"external"``/
+            ``"legacy"``; the default ``"auto"`` resolves to columnar
             unless ``DKINDEX_ENGINE`` says otherwise).
         jobs: worker processes for parallel signature hashing.
 

@@ -7,23 +7,23 @@ for path expressions of any length — at the cost of a large index graph
 
 Implementation note: the paper cites Paige & Tarjan's O(m·log n)
 partition-refinement algorithm.  We run signature-hash refinement rounds
-to the fixpoint instead — O(d·m) for bisimulation depth d — which is
-simpler, produces the identical partition, and is fast in practice
-because document-shaped graphs have small d.  The number of rounds is
-reported so callers can observe the depth.
+to the fixpoint instead — O(d·m) for bisimulation depth d — which
+produces the identical partition and is fast in practice because
+document-shaped graphs have small d; in Python the smaller-half
+bookkeeping costs far more than the log factor saves (DESIGN.md gives
+the timings).  The number of rounds is reported so callers can observe
+the depth.
 """
 
 from __future__ import annotations
 
 from repro.graph.datagraph import DataGraph
 from repro.indexes.base import K_UNBOUNDED, IndexGraph
-from repro.partition.paige_tarjan import paige_tarjan_bisim
 from repro.partition.refinement import bisim_partition
 
 
 def build_1index(
     graph: DataGraph,
-    method: str = "fixpoint",
     *,
     engine: str = "auto",
     jobs: int | None = None,
@@ -36,17 +36,13 @@ def build_1index(
 
     Args:
         graph: the data graph.
-        method: ``"fixpoint"`` (signature-hash rounds, O(d·m) for
-            bisimulation depth d — the default, fast on documents) or
-            ``"paige-tarjan"`` (the O(m·log n) algorithm the paper
-            cites).  Both produce the identical partition.
-        engine: refinement engine for the fixpoint method
-            (``"worklist"``/``"columnar"``/``"legacy"``; ``"auto"``
-            picks worklist unless ``DKINDEX_ENGINE`` says otherwise).
+        engine: refinement engine (``"columnar"``/``"external"``/
+            ``"legacy"``; ``"auto"`` picks columnar unless
+            ``DKINDEX_ENGINE`` says otherwise).
         jobs: worker processes for parallel signature hashing.
 
     Raises:
-        ValueError: for an unknown method name.
+        ValueError: for an unknown engine name.
 
     Example:
         >>> from repro.graph.builder import graph_from_edges
@@ -55,15 +51,8 @@ def build_1index(
         ... )
         >>> build_1index(g).num_nodes
         5
-        >>> build_1index(g, method="paige-tarjan").num_nodes
-        5
     """
-    if method == "fixpoint":
-        partition, _rounds = bisim_partition(graph, engine=engine, jobs=jobs)
-    elif method == "paige-tarjan":
-        partition = paige_tarjan_bisim(graph)
-    else:
-        raise ValueError(f"unknown 1-index construction method: {method!r}")
+    partition, _rounds = bisim_partition(graph, engine=engine, jobs=jobs)
     return IndexGraph.from_partition(graph, partition, K_UNBOUNDED)
 
 

@@ -15,18 +15,17 @@ provides:
 - :func:`~repro.partition.refinement.leveled_partition` — per-node freeze
   levels, the generalisation the D(k)-index construction (Algorithm 2)
   needs;
-- :class:`~repro.partition.engine.RefinementEngine` — the worklist-driven
-  engine behind all three (interned signatures, dirty-block propagation,
-  optional parallel hashing); ``engine="legacy"`` on the functions above
-  selects the full-rehash reference implementation instead;
-- :class:`~repro.partition.columnar.ColumnarEngine` — the batch engine
-  over frozen CSR buffers (``engine="columnar"``): in-place flat block
-  array, contiguous signature sweeps, optional numpy vectorisation and a
-  shared-memory fork pool for parallel hashing;
+- :class:`~repro.partition.columnar.ColumnarEngine` — the engine behind
+  all three by default (``engine="columnar"``): dirty-block batch rounds
+  over frozen CSR buffers with an in-place flat block array, contiguous
+  signature sweeps, optional numpy vectorisation and a shared-memory
+  fork pool for parallel hashing;
 - :class:`~repro.partition.external.ExternalEngine` — the out-of-core
   engine (``engine="external"``): the columnar round loop over a paged
   CSR snapshot behind a byte-budgeted LRU pool, with page-ordered
-  signature sweeps spilling sorted runs to disk.
+  signature sweeps spilling sorted runs to disk;
+- :class:`~repro.partition.engine.RefinementEngine` — the full-rehash
+  reference engine (``engine="legacy"``) the others are tested against.
 """
 
 from repro.partition.blocks import Partition

@@ -8,7 +8,7 @@ former and index construction needs the latter.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.exceptions import IndexInvariantError
 
@@ -45,7 +45,7 @@ class Partition:
 
         ``__init__`` walks every node to check that block ids are dense
         and in range; callers that construct both maps together (such as
-        :meth:`from_keys` and :meth:`split_blocks`) already guarantee
+        :meth:`from_keys` and the refinement engines) already guarantee
         consistency, so re-walking the whole node set per refinement
         round is pure overhead.  Ownership of both lists transfers to
         the partition — the caller must not mutate them afterwards.
@@ -78,57 +78,6 @@ class Partition:
             block_of.append(block)
             blocks[block].append(node)
         return cls.trusted(block_of, blocks)
-
-    def split_blocks(
-        self, replacements: Mapping[int, Sequence[list[int]]]
-    ) -> "Partition":
-        """A new partition with the listed blocks subdivided in place.
-
-        ``replacements[b]`` is a sequence of disjoint member groups that
-        together cover block ``b``.  The first group keeps id ``b`` (so
-        block ids stay dense without renumbering anything else); every
-        later group gets a fresh id appended at the end.  Blocks not
-        mentioned are *reused* — their member lists are shared with the
-        new partition, not rebuilt — which is what makes worklist-driven
-        refinement cheap on the stable majority of blocks.
-
-        Group lists transfer ownership to the new partition (callers
-        must not mutate them afterwards); the receiver is unchanged.
-
-        Raises:
-            IndexInvariantError: if a group is empty, lists a node
-                outside its block, or the groups do not cover the block.
-        """
-        block_of = list(self.block_of)
-        blocks = list(self.blocks)
-        for block in sorted(replacements):
-            if not 0 <= block < len(self.blocks):
-                raise IndexInvariantError(f"no block {block} to split")
-            groups = replacements[block]
-            total = 0
-            for group in groups:
-                if not group:
-                    raise IndexInvariantError(
-                        f"empty group in split of block {block}"
-                    )
-                total += len(group)
-                for node in group:
-                    if self.block_of[node] != block:
-                        raise IndexInvariantError(
-                            f"node {node} is not a member of block {block}"
-                        )
-            if total != len(self.blocks[block]):
-                raise IndexInvariantError(
-                    f"split of block {block} covers {total} of "
-                    f"{len(self.blocks[block])} members"
-                )
-            blocks[block] = groups[0]
-            for group in groups[1:]:
-                fresh = len(blocks)
-                blocks.append(group)
-                for node in group:
-                    block_of[node] = fresh
-        return Partition.trusted(block_of, blocks)
 
     @property
     def num_nodes(self) -> int:

@@ -1,20 +1,29 @@
-"""Columnar batch refinement over frozen CSR buffers (third engine).
+"""Columnar batch refinement over frozen CSR buffers (the default engine).
 
-:class:`ColumnarEngine` exposes the same driver surface as the worklist
-:class:`~repro.partition.engine.RefinementEngine` — ``run_kbisim`` /
-``run_fixpoint`` / ``run_leveled`` / ``refine_rounds``, with identical
-freeze-bucket semantics so D(k) leveled refinement stays exact — but
-executes every round as a *batch sweep* over the flat buffers of a
-:class:`~repro.graph.columnar.CSRGraph` snapshot:
+:class:`ColumnarEngine` runs the refinement drivers — ``run_kbisim`` /
+``run_fixpoint`` / ``run_leveled`` / ``refine_rounds`` — as *batch
+sweeps* over the flat buffers of a
+:class:`~repro.graph.columnar.CSRGraph` snapshot, with exact
+freeze-bucket semantics so D(k) leveled refinement matches the
+reference engine round for round:
+
+**Dirty-block rounds.**  Two co-members of a block can only separate in
+round ``r+1`` if some parent's block changed in round ``r``, and since
+the largest group of a split keeps its block id, "changed" means "was
+moved into a freshly created block".  After each round only the
+*children of moved nodes* are dirty, and a block is re-processed only
+when it holds a dirty participating member — or, with per-node levels,
+a member whose level just expired (per-round *freeze buckets*, ``level
++ 1 → nodes``, find those in O(1)), because freezing always separates
+frozen from participating members.  Rounds stop at the first round that
+changes nothing.
 
 **Flat state, updated in place.**  The node→block map is one ``array``
-(``'q'``) mutated in place as blocks split (the largest group keeps its
-block id, so only *moved* nodes are rewritten).  The worklist engine
-pays an O(num_nodes) ``block_of`` copy per changing round through
-``Partition.split_blocks``; this engine pays O(moved nodes).  A
-:class:`~repro.partition.blocks.Partition` is materialised once, at the
-end of the run (or per round only when :meth:`refine_rounds` snapshots
-are requested).
+(``'q'``) mutated in place as blocks split, so only *moved* nodes are
+rewritten: a changing round costs O(moved nodes), not an O(num_nodes)
+copy.  A :class:`~repro.partition.blocks.Partition` is materialised
+once, at the end of the run (or per round only when
+:meth:`refine_rounds` snapshots are requested).
 
 **Contiguous signature sweep.**  Parent sets are contiguous CSR slices:
 a single-parent node's signature is one flat-buffer read interned as a
@@ -38,8 +47,9 @@ through the shared mapping.  Workers only read the segments and return
 results, which keeps them pure under the DK109 fork-safety rule.  The
 parallel path is bit-for-bit identical to the serial one.
 
-The engine is round-for-round partition-identical to both the worklist
-and legacy engines (``tests/test_columnar_engine.py`` and the extended
+The engine is round-for-round partition-identical to the reference
+:class:`~repro.partition.engine.RefinementEngine`
+(``tests/test_columnar_engine.py`` and
 ``tests/test_engine_equivalence.py`` verify all drivers on trees,
 shared-subtree DAGs and cyclic IDREF graphs).
 """
@@ -62,8 +72,8 @@ from repro.graph.columnar import (
 )
 from repro.partition.blocks import Partition
 from repro.partition.engine import (
-    PARALLEL_NODE_THRESHOLD,
     LabeledAdjacency,
+    check_levels,
     resolve_jobs,
 )
 
@@ -73,6 +83,10 @@ try:  # pragma: no cover - exercised implicitly on numpy-less installs
 except ImportError:
     _numpy = None
 
+#: Minimum number of to-be-hashed nodes in a round before the parallel
+#: path is worth a pool dispatch; below it the serial sweep is faster.
+PARALLEL_NODE_THRESHOLD = 2048
+
 #: Minimum hash-batch size before the vectorised numpy sweep pays for
 #: its gather/array setup; below it the scalar loop is faster.
 NUMPY_NODE_THRESHOLD = 256
@@ -80,10 +94,6 @@ NUMPY_NODE_THRESHOLD = 256
 #: Signature key of a parentless (root-like) node.  Block ids are >= 0,
 #: so the sentinel can never collide with a single-parent key.
 _EMPTY_KEY = -1
-
-#: A per-node signature key: ``-1`` for no parents, the parent's block
-#: id when all parents share one block, else the sorted dedup tuple.
-SignatureKey = "int | tuple[int, ...]"
 
 # ----------------------------------------------------------------------
 # Shared-memory worker plumbing.
@@ -138,9 +148,8 @@ def _columnar_signature_chunk(
 class ColumnarEngine:
     """Batch refinement over a frozen columnar snapshot.
 
-    One engine instance serves one refinement run (state is
-    re-initialised by every driver call); construct it cheaply and
-    throw it away, exactly like :class:`RefinementEngine`.
+    State is re-initialised by every driver call, so one instance can
+    serve several runs.
 
     Args:
         graph: a :class:`CSRGraph` snapshot, or any labeled-adjacency
@@ -188,7 +197,7 @@ class ColumnarEngine:
         self._parallel_failed = False
 
     # ------------------------------------------------------------------
-    # Drivers (mirror RefinementEngine exactly)
+    # Drivers
     # ------------------------------------------------------------------
 
     def initial_partition(self) -> Partition:
@@ -231,13 +240,7 @@ class ColumnarEngine:
             ValueError: if ``node_levels`` has the wrong length or any
                 negative entry.
         """
-        if len(node_levels) != self._num_nodes:
-            raise ValueError(
-                f"node_levels has {len(node_levels)} entries for "
-                f"{self._num_nodes} nodes"
-            )
-        if any(level < 0 for level in node_levels):
-            raise ValueError("node levels must be non-negative")
+        check_levels(node_levels, self._num_nodes)
         try:
             for _ in self._rounds_inplace(node_levels, None):
                 pass
@@ -252,10 +255,13 @@ class ColumnarEngine:
     ) -> Iterator[Partition]:
         """Yield a partition snapshot after every *changing* round.
 
-        Semantically identical to
-        :meth:`RefinementEngine.refine_rounds`; snapshots copy the live
-        flat state, so prefer the ``run_*`` drivers when only the final
-        partition matters.
+        Starts from the label partition; stops at the first round that
+        changes nothing, after ``max_rounds`` rounds, or — with
+        ``node_levels`` — after round ``max(node_levels)``, whichever
+        comes first; in round ``r`` only nodes with
+        ``node_levels[node] >= r`` participate — the reference engine's
+        rules.  Snapshots copy the live flat state, so prefer the
+        ``run_*`` drivers when only the final partition matters.
         """
         rounds = self._rounds_inplace(node_levels, max_rounds)
         try:
@@ -363,10 +369,10 @@ class ColumnarEngine:
         """Apply one round in place; return the moved groups.
 
         Returns ``None`` when the round changed nothing (the fixpoint
-        test).  Candidate selection, active/frozen separation and the
-        largest-group-keeps-its-id split policy are exactly the
-        worklist engine's, so the produced partitions are identical
-        round for round.
+        test).  Candidates are the blocks holding a dirty participating
+        node or a node whose level just expired; each splits into its
+        active signature groups plus its frozen members, and the
+        largest group keeps the block id.
         """
         block_of = self._block_of
         blocks = self._blocks

@@ -1,56 +1,27 @@
-"""Worklist-driven partition refinement (the high-performance engine).
+"""The reference refinement engine and what every engine shares.
 
-The naive signature refinement in :mod:`repro.partition.refinement`
-re-hashes *every* node in *every* round: each round allocates one
-``frozenset`` of parent blocks per node even when nothing anywhere near
-that node changed.  This module implements the three levers that make
-k-bisimulation scale on large graphs (cf. Rau et al. 2022, "Computing
-k-Bisimulations for Large Graphs", and Blume et al. 2021, "Time and
-Memory Efficient Parallel Algorithm for Structural Graph Summaries"):
+:class:`RefinementEngine` is signature refinement at its plainest: every
+round re-hashes *every* participating node through :func:`refine_once`,
+with no dirty-set bookkeeping at all.  It is what ``engine="legacy"``
+runs, and it is the oracle the test suite holds the columnar and
+external engines to — at the result *and* round for round, with and
+without per-node freeze levels (``tests/test_engine_equivalence.py``).
+It re-hashes the whole graph every round, so builds use
+:class:`~repro.partition.columnar.ColumnarEngine` instead, which is
+what ``engine="auto"`` resolves to.
 
-**Worklist propagation.**  A refinement round groups the members of each
-block by the signature ``(own block, set of parent blocks)``.  Two
-co-members can only separate in round ``r+1`` if some parent's block
-assignment changed in round ``r`` — and because the largest group of a
-split keeps its block id (see :meth:`Partition.split_blocks`), "changed"
-means "was moved into a freshly created block".  So after each round
-only the *children of moved nodes* are marked dirty, and a block is
-re-processed only when it contains a dirty participating member (or when
-freezing levels newly divide it, see below).  Clean blocks survive with
-no rehash, sharing their member list with the next round's partition.
-
-**Signature interning.**  Per-node ``frozenset`` allocation is replaced
-by sorted-dedup parent-block tuples interned through a round-local
-table, so grouping compares small integers instead of hashing sets, and
-the single-parent fast path (the overwhelming majority of nodes in
-document-shaped graphs) allocates one 1-tuple.
-
-**Parallel signature hashing.**  Signature computation is
-embarrassingly parallel across the dirty node set.  With ``jobs > 1``
-(or ``DKINDEX_JOBS`` set) the engine chunks the dirty nodes across a
-``multiprocessing`` fork pool — processes, not threads, because this is
-pure CPU-bound Python — and splices the per-chunk results back in node
-order, which makes the parallel path bit-for-bit identical to the
-serial one.  Small rounds (below :data:`PARALLEL_NODE_THRESHOLD`) and
-platforms without ``fork`` fall back to the serial loop.
-
-The engine is round-for-round partition-identical to the legacy
-refinement (``tests/test_engine_equivalence.py`` verifies this per
-round, per engine, on trees, DAGs with shared subtrees and cyclic
-IDREF-style graphs).
+The module also holds what the engines share: the
+:class:`LabeledAdjacency` protocol their inputs satisfy, the validation
+of per-node levels, and :func:`resolve_jobs`, which sizes the columnar
+engine's shared-memory pool from ``jobs`` or ``DKINDEX_JOBS``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Iterator, Protocol, Sequence
 
 from repro.partition.blocks import Partition
-
-#: Minimum number of to-be-hashed nodes in a round before the parallel
-#: path is worth a fork; below it the serial loop is always faster.
-PARALLEL_NODE_THRESHOLD = 2048
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV_VAR = "DKINDEX_JOBS"
@@ -90,66 +61,70 @@ def resolve_jobs(jobs: int | None) -> int:
     return max(1, jobs)
 
 
-# ----------------------------------------------------------------------
-# Parallel worker plumbing.
-#
-# The pool is created with the "fork" start method once per round, after
-# the round's inputs have been stored in module globals: the child
-# processes inherit them copy-on-write, so neither the (large, static)
-# parent adjacency nor the per-round block assignment is ever pickled.
-# ----------------------------------------------------------------------
+def check_levels(node_levels: Sequence[int], num_nodes: int) -> None:
+    """Validate the per-node levels of a leveled run.
 
-_WORKER_PARENTS: Sequence[Sequence[int]] | None = None
-_WORKER_BLOCK_OF: list[int] | None = None
-_WORKER_NODES: list[int] | None = None
+    Raises:
+        ValueError: if ``node_levels`` has the wrong length or any
+            negative entry.
+    """
+    if len(node_levels) != num_nodes:
+        raise ValueError(
+            f"node_levels has {len(node_levels)} entries for "
+            f"{num_nodes} nodes"
+        )
+    if any(level < 0 for level in node_levels):
+        raise ValueError("node levels must be non-negative")
 
-#: The empty signature (root-like nodes with no parents), shared.
-_EMPTY_SIG: tuple[int, ...] = ()
 
+def refine_once(
+    graph: LabeledAdjacency,
+    partition: Partition,
+    participating: Sequence[bool] | None = None,
+) -> Partition:
+    """One full-rehash refinement round (the reference step).
 
-def _signature_chunk(bounds: tuple[int, int]) -> list[tuple[int, ...]]:
-    """Signatures for one contiguous chunk of the round's node list."""
-    parents = _WORKER_PARENTS
-    block_of = _WORKER_BLOCK_OF
-    nodes = _WORKER_NODES
-    assert parents is not None and block_of is not None and nodes is not None
-    out: list[tuple[int, ...]] = []
-    start, end = bounds
-    for position in range(start, end):
-        node = nodes[position]
-        node_parents = parents[node]
-        if not node_parents:
-            out.append(_EMPTY_SIG)
-        elif len(node_parents) == 1:
-            out.append((block_of[next(iter(node_parents))],))
+    Nodes for which ``participating`` is False are *frozen*: they stay
+    grouped exactly as in the previous round (their old block survives as
+    a block of the new partition, minus any members that participated).
+
+    Returns a new partition; the input is unchanged.
+
+    Raises:
+        ValueError: if ``participating`` does not have one entry per
+            node — silently freezing a suffix of the node set would
+            corrupt the partition.
+    """
+    block_of = partition.block_of
+    if participating is not None and len(participating) != len(block_of):
+        raise ValueError(
+            f"participating has {len(participating)} entries for "
+            f"{len(block_of)} nodes"
+        )
+    parents = graph.parents
+    keys: list[object] = [None] * len(block_of)
+    for node in range(len(block_of)):
+        if participating is None or participating[node]:
+            parent_blocks = frozenset(block_of[p] for p in parents[node])
+            keys[node] = (block_of[node], parent_blocks)
         else:
-            out.append(tuple(sorted({block_of[p] for p in node_parents})))
-    return out
+            keys[node] = ("frozen", block_of[node])
+    return Partition.from_keys(keys)
 
 
 class RefinementEngine:
-    """Worklist-driven signature refinement over one graph.
+    """Full-rehash refinement over one graph: the reference engine.
 
-    One engine instance serves one refinement run (the worklist state is
-    re-initialised by every call to :meth:`refine_rounds`); construct it
-    cheaply and throw it away.
+    The driver surface and its stopping rules are those of
+    :class:`~repro.partition.columnar.ColumnarEngine`, so the two can be
+    compared round for round.
 
     Args:
         graph: the data or index graph to refine.
-        jobs: worker processes for signature hashing — ``None`` reads
-            ``DKINDEX_JOBS``, ``<= 1`` is serial (the default).
     """
 
-    def __init__(self, graph: LabeledAdjacency, jobs: int | None = None) -> None:
+    def __init__(self, graph: LabeledAdjacency) -> None:
         self.graph = graph
-        self.jobs = resolve_jobs(jobs)
-        self._parents = graph.parents
-        self._num_nodes = graph.num_nodes
-        self._children: list[list[int]] | None = None
-
-    # ------------------------------------------------------------------
-    # Drivers (mirror the legacy public functions exactly)
-    # ------------------------------------------------------------------
 
     def initial_partition(self) -> Partition:
         """The 0-bisimulation (label) partition the rounds start from."""
@@ -187,21 +162,11 @@ class RefinementEngine:
             ValueError: if ``node_levels`` has the wrong length or any
                 negative entry.
         """
-        if len(node_levels) != self._num_nodes:
-            raise ValueError(
-                f"node_levels has {len(node_levels)} entries for "
-                f"{self._num_nodes} nodes"
-            )
-        if any(level < 0 for level in node_levels):
-            raise ValueError("node levels must be non-negative")
+        check_levels(node_levels, self.graph.num_nodes)
         partition = self.initial_partition()
         for partition in self.refine_rounds(node_levels=node_levels):
             pass
         return partition
-
-    # ------------------------------------------------------------------
-    # The round loop
-    # ------------------------------------------------------------------
 
     def refine_rounds(
         self,
@@ -211,192 +176,31 @@ class RefinementEngine:
         """Yield the partition after every *changing* round.
 
         Starts from the label partition; stops at the first round that
-        changes nothing (the legacy fixpoint test), after ``max_rounds``
-        rounds, or — with ``node_levels`` — after round
-        ``max(node_levels)``, whichever comes first.  In round ``r``
-        only nodes with ``node_levels[node] >= r`` participate; the
-        others are frozen exactly as in the legacy
-        :func:`~repro.partition.refinement.refine_once`.
+        changes nothing, after ``max_rounds`` rounds, or — with
+        ``node_levels`` — after round ``max(node_levels)``, whichever
+        comes first.  In round ``r`` only nodes with
+        ``node_levels[node] >= r`` participate; the others are frozen.
+        Refinement never merges blocks, so an unchanged block count
+        means an unchanged partition.
         """
-        partition = self.initial_partition()
         limit = max_rounds
-        freeze_round_of: dict[int, list[int]] = {}
         if node_levels is not None:
             level_cap = max(node_levels, default=0)
             limit = level_cap if limit is None else min(limit, level_cap)
-            for node, level in enumerate(node_levels):
-                freeze_round_of.setdefault(level + 1, []).append(node)
-
-        # Round 1 considers every block; later rounds only dirty ones.
-        dirty: set[int] = set(range(self._num_nodes))
+        partition = self.initial_partition()
         round_number = 0
         while limit is None or round_number < limit:
             round_number += 1
-            replacements, moved = self._refine_round(
-                partition, dirty, node_levels, round_number, freeze_round_of
-            )
-            if not replacements:
+            participating: list[bool] | None = None
+            if node_levels is not None:
+                participating = [
+                    level >= round_number for level in node_levels
+                ]
+            refined = refine_once(self.graph, partition, participating)
+            if refined.num_blocks == partition.num_blocks:
                 return
-            partition = partition.split_blocks(replacements)
+            partition = refined
             yield partition
-            children = self._ensure_children()
-            dirty = set()
-            for group in moved:
-                for node in group:
-                    dirty.update(children[node])
 
-    def _refine_round(
-        self,
-        partition: Partition,
-        dirty: set[int],
-        node_levels: Sequence[int] | None,
-        round_number: int,
-        freeze_round_of: dict[int, list[int]],
-    ) -> tuple[dict[int, list[list[int]]], list[list[int]]]:
-        """One round: split every block that can change.
-
-        Returns ``(replacements, moved)`` — the per-block groups to
-        apply via :meth:`Partition.split_blocks` and the groups whose
-        members leave their old block id (the sources of next round's
-        dirt).
-        """
-        block_of = partition.block_of
-        blocks = partition.blocks
-
-        # Candidate blocks: those holding a dirty *participating* node,
-        # plus those holding a node whose level just expired (a block
-        # with mixed participation must separate its frozen members even
-        # if no signature changed — legacy freezing semantics).
-        candidates: set[int] = set()
-        if node_levels is None:
-            for node in dirty:
-                candidates.add(block_of[node])
-        else:
-            for node in dirty:
-                if node_levels[node] >= round_number:
-                    candidates.add(block_of[node])
-            for node in freeze_round_of.get(round_number, ()):
-                candidates.add(block_of[node])
-
-        # Partition each candidate block into active/frozen members.
-        split_jobs: list[tuple[int, list[int], list[int]]] = []
-        hash_nodes: list[int] = []
-        for block in sorted(candidates):
-            members = blocks[block]
-            frozen: list[int] = []
-            if node_levels is None:
-                active = members
-            else:
-                active = [m for m in members if node_levels[m] >= round_number]
-                if not active:
-                    continue  # fully frozen: survives untouched
-                if len(active) != len(members):
-                    frozen = [
-                        m for m in members if node_levels[m] < round_number
-                    ]
-            if len(active) == 1 and not frozen:
-                continue  # a lone active member cannot split
-            split_jobs.append((block, active, frozen))
-            hash_nodes.extend(active)
-
-        if not split_jobs:
-            return {}, []
-
-        # Hash the active members (serial or chunked across processes),
-        # then intern each signature tuple through a round-local table.
-        signatures = self._signatures(hash_nodes, block_of)
-        intern: dict[tuple[int, ...], int] = {}
-        sig_of: dict[int, int] = {}
-        for node, signature in zip(hash_nodes, signatures):
-            sig_id = intern.get(signature)
-            if sig_id is None:
-                sig_id = len(intern)
-                intern[signature] = sig_id
-            sig_of[node] = sig_id
-
-        # Regroup each block; the largest group keeps the old block id
-        # (fewest assignment rewrites, Paige–Tarjan's smaller-half idea).
-        replacements: dict[int, list[list[int]]] = {}
-        moved: list[list[int]] = []
-        for block, active, frozen in split_jobs:
-            groups: dict[int, list[int]] = {}
-            for member in active:
-                groups.setdefault(sig_of[member], []).append(member)
-            if len(groups) == 1 and not frozen:
-                continue  # signatures agree and nothing froze: no change
-            parts = list(groups.values())
-            if frozen:
-                parts.append(frozen)
-            largest = max(range(len(parts)), key=lambda i: len(parts[i]))
-            if largest != 0:
-                parts[0], parts[largest] = parts[largest], parts[0]
-            replacements[block] = parts
-            moved.extend(parts[1:])
-        return replacements, moved
-
-    # ------------------------------------------------------------------
-    # Signature hashing
-    # ------------------------------------------------------------------
-
-    def _signatures(
-        self, nodes: list[int], block_of: list[int]
-    ) -> list[tuple[int, ...]]:
-        """Sorted-dedup parent-block tuples for ``nodes``, in order."""
-        if self.jobs > 1 and len(nodes) >= PARALLEL_NODE_THRESHOLD:
-            parallel = self._parallel_signatures(nodes, block_of)
-            if parallel is not None:
-                return parallel
-        parents = self._parents
-        out: list[tuple[int, ...]] = []
-        for node in nodes:
-            node_parents = parents[node]
-            if not node_parents:
-                out.append(_EMPTY_SIG)
-            elif len(node_parents) == 1:
-                out.append((block_of[next(iter(node_parents))],))
-            else:
-                out.append(tuple(sorted({block_of[p] for p in node_parents})))
-        return out
-
-    def _parallel_signatures(
-        self, nodes: list[int], block_of: list[int]
-    ) -> list[tuple[int, ...]] | None:
-        """Fork a pool and hash ``nodes`` in chunks; None = fall back."""
-        global _WORKER_PARENTS, _WORKER_BLOCK_OF, _WORKER_NODES
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            return None
-        chunk = -(-len(nodes) // self.jobs)  # ceil division
-        bounds = [
-            (start, min(start + chunk, len(nodes)))
-            for start in range(0, len(nodes), chunk)
-        ]
-        _WORKER_PARENTS = self._parents
-        _WORKER_BLOCK_OF = block_of
-        _WORKER_NODES = nodes
-        try:
-            with context.Pool(processes=min(self.jobs, len(bounds))) as pool:
-                chunks = pool.map(_signature_chunk, bounds)
-        except OSError:  # pragma: no cover - fork/pipe resource failure
-            return None
-        finally:
-            _WORKER_PARENTS = None
-            _WORKER_BLOCK_OF = None
-            _WORKER_NODES = None
-        return [signature for part in chunks for signature in part]
-
-    # ------------------------------------------------------------------
-    # Adjacency
-    # ------------------------------------------------------------------
-
-    def _ensure_children(self) -> list[list[int]]:
-        """Forward adjacency (inverse of ``parents``), built lazily."""
-        if self._children is None:
-            children: list[list[int]] = [[] for _ in range(self._num_nodes)]
-            parents = self._parents
-            for node in range(self._num_nodes):
-                for parent in parents[node]:
-                    children[parent].append(node)
-            self._children = children
-        return self._children
+    def close(self) -> None:
+        """Nothing to release; the drivers close every engine they run."""

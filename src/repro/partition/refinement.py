@@ -18,38 +18,35 @@ Refinement never merges blocks, so the block count is non-decreasing; a
 round that does not increase it has changed nothing, which is the
 fixpoint test used by :func:`bisim_partition`.
 
-Three engines implement the rounds:
+Three engines implement the rounds, and every driver below dispatches
+its ``engine=`` name through one table:
 
-- ``"worklist"`` (the default) — the dirty-block worklist engine of
-  :mod:`repro.partition.engine`: only nodes whose parents' blocks just
-  split are re-hashed, signatures are interned tuples, and hashing can
-  be spread across worker processes (``jobs=`` / ``DKINDEX_JOBS``).
-- ``"columnar"`` — the batch engine of
-  :mod:`repro.partition.columnar`: the same dirty-block round structure,
-  but run over the graph's frozen CSR view with an in-place flat
-  node→block array, contiguous-slice signature sweeps (optionally
-  numpy-vectorised via the ``fast`` extra) and a shared-memory fork
-  pool for ``jobs > 1``.
-- ``"legacy"`` — the straightforward full-rehash loop over
-  :func:`refine_once`, kept as the reference implementation (the
-  equivalence test suite checks the engines round for round, and the
-  ``dkindex bench refine`` harness times each against the others).
+- ``"columnar"`` (the default) — the batch engine of
+  :mod:`repro.partition.columnar`: only nodes whose parents' blocks
+  just split are re-hashed, over the graph's frozen CSR view, with an
+  in-place flat node→block array, contiguous-slice signature sweeps
+  (optionally numpy-vectorised via the ``fast`` extra) and a
+  shared-memory fork pool for ``jobs > 1``.
 - ``"external"`` — the out-of-core engine of
   :mod:`repro.partition.external`: the columnar round loop run over a
   paged CSR snapshot (:mod:`repro.storage.paged`) behind a
   byte-budgeted LRU pool, with page-ordered signature sweeps that
   spill sorted runs to disk — for graphs whose flat buffers should not
   (or cannot) be held in memory.
+- ``"legacy"`` — the reference engine of
+  :mod:`repro.partition.engine`: a full-rehash loop over
+  :func:`~repro.partition.engine.refine_once` (the equivalence test
+  suite checks the other engines against it round for round, and
+  ``dkindex bench refine`` times the columnar engine against it).
 
-``engine="auto"`` resolves to the worklist engine unless the
-``DKINDEX_ENGINE`` environment variable says ``legacy``, ``columnar``
-or ``external`` — which lets the benchmark harness re-route whole
-construction pipelines without threading a parameter through every call
-site.
+``engine="auto"`` resolves to the columnar engine unless the
+``DKINDEX_ENGINE`` environment variable names another one — which lets
+the benchmark harness re-route whole construction pipelines without
+threading a parameter through every call site.
 
-When a storage-backed engine *fails on storage* — retry budget
-exhausted, disk full, pool unsatisfiable — the drivers degrade along
-``external → columnar → worklist`` instead of dying, emitting a
+When the external engine *fails on storage* — retry budget exhausted,
+disk full, pool unsatisfiable — the drivers degrade to the columnar
+engine instead of dying, emitting a
 :class:`~repro.exceptions.StorageDegradationWarning` (every engine
 computes the identical partition, so correctness is unaffected; only
 the resource profile changes).  ``DKINDEX_DEGRADE`` selects the
@@ -63,18 +60,16 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from contextlib import closing
+from typing import Callable, Sequence, TypeVar
 
 from repro.exceptions import PagedStoreError, StorageDegradationWarning
 from repro.partition.blocks import Partition
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.engine import LabeledAdjacency, RefinementEngine
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.partition.external import ExternalEngine
-
 #: Engine names accepted by the ``engine=`` parameters below.
-ENGINE_CHOICES = ("auto", "worklist", "columnar", "external", "legacy")
+ENGINE_CHOICES = ("auto", "columnar", "external", "legacy")
 
 #: Environment variable that re-routes ``engine="auto"`` callers.
 ENGINE_ENV_VAR = "DKINDEX_ENGINE"
@@ -90,9 +85,9 @@ DEGRADE_CHOICES = ("off", "warn", "auto")
 DEFAULT_DEGRADE = "warn"
 
 #: Fallback order when a storage-backed engine is exhausted.  The
-#: worklist engine has no entry: it touches no storage, so a failure
+#: in-memory engines have no entry: they touch no storage, so a failure
 #: there is not a storage failure and must propagate.
-_DEGRADE_CHAIN = {"external": "columnar", "columnar": "worklist"}
+_DEGRADE_CHAIN = {"external": "columnar"}
 
 #: The storage-exhaustion error classes a fallback may absorb.
 #: :class:`~repro.exceptions.InjectedFaultError` is deliberately not
@@ -101,16 +96,32 @@ _DEGRADABLE_ERRORS = (PagedStoreError, OSError, MemoryError)
 
 _R = TypeVar("_R")
 
-# Backwards-compatible alias; the protocol moved to the engine module.
-_LabeledAdjacency = LabeledAdjacency
+#: Every engine exposes ``run_kbisim`` / ``run_fixpoint`` /
+#: ``run_leveled`` and ``close``; the external engine is a columnar one.
+_Engine = ColumnarEngine | RefinementEngine
+
+
+def _external_engine(graph: LabeledAdjacency) -> ColumnarEngine:
+    """Build the out-of-core engine (imported lazily: storage stack)."""
+    from repro.partition.external import ExternalEngine
+
+    return ExternalEngine(graph)
+
+
+#: Engine name -> constructor from ``(graph, jobs)``.
+_ENGINES: dict[str, Callable[[LabeledAdjacency, int | None], _Engine]] = {
+    "columnar": lambda graph, jobs: ColumnarEngine(graph, jobs=jobs),
+    "external": lambda graph, jobs: _external_engine(graph),
+    "legacy": lambda graph, jobs: RefinementEngine(graph),
+}
 
 
 def resolve_engine(engine: str) -> str:
     """Resolve ``engine=`` to a concrete engine name.
 
-    ``"auto"`` yields ``"worklist"`` unless ``DKINDEX_ENGINE`` routes
-    elsewhere; concrete names (``"worklist"``, ``"columnar"``,
-    ``"external"``, ``"legacy"``) pass through.
+    ``"auto"`` yields ``"columnar"`` unless ``DKINDEX_ENGINE`` routes
+    elsewhere; concrete names (``"columnar"``, ``"external"``,
+    ``"legacy"``) pass through.
 
     Raises:
         ValueError: for unknown engine names (argument or environment).
@@ -118,9 +129,9 @@ def resolve_engine(engine: str) -> str:
     if engine == "auto":
         env = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
         if not env or env == "auto":
-            return "worklist"
+            return "columnar"
         engine = env
-    if engine not in ("worklist", "columnar", "external", "legacy"):
+    if engine not in _ENGINES:
         raise ValueError(
             f"unknown refinement engine {engine!r}; choose from "
             f"{ENGINE_CHOICES}"
@@ -147,30 +158,31 @@ def resolve_degrade(policy: str | None = None) -> str:
     return policy
 
 
-def _external_engine(graph: LabeledAdjacency) -> "ExternalEngine":
-    """Build the out-of-core engine (imported lazily: storage stack)."""
-    from repro.partition.external import ExternalEngine
-
-    return ExternalEngine(graph)
-
-
 def _run_degradable(
-    resolved: str, runners: dict[str, Callable[[], _R]]
+    graph: LabeledAdjacency,
+    engine: str,
+    jobs: int | None,
+    run: Callable[[_Engine], _R],
 ) -> _R:
-    """Run ``runners[resolved]``, degrading down the engine chain.
+    """Apply ``run`` to the selected engine, degrading down the chain.
 
     A storage-exhaustion failure (:data:`_DEGRADABLE_ERRORS`) in an
     engine with a fallback restarts the build on the next engine down
     — every engine computes the identical partition, so the retry is
     semantically free.  The ``off`` policy, the absence of a fallback,
     and non-storage exceptions (including injected crash faults) all
-    re-raise unchanged.
+    re-raise unchanged.  Called directly by the public drivers, so the
+    warning's ``stacklevel`` points at the driver's caller.
+
+    Raises:
+        ValueError: for unknown engine or degradation policy names.
     """
+    current = resolve_engine(engine)
     policy = resolve_degrade()
-    current = resolved
     while True:
         try:
-            return runners[current]()
+            with closing(_ENGINES[current](graph, jobs)) as instance:
+                return run(instance)
         except _DEGRADABLE_ERRORS as error:
             fallback = _DEGRADE_CHAIN.get(current)
             if policy == "off" or fallback is None:
@@ -192,41 +204,6 @@ def label_partition(graph: LabeledAdjacency) -> Partition:
     return Partition.from_keys(list(graph.label_ids))
 
 
-def refine_once(
-    graph: LabeledAdjacency,
-    partition: Partition,
-    participating: Sequence[bool] | None = None,
-) -> Partition:
-    """One full-rehash refinement round (the legacy reference step).
-
-    Nodes for which ``participating`` is False are *frozen*: they stay
-    grouped exactly as in the previous round (their old block survives as
-    a block of the new partition, minus any members that participated).
-
-    Returns a new partition; the input is unchanged.
-
-    Raises:
-        ValueError: if ``participating`` does not have one entry per
-            node — silently freezing a suffix of the node set would
-            corrupt the partition.
-    """
-    block_of = partition.block_of
-    if participating is not None and len(participating) != len(block_of):
-        raise ValueError(
-            f"participating has {len(participating)} entries for "
-            f"{len(block_of)} nodes"
-        )
-    parents = graph.parents
-    keys: list[object] = [None] * len(block_of)
-    for node in range(len(block_of)):
-        if participating is None or participating[node]:
-            parent_blocks = frozenset(block_of[p] for p in parents[node])
-            keys[node] = (block_of[node], parent_blocks)
-        else:
-            keys[node] = ("frozen", block_of[node])
-    return Partition.from_keys(keys)
-
-
 def kbisim_partition(
     graph: LabeledAdjacency,
     k: int,
@@ -242,42 +219,17 @@ def kbisim_partition(
     Args:
         graph: the data (or index) graph.
         k: the uniform bisimilarity bound (>= 0).
-        engine: ``"worklist"`` (default via ``"auto"``), ``"columnar"``
+        engine: ``"columnar"`` (default via ``"auto"``), ``"external"``
             or ``"legacy"``.
-        jobs: worker processes for the worklist/columnar engines'
-            signature hashing; ``None`` reads ``DKINDEX_JOBS``.
+        jobs: worker processes for the columnar engine's signature
+            hashing; ``None`` reads ``DKINDEX_JOBS``.
 
     Raises:
         ValueError: if ``k`` is negative or ``engine`` is unknown.
     """
-    resolved = resolve_engine(engine)
-    if resolved != "legacy":
-
-        def run_external() -> Partition:
-            with _external_engine(graph) as ext:
-                return ext.run_kbisim(k)
-
-        return _run_degradable(
-            resolved,
-            {
-                "worklist": lambda: RefinementEngine(
-                    graph, jobs=jobs
-                ).run_kbisim(k),
-                "columnar": lambda: ColumnarEngine(
-                    graph, jobs=jobs
-                ).run_kbisim(k),
-                "external": run_external,
-            },
-        )
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    partition = label_partition(graph)
-    for _ in range(k):
-        refined = refine_once(graph, partition)
-        if refined.num_blocks == partition.num_blocks:
-            return refined
-        partition = refined
-    return partition
+    return _run_degradable(
+        graph, engine, jobs, lambda impl: impl.run_kbisim(k)
+    )
 
 
 def bisim_partition(
@@ -292,33 +244,9 @@ def bisim_partition(
     refinement rounds needed to stabilise (the graph's bisimulation
     "depth"); nodes in a common block are k-bisimilar for every k.
     """
-    resolved = resolve_engine(engine)
-    if resolved != "legacy":
-
-        def run_external() -> tuple[Partition, int]:
-            with _external_engine(graph) as ext:
-                return ext.run_fixpoint()
-
-        return _run_degradable(
-            resolved,
-            {
-                "worklist": lambda: RefinementEngine(
-                    graph, jobs=jobs
-                ).run_fixpoint(),
-                "columnar": lambda: ColumnarEngine(
-                    graph, jobs=jobs
-                ).run_fixpoint(),
-                "external": run_external,
-            },
-        )
-    partition = label_partition(graph)
-    rounds = 0
-    while True:
-        refined = refine_once(graph, partition)
-        if refined.num_blocks == partition.num_blocks:
-            return partition, rounds
-        partition = refined
-        rounds += 1
+    return _run_degradable(
+        graph, engine, jobs, lambda impl: impl.run_fixpoint()
+    )
 
 
 def leveled_partition(
@@ -337,6 +265,8 @@ def leveled_partition(
     Algorithm 2 of the paper: splitting proceeds from the label-split
     graph, each round splits only the index nodes whose requirement is at
     least the round number, and newly created nodes inherit requirements.
+    Participant sets only shrink as the round number grows, so the first
+    round that changes nothing ends the run.
 
     When the levels are uniform this equals :func:`kbisim_partition`;
     when they satisfy the broadcast constraint
@@ -347,47 +277,6 @@ def leveled_partition(
         ValueError: if ``node_levels`` has the wrong length or any
             negative entry.
     """
-    resolved = resolve_engine(engine)
-    if resolved != "legacy":
-
-        def run_external() -> Partition:
-            with _external_engine(graph) as ext:
-                return ext.run_leveled(node_levels)
-
-        return _run_degradable(
-            resolved,
-            {
-                "worklist": lambda: RefinementEngine(
-                    graph, jobs=jobs
-                ).run_leveled(node_levels),
-                "columnar": lambda: ColumnarEngine(
-                    graph, jobs=jobs
-                ).run_leveled(node_levels),
-                "external": run_external,
-            },
-        )
-    if len(node_levels) != graph.num_nodes:
-        raise ValueError(
-            f"node_levels has {len(node_levels)} entries for "
-            f"{graph.num_nodes} nodes"
-        )
-    if any(level < 0 for level in node_levels):
-        raise ValueError("node levels must be non-negative")
-
-    partition = label_partition(graph)
-    max_level = max(node_levels, default=0)
-    for round_number in range(1, max_level + 1):
-        participating = [level >= round_number for level in node_levels]
-        refined = refine_once(graph, partition, participating)
-        # No early fixpoint exit here: with freezing, a stable round for
-        # participating nodes can still be followed by change once other
-        # requirements kick in — but levels only shrink the participant
-        # set over rounds, so stability of the block count is still a
-        # valid exit.  Keep it simple and only exit when nothing changed.
-        if refined.num_blocks == partition.num_blocks:
-            partition = refined
-            # Participant sets only shrink as the round number grows, so
-            # once a round is a no-op every later round is too.
-            break
-        partition = refined
-    return partition
+    return _run_degradable(
+        graph, engine, jobs, lambda impl: impl.run_leveled(node_levels)
+    )

@@ -96,34 +96,3 @@ def test_from_keys_uses_fast_path_consistently():
     p = Partition.from_keys(keys)
     assert p.block_of == Partition(p.block_of).block_of
     assert p.blocks == Partition(p.block_of).blocks
-
-
-def test_split_blocks_first_group_keeps_id():
-    p = Partition.from_keys(["a", "a", "a", "b"])
-    split = p.split_blocks({0: [[0, 2], [1]]})
-    assert split.block_of == [0, 2, 0, 1]
-    assert split.blocks == [[0, 2], [3], [1]]
-    # the untouched block's member list is reused, not rebuilt
-    assert split.blocks[1] is p.blocks[1]
-    # the receiver is unchanged
-    assert p.block_of == [0, 0, 0, 1]
-
-
-def test_split_blocks_multiway_and_refines():
-    p = Partition.from_keys(["a"] * 6)
-    split = p.split_blocks({0: [[1, 4], [0, 3], [2, 5]]})
-    assert split.num_blocks == 3
-    assert split.refines(p)
-    assert sorted(map(sorted, split.blocks)) == [[0, 3], [1, 4], [2, 5]]
-
-
-def test_split_blocks_validates():
-    p = Partition.from_keys(["a", "a", "b"])
-    with pytest.raises(IndexInvariantError):
-        p.split_blocks({5: [[0]]})  # no such block
-    with pytest.raises(IndexInvariantError):
-        p.split_blocks({0: [[0], []]})  # empty group
-    with pytest.raises(IndexInvariantError):
-        p.split_blocks({0: [[0, 2]]})  # node 2 is in block 1
-    with pytest.raises(IndexInvariantError):
-        p.split_blocks({0: [[0]]})  # does not cover member 1

@@ -1,9 +1,9 @@
 """The columnar batch engine: equivalence, parallel identity, fallbacks.
 
-The columnar engine must be partition-identical to both the worklist
-engine and the legacy full-rehash loop — at the fixpoint *and* round for
-round (the D(k) freeze-bucket semantics depend on the intermediate
-rounds).  These tests drive it over hypothesis-generated small graphs
+The columnar engine must be partition-identical to the reference
+full-rehash engine and to the external engine built on it — at the
+fixpoint *and* round for round (the D(k) freeze-bucket semantics depend
+on the intermediate rounds).  These tests drive it over hypothesis-generated small graphs
 and the seeded DAG / cyclic-IDREF families, force the shared-memory
 fork pool and the numpy sweep onto tiny rounds to require bit-for-bit
 agreement with the serial path, and pin down the driver validation and
@@ -18,7 +18,6 @@ from conftest import small_graphs
 import repro.partition.columnar as columnar_module
 from repro.graph.columnar import csr_from_parent_adjacency
 from repro.partition.columnar import ColumnarEngine
-from repro.partition.engine import RefinementEngine
 from repro.partition.refinement import (
     bisim_partition,
     kbisim_partition,
@@ -27,6 +26,7 @@ from repro.partition.refinement import (
 )
 from test_engine_equivalence import (
     assert_engines_agree,
+    assert_rounds_match_reference,
     broadcast_levels,
     cyclic_idref_graph,
     dag_with_shared_subtrees,
@@ -41,18 +41,18 @@ from test_engine_equivalence import (
 @settings(max_examples=60, deadline=None)
 def test_columnar_kbisim_matches_both_engines(graph, k):
     columnar = kbisim_partition(graph, k, engine="columnar")
-    assert columnar == kbisim_partition(graph, k, engine="worklist")
     assert columnar == kbisim_partition(graph, k, engine="legacy")
+    assert columnar == kbisim_partition(graph, k, engine="external")
 
 
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_columnar_fixpoint_matches_both_engines(graph):
     columnar, columnar_rounds = bisim_partition(graph, engine="columnar")
-    worklist, worklist_rounds = bisim_partition(graph, engine="worklist")
     legacy, legacy_rounds = bisim_partition(graph, engine="legacy")
-    assert columnar == worklist == legacy
-    assert columnar_rounds == worklist_rounds == legacy_rounds
+    external, external_rounds = bisim_partition(graph, engine="external")
+    assert columnar == legacy == external
+    assert columnar_rounds == legacy_rounds == external_rounds
 
 
 @given(small_graphs())
@@ -60,27 +60,31 @@ def test_columnar_fixpoint_matches_both_engines(graph):
 def test_columnar_leveled_matches_both_engines(graph):
     levels = broadcast_levels(graph)
     columnar = leveled_partition(graph, levels, engine="columnar")
-    assert columnar == leveled_partition(graph, levels, engine="worklist")
     assert columnar == leveled_partition(graph, levels, engine="legacy")
+    assert columnar == leveled_partition(graph, levels, engine="external")
 
 
-@given(small_graphs())
+@given(small_graphs(), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
-def test_columnar_rounds_match_worklist_round_for_round(graph):
-    worklist_rounds = list(RefinementEngine(graph).refine_rounds())
-    columnar_rounds = list(ColumnarEngine(graph).refine_rounds())
-    assert len(columnar_rounds) == len(worklist_rounds)
-    for ours, theirs in zip(columnar_rounds, worklist_rounds):
-        assert ours == theirs
+def test_columnar_rounds_match_reference_round_for_round(graph, k):
+    # k-bounded runs stop after round k even when rounds still change.
+    assert_rounds_match_reference(graph, max_rounds=k)
 
 
-@given(small_graphs())
+@given(small_graphs(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_columnar_leveled_rounds_match_worklist(graph):
-    levels = broadcast_levels(graph)
-    worklist_rounds = list(RefinementEngine(graph).refine_rounds(levels))
-    columnar_rounds = list(ColumnarEngine(graph).refine_rounds(levels))
-    assert columnar_rounds == worklist_rounds
+def test_columnar_leveled_rounds_match_reference(graph, data):
+    assert_rounds_match_reference(graph, node_levels=broadcast_levels(graph))
+    # Per-node levels, as reindexing uses: a block then mixes frozen and
+    # participating members, which the freeze buckets must separate.
+    levels = data.draw(
+        st.lists(
+            st.integers(0, 3),
+            min_size=graph.num_nodes,
+            max_size=graph.num_nodes,
+        )
+    )
+    assert_rounds_match_reference(graph, node_levels=levels)
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_columnar_k_sweep_is_monotone_and_exact(seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_parallel_columnar_is_serial_identical(seed, monkeypatch):
     # Force the fork pool onto every round, then require bit-for-bit
-    # agreement with the serial columnar, worklist and legacy engines.
+    # agreement with the reference and external engines.
     monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
     assert_engines_agree(cyclic_idref_graph(seed, size=120), jobs=2)
     assert_engines_agree(dag_with_shared_subtrees(seed, size=120), jobs=2)

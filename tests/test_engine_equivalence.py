@@ -1,34 +1,35 @@
-"""Equivalence of the worklist engine, its parallel path, and the legacy
-signature refinement.
+"""Equivalence of the columnar and external engines with the reference
+engine.
 
-The worklist engine must be *partition-identical* to the legacy
-full-rehash loop — not just at the fixpoint but round for round, because
+The columnar and external engines must be *partition-identical* to the
+reference full-rehash engine (``engine="legacy"``,
+:class:`~repro.partition.engine.RefinementEngine`) — not just at the
+fixpoint but round for round, with and without freeze levels, because
 the D(k) construction freezes nodes against the intermediate rounds.
-These tests drive all three paths — plus the columnar CSR engine, whose
-deeper suite lives in ``test_columnar_engine.py`` — over the graph
-families where the worklist bookkeeping can go wrong: trees, DAGs with
-shared subtrees (many-parent nodes exercise the sorted-dedup
-signatures) and cyclic IDREF-style graphs (dirt must propagate around
-cycles).
+These tests drive every engine over the graph families where the
+dirty-block bookkeeping can go wrong: trees, DAGs with shared subtrees
+(many-parent nodes exercise the sorted-dedup signatures) and cyclic
+IDREF-style graphs (dirt must propagate around cycles).  The columnar
+engine's deeper suite lives in ``test_columnar_engine.py``.
 """
 
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import small_graphs
-import repro.partition.engine as engine_module
+import repro.partition.columnar as columnar_module
 from repro.core.broadcast import broadcast_for_graph
 from repro.graph.datagraph import DataGraph
-from repro.partition.engine import RefinementEngine, resolve_jobs
+from repro.partition.columnar import ColumnarEngine
+from repro.partition.engine import RefinementEngine, refine_once, resolve_jobs
+from repro.partition.external import ExternalEngine
 from repro.partition.refinement import (
     bisim_partition,
     kbisim_partition,
     label_partition,
     leveled_partition,
-    refine_once,
     resolve_engine,
 )
 
@@ -96,17 +97,11 @@ def assert_engines_agree(graph, jobs=None):
     for k in (0, 1, 2, 4):
         legacy_k = kbisim_partition(graph, k, engine="legacy")
         assert kbisim_partition(
-            graph, k, engine="worklist", jobs=jobs
-        ) == legacy_k
-        assert kbisim_partition(
             graph, k, engine="columnar", jobs=jobs
         ) == legacy_k
         assert kbisim_partition(
             graph, k, engine="external", jobs=jobs
         ) == legacy_k
-    worklist, worklist_rounds = bisim_partition(
-        graph, engine="worklist", jobs=jobs
-    )
     columnar, columnar_rounds = bisim_partition(
         graph, engine="columnar", jobs=jobs
     )
@@ -114,14 +109,10 @@ def assert_engines_agree(graph, jobs=None):
         graph, engine="external", jobs=jobs
     )
     legacy, legacy_rounds = bisim_partition(graph, engine="legacy")
-    assert worklist == legacy == columnar == external
-    assert worklist_rounds == legacy_rounds == columnar_rounds
-    assert external_rounds == legacy_rounds
+    assert legacy == columnar == external
+    assert legacy_rounds == columnar_rounds == external_rounds
     levels = broadcast_levels(graph)
     legacy_leveled = leveled_partition(graph, levels, engine="legacy")
-    assert leveled_partition(
-        graph, levels, engine="worklist", jobs=jobs
-    ) == legacy_leveled
     assert leveled_partition(
         graph, levels, engine="columnar", jobs=jobs
     ) == legacy_leveled
@@ -130,42 +121,32 @@ def assert_engines_agree(graph, jobs=None):
     ) == legacy_leveled
 
 
-# ----------------------------------------------------------------------
-# Hypothesis: random small graphs, every driver
-# ----------------------------------------------------------------------
-
-
-@given(small_graphs(), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_worklist_kbisim_matches_legacy(graph, k):
-    assert kbisim_partition(graph, k, engine="worklist") == kbisim_partition(
-        graph, k, engine="legacy"
+def assert_rounds_match_reference(graph, node_levels=None, max_rounds=None):
+    """The columnar and external engines yield the reference engine's
+    partition after every changing round, and no extra rounds."""
+    reference = list(
+        RefinementEngine(graph).refine_rounds(node_levels, max_rounds)
     )
-
-
-@given(small_graphs())
-@settings(max_examples=60, deadline=None)
-def test_worklist_fixpoint_matches_legacy(graph):
-    worklist, worklist_rounds = bisim_partition(graph, engine="worklist")
-    legacy, legacy_rounds = bisim_partition(graph, engine="legacy")
-    assert worklist == legacy
-    assert worklist_rounds == legacy_rounds
-
-
-@given(small_graphs())
-@settings(max_examples=60, deadline=None)
-def test_worklist_leveled_matches_legacy(graph):
-    levels = broadcast_levels(graph)
-    assert leveled_partition(graph, levels, engine="worklist") == (
-        leveled_partition(graph, levels, engine="legacy")
+    columnar = list(
+        ColumnarEngine(graph).refine_rounds(node_levels, max_rounds)
     )
+    with ExternalEngine(graph) as engine:
+        external = list(engine.refine_rounds(node_levels, max_rounds))
+    assert columnar == reference
+    assert external == reference
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: random small graphs, round for round
+# ----------------------------------------------------------------------
 
 
 @given(small_graphs())
 @settings(max_examples=40, deadline=None)
 def test_engine_rounds_match_legacy_round_for_round(graph):
-    # The changing rounds of the engine equal the changing rounds of the
-    # legacy loop, in order — the per-round identity the D(k) freezing
+    # The reference engine's rounds are the hand-rolled refine_once loop;
+    # the changing rounds of the columnar and external engines equal
+    # them, in order — the per-round identity the D(k) freezing
     # semantics rely on.
     legacy_rounds = []
     partition = label_partition(graph)
@@ -175,10 +156,8 @@ def test_engine_rounds_match_legacy_round_for_round(graph):
             break
         legacy_rounds.append(refined)
         partition = refined
-    engine_rounds = list(RefinementEngine(graph).refine_rounds())
-    assert len(engine_rounds) == len(legacy_rounds)
-    for ours, theirs in zip(engine_rounds, legacy_rounds):
-        assert ours == theirs
+    assert list(RefinementEngine(graph).refine_rounds()) == legacy_rounds
+    assert_rounds_match_reference(graph)
 
 
 # ----------------------------------------------------------------------
@@ -198,13 +177,14 @@ def test_engines_agree_on_cyclic_idref_graphs(seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_parallel_path_is_serial_identical(seed, monkeypatch):
-    # Force the fork pool even on tiny rounds, then require bit-for-bit
-    # agreement with the serial worklist AND the legacy engine.
-    monkeypatch.setattr(engine_module, "PARALLEL_NODE_THRESHOLD", 0)
-    graph = cyclic_idref_graph(seed, size=120)
-    assert_engines_agree(graph, jobs=2)
-    dag = dag_with_shared_subtrees(seed, size=120)
-    assert_engines_agree(dag, jobs=2)
+    # Request the columnar fork pool through DKINDEX_JOBS (jobs=None
+    # everywhere), force it even on tiny rounds, then require agreement
+    # with the reference engine.
+    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
+    monkeypatch.setenv("DKINDEX_JOBS", "2")
+    assert ColumnarEngine(cyclic_idref_graph(seed, size=10)).jobs == 2
+    assert_engines_agree(cyclic_idref_graph(seed, size=120))
+    assert_engines_agree(dag_with_shared_subtrees(seed, size=120))
 
 
 # ----------------------------------------------------------------------
@@ -218,12 +198,34 @@ def test_unknown_engine_rejected():
         kbisim_partition(g, 1, engine="quantum")
 
 
-def test_resolve_engine_env_override(monkeypatch):
+def test_auto_engine_is_columnar(monkeypatch):
     monkeypatch.delenv("DKINDEX_ENGINE", raising=False)
-    assert resolve_engine("auto") == "worklist"
+    assert resolve_engine("auto") == "columnar"
+    monkeypatch.setenv("DKINDEX_ENGINE", "auto")
+    assert resolve_engine("auto") == "columnar"
+
+
+def test_worklist_engine_name_rejected(monkeypatch):
+    # "worklist" names no engine: it is an error by argument and by
+    # environment, and the message lists the engines there are.
+    g = cyclic_idref_graph(0, size=10)
+    monkeypatch.delenv("DKINDEX_ENGINE", raising=False)
+    with pytest.raises(ValueError) as by_argument:
+        bisim_partition(g, engine="worklist")
+    monkeypatch.setenv("DKINDEX_ENGINE", "worklist")
+    with pytest.raises(ValueError) as by_environment:
+        bisim_partition(g)
+    for raised in (by_argument, by_environment):
+        message = str(raised.value)
+        assert "'worklist'" in message
+        for name in ("columnar", "external", "legacy"):
+            assert name in message
+
+
+def test_resolve_engine_env_override(monkeypatch):
     monkeypatch.setenv("DKINDEX_ENGINE", "legacy")
     assert resolve_engine("auto") == "legacy"
-    assert resolve_engine("worklist") == "worklist"  # explicit beats env
+    assert resolve_engine("columnar") == "columnar"  # explicit beats env
     monkeypatch.setenv("DKINDEX_ENGINE", "columnar")
     assert resolve_engine("auto") == "columnar"
     monkeypatch.setenv("DKINDEX_ENGINE", "external")
@@ -248,17 +250,19 @@ def test_resolve_jobs_env(monkeypatch):
 
 def test_engine_validates_inputs():
     g = cyclic_idref_graph(0, size=10)
-    with pytest.raises(ValueError):
-        kbisim_partition(g, -1, engine="worklist")
-    with pytest.raises(ValueError):
-        leveled_partition(g, [0], engine="worklist")
-    with pytest.raises(ValueError):
-        leveled_partition(g, [-1] * g.num_nodes, engine="worklist")
+    for engine in ("columnar", "external", "legacy"):
+        with pytest.raises(ValueError):
+            kbisim_partition(g, -1, engine=engine)
+        with pytest.raises(ValueError):
+            leveled_partition(g, [0], engine=engine)
+        with pytest.raises(ValueError):
+            leveled_partition(g, [-1] * g.num_nodes, engine=engine)
 
 
 def test_leveled_all_zero_levels_is_label_partition():
     g = cyclic_idref_graph(1, size=40)
     levels = [0] * g.num_nodes
-    assert leveled_partition(g, levels, engine="worklist") == (
-        label_partition(g)
-    )
+    for engine in ("columnar", "external", "legacy"):
+        assert leveled_partition(g, levels, engine=engine) == (
+            label_partition(g)
+        )

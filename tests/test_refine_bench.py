@@ -26,15 +26,11 @@ def test_report_structure_and_speedups():
     assert report["schema"] == SCHEMA
     assert report["config"]["scale_axis"] == {"0.05": 0.05}
     results = report["results"]
-    # 4 scenarios x 3 serial engines x 1 scale; no parallel rows when
+    # 4 scenarios x 2 serial engines x 1 scale; no parallel row when
     # jobs resolves to serial.
-    assert len(results) == 12
+    assert len(results) == 8
     assert {row["scenario"] for row in results} == SCENARIOS
-    assert {row["engine"] for row in results} == {
-        "legacy",
-        "worklist",
-        "columnar",
-    }
+    assert {row["engine"] for row in results} == {"legacy", "columnar"}
     for row in results:
         assert len(row["times_s"]) == 1
         assert row["median_s"] >= 0.0
@@ -45,11 +41,9 @@ def test_report_structure_and_speedups():
     speedups = report["speedups"]
     assert set(speedups) == {f"xmark/{name}@0.05" for name in SCENARIOS}
     for entry in speedups.values():
+        assert set(entry) == {"legacy_s", "columnar_s", "speedup"}
         assert entry["speedup"] == pytest.approx(
-            entry["legacy_s"] / entry["worklist_s"]
-        )
-        assert entry["columnar_vs_worklist"] == pytest.approx(
-            entry["worklist_s"] / entry["columnar_s"]
+            entry["legacy_s"] / entry["columnar_s"]
         )
 
 
@@ -60,7 +54,7 @@ def test_scale_axis_produces_one_row_set_per_scale():
         )
     )
     results = report["results"]
-    assert len(results) == 24  # 4 scenarios x 3 engines x 2 scales
+    assert len(results) == 16  # 4 scenarios x 2 engines x 2 scales
     assert {row["scale"] for row in results} == {"0.05", "0.08"}
     assert set(report["datasets"]) == {"xmark@0.05", "xmark@0.08"}
     assert set(report["speedups"]) == {
@@ -75,13 +69,7 @@ def test_parallel_rows_added_when_jobs_given():
         RefineBenchConfig(scale="0.05", repeats=1, jobs=2, datasets=("xmark",))
     )
     engines = {row["engine"] for row in report["results"]}
-    assert engines == {
-        "legacy",
-        "worklist",
-        "columnar",
-        "worklist-parallel",
-        "columnar-parallel",
-    }
+    assert engines == {"legacy", "columnar", "columnar-parallel"}
     for row in report["results"]:
         assert row["jobs"] == (2 if row["engine"].endswith("-parallel") else 1)
     assert report["config"]["jobs"] == 2
@@ -98,7 +86,7 @@ def test_write_report_round_trips(tmp_path):
     loaded = json.loads(out.read_text())
     assert loaded["schema"] == SCHEMA
     assert loaded["datasets"]["xmark@0.05"]["nodes"] > 0
-    assert "col/wl" in format_report(report)
+    assert "leg/col" in format_report(report)
 
 
 def test_named_numeric_and_mixed_scale_axes():
@@ -147,7 +135,7 @@ def test_cli_bench_refine(tmp_path, capsys):
     )
     assert code == 0
     captured = capsys.readouterr().out
-    assert "col/wl" in captured
+    assert "leg/col" in captured
     assert str(out) in captured
     loaded = json.loads(out.read_text())
     assert loaded["schema"] == SCHEMA

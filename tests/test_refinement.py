@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_full_bisim, brute_force_kbisim, small_graphs
 from repro.graph.builder import graph_from_edges
+from repro.graph.datagraph import DataGraph
+from repro.partition.engine import refine_once
 from repro.partition.refinement import (
     bisim_partition,
     kbisim_partition,
     label_partition,
     leveled_partition,
-    refine_once,
 )
 
 
@@ -94,6 +95,45 @@ def test_bisim_reaches_fixpoint():
     p, rounds = bisim_partition(g)
     assert rounds >= 1
     assert refine_once(g, p) == p
+
+
+def test_bisim_trivial_graph():
+    partition, rounds = bisim_partition(DataGraph())  # the root alone
+    assert partition.num_blocks == 1
+    assert rounds == 0
+
+
+def test_bisim_cycle():
+    g = graph_from_edges(
+        ["a", "b", "a", "b"],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)],
+    )
+    partition, _rounds = bisim_partition(g)
+    assert partition == brute_force_full_bisim(g)
+
+
+def test_bisim_self_loop():
+    g = graph_from_edges(["a", "a"], [(0, 1), (1, 1), (0, 2)])
+    partition, _rounds = bisim_partition(g)
+    assert partition == brute_force_full_bisim(g)
+    assert not partition.same_block(1, 2)  # only node 1 is its own parent
+
+
+def test_bisim_deep_chain_splits_fully():
+    g = graph_from_edges(["x"] * 6, [(i, i + 1) for i in range(6)])
+    partition, rounds = bisim_partition(g)
+    # Every chain position has distinct incoming paths.
+    assert partition.num_blocks == 7
+    assert rounds == 5
+
+
+def test_bisim_shared_children():
+    g = graph_from_edges(
+        ["a", "b", "c", "d"],
+        [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4)],
+    )
+    partition, _rounds = bisim_partition(g)
+    assert partition == brute_force_full_bisim(g)
 
 
 def test_leveled_uniform_equals_kbisim():

@@ -230,13 +230,15 @@ def test_degrade_warn_falls_back_with_warning(monkeypatch, fast_retries):
                 graph, engine="external"
             )
     storage_warnings = [
-        entry.message
+        entry
         for entry in caught
         if isinstance(entry.message, StorageDegradationWarning)
     ]
     assert storage_warnings
-    assert storage_warnings[0].from_engine == "external"
-    assert storage_warnings[0].to_engine == "columnar"
+    assert storage_warnings[0].message.from_engine == "external"
+    assert storage_warnings[0].message.to_engine == "columnar"
+    # Attributed to the caller of bisim_partition, not to the driver.
+    assert storage_warnings[0].filename == __file__
     assert partition.block_of == baseline.block_of
     assert degraded_rounds == rounds
 
