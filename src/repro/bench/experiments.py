@@ -13,6 +13,7 @@ import time
 from repro.bench.harness import (
     DatasetBundle,
     ExperimentConfig,
+    dataset_builder,
     load_dataset,
     workload_average_cost,
 )
@@ -246,9 +247,7 @@ def run_subgraph(
     """
     config = config or ExperimentConfig()
     bundle = load_dataset(dataset, config)
-    from repro.bench.harness import DATASET_BUILDERS  # local to avoid cycle
-
-    newcomer = DATASET_BUILDERS[dataset](
+    newcomer = dataset_builder(dataset)(
         max(config.scale * 0.25, 0.02), config.dataset_seed + 1
     )
     result = ExperimentResult(

@@ -62,6 +62,43 @@ DATASET_BUILDERS: dict[str, Callable[[float, int], GeneratedDocument]] = {
     "dblp": lambda scale, seed: generate_dblp(scale=scale, seed=seed),
 }
 
+#: Named scales: dataset scale factors sized so "small" suits CI smoke
+#: runs and "large" stresses the engines on ~10^5-edge graphs.
+SCALE_NAMES: dict[str, float] = {"small": 0.2, "medium": 0.6, "large": 1.5}
+
+
+def dataset_builder(name: str) -> Callable[[float, int], GeneratedDocument]:
+    """The generator registered under ``name``.
+
+    Raises:
+        DatasetError: for unknown dataset names.
+    """
+    builder = DATASET_BUILDERS.get(name)
+    if builder is None:
+        raise DatasetError(
+            f"unknown dataset {name!r}; available: {sorted(DATASET_BUILDERS)}"
+        )
+    return builder
+
+
+def parse_scale(text: str) -> tuple[str, float]:
+    """One scale token — a named scale or a float — as ``(name, factor)``.
+
+    Raises:
+        DatasetError: for a token that is neither named nor numeric.
+    """
+    name = text.strip()
+    factor = SCALE_NAMES.get(name)
+    if factor is None:
+        try:
+            factor = float(name)
+        except ValueError:
+            raise DatasetError(
+                f"unknown bench scale {name!r}; use one of "
+                f"{sorted(SCALE_NAMES)} or a number"
+            ) from None
+    return name, factor
+
 
 @dataclass
 class DatasetBundle:
@@ -114,12 +151,7 @@ def load_dataset(name: str, config: ExperimentConfig | None = None) -> DatasetBu
     if cached is not None:
         return cached
 
-    builder = DATASET_BUILDERS.get(name)
-    if builder is None:
-        raise DatasetError(
-            f"unknown dataset {name!r}; available: {sorted(DATASET_BUILDERS)}"
-        )
-    document = builder(config.scale, config.dataset_seed)
+    document = dataset_builder(name)(config.scale, config.dataset_seed)
     load = generate_test_paths(
         document.graph,
         WorkloadConfig(count=config.num_queries),

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-from repro.bench.harness import DATASET_BUILDERS
-from repro.bench.refine import SCALE_NAMES
+from repro.bench.harness import dataset_builder, parse_scale
 from repro.bench.reporting import render_table
 from repro.exceptions import DatasetError
 from repro.maintenance.faults import FaultInjector
@@ -74,25 +73,6 @@ DEFAULT_BUDGET_RATIO = 0.25
 
 #: Random lookups in the query-sweep phase.
 DEFAULT_QUERIES = 2000
-
-
-def parse_scale(text: str) -> tuple[str, float]:
-    """One scale token — a named scale or a float — as ``(name, factor)``.
-
-    Raises:
-        DatasetError: for a token that is neither named nor numeric.
-    """
-    name = text.strip()
-    factor = SCALE_NAMES.get(name)
-    if factor is None:
-        try:
-            factor = float(name)
-        except ValueError:
-            raise DatasetError(
-                f"unknown bench scale {name!r}; use one of "
-                f"{sorted(SCALE_NAMES)} or a number"
-            ) from None
-    return name, factor
 
 
 @dataclass(frozen=True)
@@ -149,12 +129,7 @@ def run_outofcore_bench(config: OutOfCoreBenchConfig) -> dict[str, object]:
         raise DatasetError(
             f"fault rate must be within [0, 1]: {config.fault_rate}"
         )
-    builder = DATASET_BUILDERS.get(config.dataset)
-    if builder is None:
-        raise DatasetError(
-            f"unknown dataset {config.dataset!r}; available: "
-            f"{sorted(DATASET_BUILDERS)}"
-        )
+    builder = dataset_builder(config.dataset)
     page_bytes = resolve_page_bytes(config.page_bytes)
 
     graph = builder(scale_factor, config.seed).graph
@@ -172,7 +147,7 @@ def run_outofcore_bench(config: OutOfCoreBenchConfig) -> dict[str, object]:
 
     # Phase 1: in-memory columnar fixpoint (the baseline).
     start = time.perf_counter()
-    baseline, baseline_rounds = ColumnarEngine(view, jobs=1).run_fixpoint()
+    baseline, baseline_rounds = ColumnarEngine(view).run_fixpoint()
     phases["columnar_in_memory"] = {
         "seconds": round(time.perf_counter() - start, 6),
         "rounds": baseline_rounds,

@@ -35,13 +35,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.harness import DATASET_BUILDERS
-from repro.bench.refine import SCALE_NAMES, synthetic_requirements
+from repro.bench.harness import dataset_builder, parse_scale
+from repro.bench.refine import synthetic_requirements
 from repro.bench.reporting import render_table
 from repro.bench.update import _edge_stream
 from repro.core.construction import build_dk_index
 from repro.core.dindex import DKIndex
-from repro.exceptions import DatasetError, RecoveryError
+from repro.exceptions import RecoveryError
 from repro.maintenance.audit import run_audit
 from repro.maintenance.journal import apply_journal_op, scan_journal
 from repro.maintenance.pipeline import UpdatePipeline
@@ -87,28 +87,14 @@ class RecoveryBenchConfig:
         Raises:
             DatasetError: if the scale is neither named nor numeric.
         """
-        named = SCALE_NAMES.get(self.scale)
-        if named is not None:
-            return named
-        try:
-            return float(self.scale)
-        except ValueError:
-            raise DatasetError(
-                f"unknown bench scale {self.scale!r}; use one of "
-                f"{sorted(SCALE_NAMES)} or a number"
-            ) from None
+        return parse_scale(self.scale)[1]
 
 
 def _build_store(
     dataset: str, config: RecoveryBenchConfig, directory: Path
 ) -> dict[str, int]:
     """Untimed setup: checkpoint store + journaled edge stream."""
-    builder = DATASET_BUILDERS.get(dataset)
-    if builder is None:
-        raise DatasetError(
-            f"unknown dataset {dataset!r}; available: {sorted(DATASET_BUILDERS)}"
-        )
-    graph = builder(config.scale_factor, config.seed).graph
+    graph = dataset_builder(dataset)(config.scale_factor, config.seed).graph
     requirements = synthetic_requirements(graph)
     index, _levels = build_dk_index(graph, requirements)
     dk = DKIndex(graph, index, requirements)

@@ -11,13 +11,14 @@ this harness times the four construction workloads that exercise it —
   graph at lowered levels (Theorem 2 / ``reindex_index_graph``)
 
 — on the seeded XMark/NASA generators, once per engine (the ``legacy``
-full-rehash reference vs the CSR-batch ``columnar`` engine; plus a
-parallel columnar row when ``jobs > 1``), across a *scale axis*
-(``--scale small,medium``), and writes the medians plus a
+full-rehash reference vs the CSR-batch ``columnar`` engine), across a
+*scale axis* (``--scale small,medium``), and writes the medians plus a
 ``tracemalloc`` peak-memory column to ``BENCH_refinement.json``.  The
-committed baseline is this file's first entry; every future perf PR
-re-runs the harness so the repository carries a recorded performance
-trajectory instead of anecdotes.  Timings are wall-clock medians over
+report's ``config`` records whether the columnar engine's numpy sweep
+was active, because that moves its timings.  The committed baseline is
+this file's first entry; every later performance change re-runs the
+harness so the repository carries a recorded performance trajectory
+instead of anecdotes.  Timings are wall-clock medians over
 ``repeats`` runs of freshly-seeded, deterministic inputs, so runs are
 comparable across commits on the same machine.  Peak memory is measured
 on one separate, untimed run per cell (tracemalloc's tracing overhead
@@ -34,34 +35,26 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.bench.harness import DATASET_BUILDERS
+from repro.bench.harness import dataset_builder, parse_scale
 from repro.bench.reporting import render_table
 from repro.core.construction import build_dk_index, reindex_index_graph
 from repro.exceptions import DatasetError
 from repro.graph.datagraph import ROOT_LABEL, VALUE_LABEL, DataGraph
 from repro.indexes.base import IndexGraph
-from repro.partition.engine import resolve_jobs
+from repro.partition import columnar
 from repro.partition.refinement import bisim_partition, kbisim_partition
 
 #: Schema identifier written into (and expected from) the report JSON.
 #: Version 2 added the scale axis (one row per scale), the ``peak_kb``
-#: tracemalloc column, the columnar engine rows, and records resolved
-#: worker counts in ``jobs`` (never the raw ``0`` CLI default).
-#: Version 3 drops the worklist rows; ``speedup`` is legacy over
-#: columnar.
-SCHEMA = "dkindex-bench-refinement/3"
+#: tracemalloc column, the columnar engine rows and resolved worker
+#: counts.  Version 3 drops the worklist rows; ``speedup`` is legacy
+#: over columnar.  Version 4 drops the worker counts and the parallel
+#: columnar row, and records in ``config.numpy`` whether the columnar
+#: engine's numpy sweep was active.
+SCHEMA = "dkindex-bench-refinement/4"
 
-#: Named scales: dataset scale factors sized so "small" suits CI smoke
-#: runs and "large" stresses the engines on ~10^5-edge graphs.
-SCALE_NAMES: dict[str, float] = {"small": 0.2, "medium": 0.6, "large": 1.5}
-
-#: The engines every cell is timed under (name, jobs-override).  The
-#: parallel ``columnar-parallel`` row is appended per run when
-#: ``--jobs`` resolves past 1.
-SERIAL_ENGINES: tuple[tuple[str, int], ...] = (
-    ("legacy", 1),
-    ("columnar", 1),
-)
+#: The engines every cell is timed under.
+ENGINES = ("legacy", "columnar")
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,6 @@ class RefineBenchConfig:
         repeats: timed runs per (dataset, scenario, engine, scale); the
             report records the median.
         seed: dataset generator seed.
-        jobs: worker processes for the additional parallel row;
-            resolving to ``<= 1`` skips it (the serial engines always
-            run).
         datasets: generator names to measure (see
             :data:`repro.bench.harness.DATASET_BUILDERS`).
         ks: the A(k) sweep.
@@ -86,7 +76,6 @@ class RefineBenchConfig:
     scale: str = "small"
     repeats: int = 3
     seed: int = 0
-    jobs: int = 0
     datasets: tuple[str, ...] = ("xmark", "nasa")
     ks: tuple[int, ...] = (0, 1, 2, 3, 4)
 
@@ -97,21 +86,8 @@ class RefineBenchConfig:
         Raises:
             DatasetError: if any entry is neither named nor numeric.
         """
-        axis: list[tuple[str, float]] = []
-        for entry in self.scale.split(","):
-            name = entry.strip()
-            if not name:
-                continue
-            factor = SCALE_NAMES.get(name)
-            if factor is None:
-                try:
-                    factor = float(name)
-                except ValueError:
-                    raise DatasetError(
-                        f"unknown bench scale {name!r}; use one of "
-                        f"{sorted(SCALE_NAMES)} or a number"
-                    ) from None
-            axis.append((name, factor))
+        entries = [entry for entry in self.scale.split(",") if entry.strip()]
+        axis = [parse_scale(entry) for entry in entries]
         if not axis:
             raise DatasetError("empty bench scale axis")
         return tuple(axis)
@@ -167,24 +143,20 @@ def _scenarios(
     reindex_base: IndexGraph,
     lowered_levels: list[int],
     ks: tuple[int, ...],
-) -> dict[str, Callable[[str, int], object]]:
-    """The timed workloads, each parameterised by (engine, jobs)."""
+) -> dict[str, Callable[[str], object]]:
+    """The timed workloads, each parameterised by the engine name."""
 
-    def ak_sweep(engine: str, jobs: int) -> object:
-        return [
-            kbisim_partition(graph, k, engine=engine, jobs=jobs) for k in ks
-        ]
+    def ak_sweep(engine: str) -> object:
+        return [kbisim_partition(graph, k, engine=engine) for k in ks]
 
-    def oneindex_fixpoint(engine: str, jobs: int) -> object:
-        return bisim_partition(graph, engine=engine, jobs=jobs)
+    def oneindex_fixpoint(engine: str) -> object:
+        return bisim_partition(graph, engine=engine)
 
-    def dk_build(engine: str, jobs: int) -> object:
-        return build_dk_index(graph, requirements, engine=engine, jobs=jobs)
+    def dk_build(engine: str) -> object:
+        return build_dk_index(graph, requirements, engine=engine)
 
-    def table1_reindex(engine: str, jobs: int) -> object:
-        return reindex_index_graph(
-            reindex_base, lowered_levels, engine=engine, jobs=jobs
-        )
+    def table1_reindex(engine: str) -> object:
+        return reindex_index_graph(reindex_base, lowered_levels, engine=engine)
 
     return {
         "ak_sweep": ak_sweep,
@@ -201,24 +173,11 @@ def run_refine_bench(config: RefineBenchConfig) -> dict[str, object]:
         DatasetError: for unknown dataset names or scales.
     """
     scale_axis = config.scale_axis
-    # Normalise the raw CLI default (0) to the resolved worker count so
-    # every recorded row is self-describing.
-    parallel_jobs = resolve_jobs(config.jobs)
-    engines = list(SERIAL_ENGINES)
-    if parallel_jobs > 1:
-        engines.append(("columnar-parallel", parallel_jobs))
-
     dataset_stats: dict[str, dict[str, int]] = {}
     results: list[dict[str, object]] = []
     for scale_name, scale_factor in scale_axis:
         for name in config.datasets:
-            builder = DATASET_BUILDERS.get(name)
-            if builder is None:
-                raise DatasetError(
-                    f"unknown dataset {name!r}; available: "
-                    f"{sorted(DATASET_BUILDERS)}"
-                )
-            graph = builder(scale_factor, config.seed).graph
+            graph = dataset_builder(name)(scale_factor, config.seed).graph
             dataset_stats[f"{name}@{scale_name}"] = {
                 "nodes": graph.num_nodes,
                 "edges": graph.num_edges,
@@ -231,9 +190,8 @@ def run_refine_bench(config: RefineBenchConfig) -> dict[str, object]:
                 graph, requirements, reindex_base, lowered_levels, config.ks
             )
             for scenario, action in scenarios.items():
-                for engine, jobs in engines:
-                    engine_name = engine.removesuffix("-parallel")
-                    run = lambda: action(engine_name, jobs)  # noqa: E731
+                for engine in ENGINES:
+                    run = lambda: action(engine)  # noqa: E731
                     peak_kb = _peak_kb(run)  # untimed; doubles as warm-up
                     times = _time_repeats(run, config.repeats)
                     results.append(
@@ -242,7 +200,6 @@ def run_refine_bench(config: RefineBenchConfig) -> dict[str, object]:
                             "scenario": scenario,
                             "scale": scale_name,
                             "engine": engine,
-                            "jobs": jobs,
                             "median_s": statistics.median(times),
                             "times_s": times,
                             "peak_kb": round(peak_kb, 1),
@@ -259,7 +216,7 @@ def run_refine_bench(config: RefineBenchConfig) -> dict[str, object]:
             "scale_axis": {name: factor for name, factor in scale_axis},
             "repeats": config.repeats,
             "seed": config.seed,
-            "jobs": parallel_jobs,
+            "numpy": columnar._numpy is not None,
             "datasets": list(config.datasets),
             "ks": list(config.ks),
         },
@@ -345,7 +302,6 @@ def main_entry(
     scale: str,
     repeats: int,
     seed: int,
-    jobs: int,
     datasets: tuple[str, ...],
     out: str,
 ) -> int:
@@ -354,7 +310,6 @@ def main_entry(
         scale=scale,
         repeats=repeats,
         seed=seed,
-        jobs=jobs,
         datasets=datasets,
     )
     report = run_refine_bench(config)

@@ -29,13 +29,12 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from repro.bench.harness import DATASET_BUILDERS
-from repro.bench.refine import SCALE_NAMES, synthetic_requirements
+from repro.bench.harness import dataset_builder, parse_scale
+from repro.bench.refine import synthetic_requirements
 from repro.bench.reporting import render_table
 from repro.core.construction import build_dk_index
 from repro.core.dindex import DKIndex
 from repro.core.updates import dk_add_edge
-from repro.exceptions import DatasetError
 from repro.graph.datagraph import DataGraph
 from repro.maintenance.pipeline import MaintenanceConfig
 
@@ -73,16 +72,7 @@ class UpdateBenchConfig:
         Raises:
             DatasetError: if the scale is neither named nor numeric.
         """
-        named = SCALE_NAMES.get(self.scale)
-        if named is not None:
-            return named
-        try:
-            return float(self.scale)
-        except ValueError:
-            raise DatasetError(
-                f"unknown bench scale {self.scale!r}; use one of "
-                f"{sorted(SCALE_NAMES)} or a number"
-            ) from None
+        return parse_scale(self.scale)[1]
 
 
 def _edge_stream(graph: DataGraph, count: int, seed: int) -> list[tuple[int, int]]:
@@ -110,8 +100,7 @@ def _timed_run(
     edges: list[tuple[int, int]],
 ) -> float:
     """Build a fresh store (untimed), then time the edge stream."""
-    builder = DATASET_BUILDERS[dataset]
-    graph = builder(config.scale_factor, config.seed).graph
+    graph = dataset_builder(dataset)(config.scale_factor, config.seed).graph
     requirements = synthetic_requirements(graph)
     index, _levels = build_dk_index(graph, requirements)
     if mode == "legacy":
@@ -137,12 +126,7 @@ def run_update_bench(config: UpdateBenchConfig) -> dict[str, object]:
     dataset_stats: dict[str, dict[str, int]] = {}
     results: list[dict[str, object]] = []
     for name in config.datasets:
-        builder = DATASET_BUILDERS.get(name)
-        if builder is None:
-            raise DatasetError(
-                f"unknown dataset {name!r}; available: "
-                f"{sorted(DATASET_BUILDERS)}"
-            )
+        builder = dataset_builder(name)
         graph = builder(config.scale_factor, config.seed).graph
         dataset_stats[name] = {
             "nodes": graph.num_nodes,

@@ -6,10 +6,10 @@ Commands:
   paper's tables/figures as text (fig4, fig5, table1, fig6, fig7,
   promote, demote, subgraph, construct).
 - ``dkindex bench refine [--scale small,medium,...] [--repeats N]
-  [--jobs J] [--out FILE]`` — time the legacy vs columnar
-  refinement engines on every construction workload across the scale
-  axis (with tracemalloc peak memory per cell) and write the
-  ``BENCH_refinement.json`` perf trajectory (see docs/performance.md).
+  [--out FILE]`` — time the legacy vs columnar refinement engines on
+  every construction workload across the scale axis (with tracemalloc
+  peak memory per cell) and write the ``BENCH_refinement.json`` perf
+  trajectory (see docs/performance.md).
 - ``dkindex bench update [--scale S] [--edges N] [--out FILE]`` — time
   the Table-1 edge-addition stream through the transactional pipeline
   at every audit tier; writes ``BENCH_updates.json`` (see
@@ -64,7 +64,11 @@ import sys
 from typing import Sequence
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.harness import DATASET_BUILDERS, ExperimentConfig
+from repro.bench.harness import (
+    DATASET_BUILDERS,
+    ExperimentConfig,
+    parse_scale,
+)
 from repro.core.dindex import DKIndex
 from repro.core.requirements import requirements_from_queries
 from repro.exceptions import ReproError
@@ -82,7 +86,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             scale=args.scale,
             repeats=args.repeats,
             seed=args.seed,
-            jobs=args.jobs,
             datasets=tuple(
                 name for name in args.datasets.split(",") if name
             ),
@@ -129,8 +132,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Validate up front: a bad token must be a clean CLI error (exit 1),
     # never a ValueError traceback out of float().  Named scales work
     # for the paper experiments too.
-    from repro.bench.outofcore import parse_scale
-
     _, scale_factor = parse_scale(args.scale)
     config = ExperimentConfig(scale=scale_factor)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -466,9 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "medians recorded")
     bench.add_argument("--seed", type=int, default=0,
                        help="(refine/update/recovery) dataset generator seed")
-    bench.add_argument("--jobs", type=int, default=0,
-                       help="(refine) also time the parallel columnar "
-                       "engine with this many worker processes")
     bench.add_argument("--edges", type=int, default=100,
                        help="(update) edge additions per timed run; "
                        "(recovery) journaled operations to replay")

@@ -54,7 +54,6 @@ def build_dk_index(
     requirements: Mapping[str, int],
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> tuple[IndexGraph, list[int]]:
     """Build the D(k)-index of ``graph`` for per-label requirements.
 
@@ -65,7 +64,6 @@ def build_dk_index(
         engine: refinement engine (``"columnar"``/``"external"``/
             ``"legacy"``; the default ``"auto"`` resolves to columnar
             unless ``DKINDEX_ENGINE`` says otherwise).
-        jobs: worker processes for parallel signature hashing.
 
     Returns:
         ``(index, levels)`` — the index graph, and the broadcast-adjusted
@@ -85,7 +83,7 @@ def build_dk_index(
     initial = resolve_requirements(graph, requirements)
     levels = broadcast_for_graph(graph, graph.num_labels, initial)
     node_levels = [levels[label_id] for label_id in graph.label_ids]
-    partition = leveled_partition(graph, node_levels, engine=engine, jobs=jobs)
+    partition = leveled_partition(graph, node_levels, engine=engine)
     k_values = [
         levels[graph.label_ids[members[0]]] for members in partition.blocks
     ]
@@ -98,7 +96,6 @@ def reindex_index_graph(
     label_levels: Sequence[int],
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> IndexGraph:
     """Re-index an index graph at (typically lower) per-label levels.
 
@@ -125,9 +122,7 @@ def reindex_index_graph(
         min(label_levels[index.label_ids[node]], index.k[node])
         for node in range(index.num_nodes)
     ]
-    quotient_partition = leveled_partition(
-        index, node_levels, engine=engine, jobs=jobs
-    )
+    quotient_partition = leveled_partition(index, node_levels, engine=engine)
 
     # Map data nodes straight to the merged blocks.
     merged_of_index = quotient_partition.block_of

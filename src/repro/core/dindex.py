@@ -123,17 +123,14 @@ class DKIndex:
         requirements: Mapping[str, int],
         *,
         engine: str = "auto",
-        jobs: int | None = None,
     ) -> "DKIndex":
         """Build from explicit per-label local-similarity requirements.
 
-        ``engine`` and ``jobs`` select the partition-refinement engine
-        and its parallelism (see :mod:`repro.partition.refinement`); the
-        default is the serial columnar engine.
+        ``engine`` selects the partition-refinement engine (see
+        :mod:`repro.partition.refinement`); the default is the columnar
+        engine.
         """
-        index, _levels = build_dk_index(
-            graph, requirements, engine=engine, jobs=jobs
-        )
+        index, _levels = build_dk_index(graph, requirements, engine=engine)
         return cls(graph, index, requirements)
 
     @classmethod

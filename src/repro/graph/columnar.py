@@ -21,11 +21,9 @@ Summaries"), this module provides a *frozen* compressed-sparse-row view:
   (flat extents, in index-node order) and ``k`` (assigned similarity).
 
 Contiguous ``array('q')`` buffers cost 8 bytes per entry, admit
-zero-copy ``memoryview`` slicing (the shared-memory worker protocol of
-:mod:`repro.partition.columnar` maps them straight into
-``multiprocessing.shared_memory`` segments) and are `numpy`-wrappable
-via ``numpy.frombuffer`` without copying when the optional ``fast``
-extra is installed.
+zero-copy ``memoryview`` slicing and are `numpy`-wrappable via
+``numpy.frombuffer`` without copying when the optional ``fast`` extra
+is installed.
 
 Freezing follows an explicit invalidation contract against the mutable
 owner (see :meth:`DataGraph.freeze`): a view records the owner's
@@ -105,10 +103,9 @@ class CSRGraph:
     Instances are produced by ``DataGraph.freeze()`` and
     ``IndexGraph.freeze()`` (or :func:`csr_from_parent_adjacency` for
     anything satisfying the ``LabeledAdjacency`` protocol) and consumed
-    by the columnar refinement engine, the frozen persistence format and
-    the shared-memory fork protocol.  All buffers are ``array('q')``;
-    treat them as read-only — the owning graph's mutation version is the
-    single source of truth for staleness.
+    by the columnar refinement engine and the frozen persistence format.
+    All buffers are ``array('q')``; treat them as read-only — the owning
+    graph's mutation version is the single source of truth for staleness.
     """
 
     __slots__ = (

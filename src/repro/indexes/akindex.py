@@ -22,7 +22,6 @@ def build_ak_index(
     k: int,
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> IndexGraph:
     """Build the A(k)-index of ``graph``.
 
@@ -38,7 +37,6 @@ def build_ak_index(
         engine: refinement engine (``"columnar"``/``"external"``/
             ``"legacy"``; the default ``"auto"`` resolves to columnar
             unless ``DKINDEX_ENGINE`` says otherwise).
-        jobs: worker processes for parallel signature hashing.
 
     Example:
         >>> from repro.graph.builder import graph_from_edges
@@ -50,5 +48,5 @@ def build_ak_index(
         >>> build_ak_index(g, 1).num_nodes   # the two x nodes split
         5
     """
-    partition = kbisim_partition(graph, k, engine=engine, jobs=jobs)
+    partition = kbisim_partition(graph, k, engine=engine)
     return IndexGraph.from_partition(graph, partition, k)

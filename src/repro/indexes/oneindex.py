@@ -26,7 +26,6 @@ def build_1index(
     graph: DataGraph,
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> IndexGraph:
     """Build the 1-index of ``graph``.
 
@@ -39,7 +38,6 @@ def build_1index(
         engine: refinement engine (``"columnar"``/``"external"``/
             ``"legacy"``; ``"auto"`` picks columnar unless
             ``DKINDEX_ENGINE`` says otherwise).
-        jobs: worker processes for parallel signature hashing.
 
     Raises:
         ValueError: for an unknown engine name.
@@ -52,7 +50,7 @@ def build_1index(
         >>> build_1index(g).num_nodes
         5
     """
-    partition, _rounds = bisim_partition(graph, engine=engine, jobs=jobs)
+    partition, _rounds = bisim_partition(graph, engine=engine)
     return IndexGraph.from_partition(graph, partition, K_UNBOUNDED)
 
 

@@ -18,8 +18,7 @@ provides:
 - :class:`~repro.partition.columnar.ColumnarEngine` — the engine behind
   all three by default (``engine="columnar"``): dirty-block batch rounds
   over frozen CSR buffers with an in-place flat block array, contiguous
-  signature sweeps, optional numpy vectorisation and a shared-memory
-  fork pool for parallel hashing;
+  signature sweeps and optional numpy vectorisation;
 - :class:`~repro.partition.external.ExternalEngine` — the out-of-core
   engine (``engine="external"``): the columnar round loop over a paged
   CSR snapshot behind a byte-budgeted LRU pool, with page-ordered
@@ -30,7 +29,7 @@ provides:
 
 from repro.partition.blocks import Partition
 from repro.partition.columnar import ColumnarEngine
-from repro.partition.engine import RefinementEngine, resolve_jobs
+from repro.partition.engine import RefinementEngine
 from repro.partition.external import ExternalEngine
 from repro.partition.refinement import (
     bisim_partition,
@@ -50,5 +49,4 @@ __all__ = [
     "label_partition",
     "leveled_partition",
     "resolve_engine",
-    "resolve_jobs",
 ]

@@ -36,17 +36,6 @@ is computed by vectorised numpy gathers over the same buffers without
 copying them; the stdlib-``array`` path stands alone and produces
 bit-identical keys.
 
-**Shared-memory parallel hashing.**  With ``jobs > 1`` the engine maps
-the parent CSR, the live ``block_of`` array and a per-round hash-node
-scratch into ``multiprocessing.shared_memory`` segments, then forks one
-pool *per run* (not per round): workers inherit the mapped segments, so
-each round ships only ``(start, end)`` chunk bounds and receives
-signature keys back — the adjacency is never pickled, and the parent's
-in-place ``block_of`` writes are visible to the already-forked workers
-through the shared mapping.  Workers only read the segments and return
-results, which keeps them pure under the DK109 fork-safety rule.  The
-parallel path is bit-for-bit identical to the serial one.
-
 The engine is round-for-round partition-identical to the reference
 :class:`~repro.partition.engine.RefinementEngine`
 (``tests/test_columnar_engine.py`` and
@@ -57,11 +46,7 @@ shared-subtree DAGs and cyclic IDREF graphs).
 from __future__ import annotations
 
 import importlib
-import multiprocessing
-import multiprocessing.pool
 from array import array
-from multiprocessing import shared_memory
-from types import TracebackType
 from typing import Any, Iterator, Sequence
 
 from repro.graph.columnar import (
@@ -71,21 +56,13 @@ from repro.graph.columnar import (
     csr_from_parent_adjacency,
 )
 from repro.partition.blocks import Partition
-from repro.partition.engine import (
-    LabeledAdjacency,
-    check_levels,
-    resolve_jobs,
-)
+from repro.partition.engine import LabeledAdjacency, check_levels
 
 _numpy: Any = None
 try:  # pragma: no cover - exercised implicitly on numpy-less installs
     _numpy = importlib.import_module("numpy")
 except ImportError:
     _numpy = None
-
-#: Minimum number of to-be-hashed nodes in a round before the parallel
-#: path is worth a pool dispatch; below it the serial sweep is faster.
-PARALLEL_NODE_THRESHOLD = 2048
 
 #: Minimum hash-batch size before the vectorised numpy sweep pays for
 #: its gather/array setup; below it the scalar loop is faster.
@@ -94,55 +71,6 @@ NUMPY_NODE_THRESHOLD = 256
 #: Signature key of a parentless (root-like) node.  Block ids are >= 0,
 #: so the sentinel can never collide with a single-parent key.
 _EMPTY_KEY = -1
-
-# ----------------------------------------------------------------------
-# Shared-memory worker plumbing.
-#
-# The segments are created and filled by the parent, the module globals
-# below are set, and only then is the fork pool created — the children
-# inherit the *mapped* segments, so the parent's later in-place writes
-# (block assignments each round, the hash-node scratch) are visible to
-# them without re-forking and without pickling any buffer.  Workers
-# read the views and return signature keys; they never write.
-# ----------------------------------------------------------------------
-
-_SHM_PARENT_OFFSETS: "memoryview | None" = None
-_SHM_PARENT_TARGETS: "memoryview | None" = None
-_SHM_BLOCK_OF: "memoryview | None" = None
-_SHM_HASH_NODES: "memoryview | None" = None
-
-
-def _columnar_signature_chunk(
-    bounds: tuple[int, int],
-) -> list["int | tuple[int, ...]"]:
-    """Signature keys for one contiguous chunk of the round's batch."""
-    po = _SHM_PARENT_OFFSETS
-    pt = _SHM_PARENT_TARGETS
-    block_of = _SHM_BLOCK_OF
-    nodes = _SHM_HASH_NODES
-    assert (
-        po is not None
-        and pt is not None
-        and block_of is not None
-        and nodes is not None
-    )
-    out: list[int | tuple[int, ...]] = []
-    append = out.append
-    for position in range(bounds[0], bounds[1]):
-        node = nodes[position]
-        start = po[node]
-        end = po[node + 1]
-        if end == start:
-            append(_EMPTY_KEY)
-        elif end == start + 1:
-            append(block_of[pt[start]])
-        else:
-            seen = {block_of[pt[i]] for i in range(start, end)}
-            if len(seen) == 1:
-                append(next(iter(seen)))
-            else:
-                append(tuple(sorted(seen)))
-    return out
 
 
 class ColumnarEngine:
@@ -156,15 +84,9 @@ class ColumnarEngine:
             graph — ``DataGraph``/``IndexGraph`` are frozen via their
             ``freeze()`` (cached, refresh-on-mutate), anything else gets
             a one-off snapshot via :func:`csr_from_parent_adjacency`.
-        jobs: worker processes for shared-memory signature hashing —
-            ``None`` reads ``DKINDEX_JOBS``, ``<= 1`` is serial.
     """
 
-    def __init__(
-        self,
-        graph: "LabeledAdjacency | CSRGraph",
-        jobs: int | None = None,
-    ) -> None:
+    def __init__(self, graph: "LabeledAdjacency | CSRGraph") -> None:
         if isinstance(graph, CSRGraph):
             csr: CSRBuffers = graph
         else:
@@ -175,9 +97,9 @@ class ColumnarEngine:
                 csr = csr_from_parent_adjacency(
                     list(graph.label_ids), list(graph.parents)
                 )
-        self._bind(csr, resolve_jobs(jobs))
+        self._bind(csr)
 
-    def _bind(self, csr: CSRBuffers, jobs: int) -> None:
+    def _bind(self, csr: CSRBuffers) -> None:
         """Attach a snapshot and reset all engine state.
 
         Split out of ``__init__`` so subclasses that obtain their
@@ -185,16 +107,10 @@ class ColumnarEngine:
         can share the state layout without re-freezing anything.
         """
         self.csr = csr
-        self.jobs = jobs
         self._num_nodes = csr.num_nodes
         # Live refinement state (filled by _init_run).
-        self._block_of: "array[int] | memoryview" = array(BUFFER_TYPECODE)
+        self._block_of: "array[int]" = array(BUFFER_TYPECODE)
         self._blocks: list[list[int]] = []
-        # Shared-memory run state (filled lazily by _ensure_parallel).
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._segments: list[shared_memory.SharedMemory] = []
-        self._views: list[memoryview] = []
-        self._parallel_failed = False
 
     # ------------------------------------------------------------------
     # Drivers
@@ -212,12 +128,9 @@ class ColumnarEngine:
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        try:
-            for _ in self._rounds_inplace(None, k):
-                pass
-            return self._take_partition()
-        finally:
-            self._release_parallel()
+        for _ in self._rounds_inplace(None, k):
+            pass
+        return self._take_partition()
 
     def run_fixpoint(self) -> tuple[Partition, int]:
         """The full-bisimulation fixpoint (1-index equivalence).
@@ -226,12 +139,9 @@ class ColumnarEngine:
         that changed the partition (the graph's bisimulation depth).
         """
         rounds = 0
-        try:
-            for _ in self._rounds_inplace(None, None):
-                rounds += 1
-            return self._take_partition(), rounds
-        finally:
-            self._release_parallel()
+        for _ in self._rounds_inplace(None, None):
+            rounds += 1
+        return self._take_partition(), rounds
 
     def run_leveled(self, node_levels: Sequence[int]) -> Partition:
         """Per-node bounded bisimulation (the D(k) construction core).
@@ -241,12 +151,9 @@ class ColumnarEngine:
                 negative entry.
         """
         check_levels(node_levels, self._num_nodes)
-        try:
-            for _ in self._rounds_inplace(node_levels, None):
-                pass
-            return self._take_partition()
-        finally:
-            self._release_parallel()
+        for _ in self._rounds_inplace(node_levels, None):
+            pass
+        return self._take_partition()
 
     def refine_rounds(
         self,
@@ -263,40 +170,11 @@ class ColumnarEngine:
         rules.  Snapshots copy the live flat state, so prefer the
         ``run_*`` drivers when only the final partition matters.
         """
-        rounds = self._rounds_inplace(node_levels, max_rounds)
-        try:
-            for _ in rounds:
-                yield self._snapshot()
-        finally:
-            # A consumer that abandons this generator mid-run (or whose
-            # exception traceback keeps the suspended frame alive) must
-            # not strand the shared-memory segments until whenever the
-            # GC gets around to the inner generator: close it *now* and
-            # release deterministically.  _release_parallel is
-            # idempotent, so the inner finally running first is fine.
-            rounds.close()
-            self._release_parallel()
+        for _ in self._rounds_inplace(node_levels, max_rounds):
+            yield self._snapshot()
 
     def close(self) -> None:
-        """Release every process/shared-memory resource (idempotent).
-
-        The drivers already release on success *and* on error; call
-        this (or use the engine as a context manager) as a final
-        belt-and-braces when a run was abandoned from the outside —
-        e.g. a ``refine_rounds`` consumer that stopped iterating.
-        """
-        self._release_parallel()
-
-    def __enter__(self) -> "ColumnarEngine":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
+        """Nothing to release; kept so every engine closes alike."""
 
     # ------------------------------------------------------------------
     # The in-place round loop
@@ -309,37 +187,34 @@ class ColumnarEngine:
     ) -> Iterator[None]:
         """Run rounds in place, yielding once per changing round."""
         self._init_run()
-        try:
-            limit = max_rounds
-            freeze_round_of: dict[int, list[int]] = {}
-            if node_levels is not None:
-                level_cap = max(node_levels, default=0)
-                limit = level_cap if limit is None else min(limit, level_cap)
-                for node, level in enumerate(node_levels):
-                    freeze_round_of.setdefault(level + 1, []).append(node)
+        limit = max_rounds
+        freeze_round_of: dict[int, list[int]] = {}
+        if node_levels is not None:
+            level_cap = max(node_levels, default=0)
+            limit = level_cap if limit is None else min(limit, level_cap)
+            for node, level in enumerate(node_levels):
+                freeze_round_of.setdefault(level + 1, []).append(node)
 
-            co = self.csr.child_offsets
-            ct = self.csr.child_targets
-            # Round 1 considers every node; later rounds only dirty ones.
-            dirty: "range | set[int]" = range(self._num_nodes)
-            round_number = 0
-            while limit is None or round_number < limit:
-                round_number += 1
-                moved = self._refine_round(
-                    dirty, node_levels, round_number, freeze_round_of
-                )
-                if moved is None:
-                    return
-                yield None
-                fresh_dirt: set[int] = set()
-                add = fresh_dirt.add
-                for group in moved:
-                    for node in group:
-                        for position in range(co[node], co[node + 1]):
-                            add(ct[position])
-                dirty = fresh_dirt
-        finally:
-            self._release_parallel()
+        co = self.csr.child_offsets
+        ct = self.csr.child_targets
+        # Round 1 considers every node; later rounds only dirty ones.
+        dirty: "range | set[int]" = range(self._num_nodes)
+        round_number = 0
+        while limit is None or round_number < limit:
+            round_number += 1
+            moved = self._refine_round(
+                dirty, node_levels, round_number, freeze_round_of
+            )
+            if moved is None:
+                return
+            yield None
+            fresh_dirt: set[int] = set()
+            add = fresh_dirt.add
+            for group in moved:
+                for node in group:
+                    for position in range(co[node], co[node + 1]):
+                        add(ct[position])
+            dirty = fresh_dirt
 
     def _init_run(self) -> None:
         """Reset the live flat state to the label (round-0) partition."""
@@ -412,10 +287,6 @@ class ColumnarEngine:
             return None
 
         keys = self._signature_keys(hash_nodes)
-        # The sweep may have migrated the live assignment into shared
-        # memory (first parallel round); re-read it so the split writes
-        # below land in the buffer the forked workers actually see.
-        block_of = self._block_of
 
         moved: list[list[int]] = []
         position = 0
@@ -455,18 +326,10 @@ class ColumnarEngine:
     ) -> list["int | tuple[int, ...]"]:
         """Per-node signature keys for the batch, in batch order.
 
-        All sweeps — scalar, numpy-vectorised, shared-memory parallel —
-        produce identical key values, so the grouping (and therefore
-        the refinement) is bit-for-bit independent of the path taken.
+        Both sweeps — scalar and numpy-vectorised — produce identical
+        key values, so the grouping (and therefore the refinement) is
+        bit-for-bit independent of the path taken.
         """
-        if (
-            self.jobs > 1
-            and len(hash_nodes) >= PARALLEL_NODE_THRESHOLD
-            and not self._parallel_failed
-        ):
-            parallel = self._parallel_keys(hash_nodes)
-            if parallel is not None:
-                return parallel
         if _numpy is not None and len(hash_nodes) >= NUMPY_NODE_THRESHOLD:
             return self._numpy_keys(hash_nodes)
         return self._scalar_keys(hash_nodes)
@@ -532,121 +395,6 @@ class ColumnarEngine:
                 else:
                     keys[position] = tuple(sorted(seen))
         return keys
-
-    # ------------------------------------------------------------------
-    # Shared-memory parallel sweep
-    # ------------------------------------------------------------------
-
-    def _parallel_keys(
-        self, hash_nodes: list[int]
-    ) -> list["int | tuple[int, ...]"] | None:
-        """Hash the batch across the shared-memory fork pool.
-
-        Returns ``None`` (and remembers the failure) when the platform
-        cannot supply fork + shared memory, letting the run continue on
-        the serial sweep.
-        """
-        if self._pool is None and not self._ensure_parallel():
-            return None
-        assert self._pool is not None and _SHM_HASH_NODES is not None
-        count = len(hash_nodes)
-        _SHM_HASH_NODES[0:count] = array(BUFFER_TYPECODE, hash_nodes)
-        chunk = -(-count // self.jobs)  # ceil division
-        bounds = [
-            (start, min(start + chunk, count))
-            for start in range(0, count, chunk)
-        ]
-        try:
-            chunks = self._pool.map(_columnar_signature_chunk, bounds)
-        except OSError:  # pragma: no cover - pool/pipe resource failure
-            self._parallel_failed = True
-            self._release_parallel()
-            return None
-        return [key for part in chunks for key in part]
-
-    def _ensure_parallel(self) -> bool:
-        """Create the shared segments and the per-run fork pool.
-
-        The live ``block_of`` is migrated into shared memory so the
-        in-place writes of later rounds propagate to the (already
-        forked) workers; the parent CSR is copied in once.  Must be
-        called before any worker exists — globals are inherited by
-        fork, never re-sent.
-        """
-        global _SHM_PARENT_OFFSETS, _SHM_PARENT_TARGETS
-        global _SHM_BLOCK_OF, _SHM_HASH_NODES
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            self._parallel_failed = True
-            return False
-        try:
-            po_view = self._share(self.csr.parent_offsets)
-            pt_view = self._share(self.csr.parent_targets)
-            block_view = self._share(self._block_of)
-            nodes_view = self._share_empty(self._num_nodes)
-        except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-            self._parallel_failed = True
-            self._release_parallel()
-            return False
-        self._block_of = block_view  # later rounds write through shm
-        _SHM_PARENT_OFFSETS = po_view
-        _SHM_PARENT_TARGETS = pt_view
-        _SHM_BLOCK_OF = block_view
-        _SHM_HASH_NODES = nodes_view
-        try:
-            self._pool = context.Pool(processes=self.jobs)
-        except OSError:  # pragma: no cover - fork resource failure
-            self._parallel_failed = True
-            self._release_parallel()
-            return False
-        return True
-
-    def _share(self, source: Sequence[int]) -> memoryview:
-        """Copy ``source`` into a fresh shared segment; return its view."""
-        length = len(source)
-        view = self._share_empty(length)
-        view[0:length] = array(BUFFER_TYPECODE, source)
-        return view
-
-    def _share_empty(self, length: int) -> memoryview:
-        """Allocate a shared segment for ``length`` int64 slots."""
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(8 * length, 8)
-        )
-        self._segments.append(segment)
-        view = segment.buf.cast(BUFFER_TYPECODE)
-        self._views.append(view)
-        return view
-
-    def _release_parallel(self) -> None:
-        """Tear down the pool and unlink every shared segment."""
-        global _SHM_PARENT_OFFSETS, _SHM_PARENT_TARGETS
-        global _SHM_BLOCK_OF, _SHM_HASH_NODES
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        if not self._segments:
-            return
-        # The live assignment may still point into shared memory; pull
-        # it back into a private array before the mapping goes away.
-        if isinstance(self._block_of, memoryview):
-            self._block_of = array(BUFFER_TYPECODE, self._block_of)
-        _SHM_PARENT_OFFSETS = None
-        _SHM_PARENT_TARGETS = None
-        _SHM_BLOCK_OF = None
-        _SHM_HASH_NODES = None
-        for view in self._views:
-            view.release()
-        self._views.clear()
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
 
     # ------------------------------------------------------------------
     # Partition materialisation

@@ -11,20 +11,15 @@ It re-hashes the whole graph every round, so builds use
 what ``engine="auto"`` resolves to.
 
 The module also holds what the engines share: the
-:class:`LabeledAdjacency` protocol their inputs satisfy, the validation
-of per-node levels, and :func:`resolve_jobs`, which sizes the columnar
-engine's shared-memory pool from ``jobs`` or ``DKINDEX_JOBS``.
+:class:`LabeledAdjacency` protocol their inputs satisfy and the
+validation of per-node levels.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Protocol, Sequence
 
 from repro.partition.blocks import Partition
-
-#: Environment variable consulted when ``jobs`` is not given explicitly.
-JOBS_ENV_VAR = "DKINDEX_JOBS"
 
 
 class LabeledAdjacency(Protocol):
@@ -38,27 +33,13 @@ class LabeledAdjacency(Protocol):
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Resolve a ``jobs`` argument against the ``DKINDEX_JOBS`` default.
+    """Always 1: every engine refines serially, whatever ``jobs`` says.
 
-    ``None`` reads the environment (unset/empty means serial); ``0`` and
-    ``1`` mean serial; negative values mean "one per CPU".
-
-    Raises:
-        ValueError: if ``DKINDEX_JOBS`` is set to a non-integer.
+    Kept only because the repository benchmark's environment stamp
+    (``perfbench/run.py``) records ``resolve_jobs(None)``; it reads no
+    environment variable.  Delete it once that stamp stops calling it.
     """
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if jobs < 0:
-        return os.cpu_count() or 1
-    return max(1, jobs)
+    return 1
 
 
 def check_levels(node_levels: Sequence[int], num_nodes: int) -> None:

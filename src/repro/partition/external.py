@@ -1,4 +1,4 @@
-"""Out-of-core refinement over a paged CSR snapshot (fourth engine).
+"""Out-of-core refinement over a paged CSR snapshot (third engine).
 
 :class:`ExternalEngine` is the :class:`ColumnarEngine` round loop —
 candidate selection, freeze buckets, largest-group-keeps-its-id splits,
@@ -24,10 +24,6 @@ keys back in exactly the batch order the inherited round logic expects.
 The key *values* (``-1`` sentinel, single block id as a plain ``int``,
 sorted dedup tuple otherwise) are bit-identical to the in-memory
 sweeps, so the grouping — and therefore the partition — is too.
-
-The shared-memory fork pool is never engaged: page-ordered sequential
-sweeps are the whole point, and forking workers that each fault pages
-through one pool would destroy that locality.
 """
 
 from __future__ import annotations
@@ -85,20 +81,23 @@ class ExternalEngine(ColumnarEngine):
             self._tempdir = tempfile.TemporaryDirectory(
                 prefix="dkindex-external-"
             )
-            paged = PagedCSRGraph.create(
-                Path(self._tempdir.name) / "store",
-                graph,
-                page_bytes=page_bytes,
-                budget_bytes=budget_bytes,
-            )
+            try:
+                paged = PagedCSRGraph.create(
+                    Path(self._tempdir.name) / "store",
+                    graph,
+                    page_bytes=page_bytes,
+                    budget_bytes=budget_bytes,
+                )
+            except BaseException:
+                # A failed page-out (disk full, injected fault) must not
+                # leave its partial pages behind for the finalizer.
+                self._tempdir.cleanup()
+                raise
             self._owns_store = True
         self.paged = paged
         self._spill_bytes = resolve_spill_budget(spill_bytes)
         self._spills = 0
-        self._bind(paged, jobs=1)
-        # Belt and braces: jobs=1 already bypasses the fork pool, but a
-        # paged snapshot must never be mapped into shared memory.
-        self._parallel_failed = True
+        self._bind(paged)
 
     # ------------------------------------------------------------------
     # The page-ordered signature sweep
@@ -182,13 +181,15 @@ class ExternalEngine(ColumnarEngine):
         A :class:`PagedCSRGraph` passed in by the caller is left open —
         they own its lifecycle.
         """
-        super().close()
         if self._owns_store:
             self._owns_store = False
             self.paged.close(discard_dirty=True)
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None
+
+    def __enter__(self) -> "ExternalEngine":
+        return self
 
     def __exit__(
         self,

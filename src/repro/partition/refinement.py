@@ -24,9 +24,8 @@ its ``engine=`` name through one table:
 - ``"columnar"`` (the default) — the batch engine of
   :mod:`repro.partition.columnar`: only nodes whose parents' blocks
   just split are re-hashed, over the graph's frozen CSR view, with an
-  in-place flat node→block array, contiguous-slice signature sweeps
-  (optionally numpy-vectorised via the ``fast`` extra) and a
-  shared-memory fork pool for ``jobs > 1``.
+  in-place flat node→block array and contiguous-slice signature sweeps
+  (optionally numpy-vectorised via the ``fast`` extra).
 - ``"external"`` — the out-of-core engine of
   :mod:`repro.partition.external`: the columnar round loop run over a
   paged CSR snapshot (:mod:`repro.storage.paged`) behind a
@@ -108,11 +107,11 @@ def _external_engine(graph: LabeledAdjacency) -> ColumnarEngine:
     return ExternalEngine(graph)
 
 
-#: Engine name -> constructor from ``(graph, jobs)``.
-_ENGINES: dict[str, Callable[[LabeledAdjacency, int | None], _Engine]] = {
-    "columnar": lambda graph, jobs: ColumnarEngine(graph, jobs=jobs),
-    "external": lambda graph, jobs: _external_engine(graph),
-    "legacy": lambda graph, jobs: RefinementEngine(graph),
+#: Engine name -> constructor from the graph.
+_ENGINES: dict[str, Callable[[LabeledAdjacency], _Engine]] = {
+    "columnar": ColumnarEngine,
+    "external": _external_engine,
+    "legacy": RefinementEngine,
 }
 
 
@@ -161,7 +160,6 @@ def resolve_degrade(policy: str | None = None) -> str:
 def _run_degradable(
     graph: LabeledAdjacency,
     engine: str,
-    jobs: int | None,
     run: Callable[[_Engine], _R],
 ) -> _R:
     """Apply ``run`` to the selected engine, degrading down the chain.
@@ -181,7 +179,7 @@ def _run_degradable(
     policy = resolve_degrade()
     while True:
         try:
-            with closing(_ENGINES[current](graph, jobs)) as instance:
+            with closing(_ENGINES[current](graph)) as instance:
                 return run(instance)
         except _DEGRADABLE_ERRORS as error:
             fallback = _DEGRADE_CHAIN.get(current)
@@ -209,7 +207,6 @@ def kbisim_partition(
     k: int,
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> Partition:
     """The k-bisimulation partition (the A(k)-index equivalence).
 
@@ -221,22 +218,17 @@ def kbisim_partition(
         k: the uniform bisimilarity bound (>= 0).
         engine: ``"columnar"`` (default via ``"auto"``), ``"external"``
             or ``"legacy"``.
-        jobs: worker processes for the columnar engine's signature
-            hashing; ``None`` reads ``DKINDEX_JOBS``.
 
     Raises:
         ValueError: if ``k`` is negative or ``engine`` is unknown.
     """
-    return _run_degradable(
-        graph, engine, jobs, lambda impl: impl.run_kbisim(k)
-    )
+    return _run_degradable(graph, engine, lambda impl: impl.run_kbisim(k))
 
 
 def bisim_partition(
     graph: LabeledAdjacency,
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> tuple[Partition, int]:
     """The full-bisimulation fixpoint (the 1-index equivalence).
 
@@ -244,9 +236,7 @@ def bisim_partition(
     refinement rounds needed to stabilise (the graph's bisimulation
     "depth"); nodes in a common block are k-bisimilar for every k.
     """
-    return _run_degradable(
-        graph, engine, jobs, lambda impl: impl.run_fixpoint()
-    )
+    return _run_degradable(graph, engine, lambda impl: impl.run_fixpoint())
 
 
 def leveled_partition(
@@ -254,7 +244,6 @@ def leveled_partition(
     node_levels: Sequence[int],
     *,
     engine: str = "auto",
-    jobs: int | None = None,
 ) -> Partition:
     """Per-node bounded bisimulation, the D(k) construction core.
 
@@ -278,5 +267,5 @@ def leveled_partition(
             negative entry.
     """
     return _run_degradable(
-        graph, engine, jobs, lambda impl: impl.run_leveled(node_levels)
+        graph, engine, lambda impl: impl.run_leveled(node_levels)
     )

@@ -1,13 +1,12 @@
-"""The columnar batch engine: equivalence, parallel identity, fallbacks.
+"""The columnar batch engine: equivalence, sweep identity, fallbacks.
 
 The columnar engine must be partition-identical to the reference
 full-rehash engine and to the external engine built on it — at the
 fixpoint *and* round for round (the D(k) freeze-bucket semantics depend
 on the intermediate rounds).  These tests drive it over hypothesis-generated small graphs
-and the seeded DAG / cyclic-IDREF families, force the shared-memory
-fork pool and the numpy sweep onto tiny rounds to require bit-for-bit
-agreement with the serial path, and pin down the driver validation and
-input-flexibility contract.
+and the seeded DAG / cyclic-IDREF families, force the numpy sweep onto
+tiny rounds to require bit-for-bit agreement with the scalar path, and
+pin down the input validation and input-flexibility contract.
 """
 
 import pytest
@@ -111,99 +110,6 @@ def test_columnar_k_sweep_is_monotone_and_exact(seed):
         assert partition == kbisim_partition(graph, k, engine="legacy")
         assert partition.num_blocks >= previous_blocks
         previous_blocks = partition.num_blocks
-
-
-# ----------------------------------------------------------------------
-# Parallel shared-memory path: serial-identical, self-cleaning
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_parallel_columnar_is_serial_identical(seed, monkeypatch):
-    # Force the fork pool onto every round, then require bit-for-bit
-    # agreement with the reference and external engines.
-    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
-    assert_engines_agree(cyclic_idref_graph(seed, size=120), jobs=2)
-    assert_engines_agree(dag_with_shared_subtrees(seed, size=120), jobs=2)
-
-
-def test_parallel_columnar_leveled_is_serial_identical(monkeypatch):
-    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
-    graph = dag_with_shared_subtrees(5, size=150)
-    levels = broadcast_levels(graph)
-    serial = ColumnarEngine(graph).run_leveled(levels)
-    parallel = ColumnarEngine(graph, jobs=3).run_leveled(levels)
-    assert parallel == serial
-
-
-def test_parallel_run_releases_shared_segments(monkeypatch):
-    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
-    engine = ColumnarEngine(cyclic_idref_graph(1, size=100), jobs=2)
-    engine.run_fixpoint()
-    assert engine._pool is None
-    assert engine._segments == []
-    assert engine._views == []
-
-
-def _shm_segments():
-    """Names of the host's shared-memory segments (Linux /dev/shm)."""
-    import os
-
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-
-
-def test_midrun_failure_releases_shared_segments(monkeypatch):
-    # Regression: a raise after the fork pool spun up used to leave the
-    # engine's shared-memory segments alive until (at best) interpreter
-    # GC and, under prompt process death, leaked them in /dev/shm.  The
-    # drivers now release in a finally, so even an injected crash in
-    # the middle of a refinement run must leave no trace behind.
-    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
-    engine = ColumnarEngine(cyclic_idref_graph(2, size=100), jobs=2)
-    real_round = engine._refine_round
-    calls = {"count": 0}
-
-    def crash_on_second_round(*args, **kwargs):
-        calls["count"] += 1
-        if calls["count"] == 2:  # after the pool and segments exist
-            raise RuntimeError("injected mid-run failure")
-        return real_round(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_refine_round", crash_on_second_round)
-    before = _shm_segments()
-    with pytest.raises(RuntimeError, match="injected"):
-        engine.run_fixpoint()
-    assert engine._pool is None
-    assert engine._segments == []
-    assert engine._views == []
-    assert _shm_segments() == before  # nothing left in /dev/shm
-
-
-def test_abandoned_refine_rounds_generator_releases_segments(monkeypatch):
-    # A caller that stops iterating refine_rounds() part-way through
-    # (break, exception, lost reference) must not keep the fork pool or
-    # its segments alive: closing the generator releases them.
-    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
-    engine = ColumnarEngine(cyclic_idref_graph(3, size=100), jobs=2)
-    before = _shm_segments()
-    rounds = engine.refine_rounds()
-    next(rounds)  # the pool is live here
-    rounds.close()
-    assert engine._pool is None
-    assert engine._segments == []
-    assert _shm_segments() == before
-
-
-def test_engine_close_and_context_manager(monkeypatch):
-    monkeypatch.setattr(columnar_module, "PARALLEL_NODE_THRESHOLD", 0)
-    before = _shm_segments()
-    with ColumnarEngine(cyclic_idref_graph(4, size=80), jobs=2) as engine:
-        engine.run_fixpoint()
-    assert engine._pool is None
-    assert _shm_segments() == before
-    engine.close()  # idempotent on an already-released engine
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,19 @@ borrowed-vs-owned store lifecycle, engine reuse across drivers, and the
 pool/spill counters the benchmark reports.
 """
 
+import errno
+import gc
 import random
+import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from repro.exceptions import PagedStoreError
 from repro.graph.datagraph import DataGraph
+from repro.maintenance.faults import FaultInjector
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.external import ExternalEngine
 from repro.partition.refinement import bisim_partition, kbisim_partition
@@ -49,7 +55,7 @@ def test_external_fixpoint_matches_columnar(graph):
 
 def test_tiny_budgets_force_spills_and_stay_identical():
     graph = idref_graph(7)
-    baseline = ColumnarEngine(graph, jobs=1).run_fixpoint()
+    baseline = ColumnarEngine(graph).run_fixpoint()
     with ExternalEngine(
         graph, budget_bytes=512, page_bytes=64, spill_bytes=128
     ) as engine:
@@ -123,7 +129,7 @@ def test_single_node_and_empty_signature_paths():
 def test_leveled_run_matches_columnar_under_pressure():
     graph = idref_graph(8, size=120)
     levels = [min(2, graph.label_ids[n] % 3) for n in graph.nodes()]
-    baseline = ColumnarEngine(graph, jobs=1).run_leveled(list(levels))
+    baseline = ColumnarEngine(graph).run_leveled(list(levels))
     with ExternalEngine(
         graph, budget_bytes=0, page_bytes=64, spill_bytes=64
     ) as engine:
@@ -133,13 +139,26 @@ def test_leveled_run_matches_columnar_under_pressure():
         assert engine.stats.evictions > 0
 
 
-def test_external_rejects_parallel_jobs_request():
-    # The external sweep is inherently serial (one cursor through the
-    # page file); the engine pins jobs to 1 regardless of environment.
-    graph = idref_graph(9, size=30)
-    with ExternalEngine(graph) as engine:
-        assert engine.jobs == 1
-        engine.run_fixpoint()
+def test_failed_page_out_removes_the_owned_temp_store(tmp_path, monkeypatch):
+    # A page-out that dies part-way (here: disk full on the first page)
+    # must delete the engine-owned store before the error propagates,
+    # not leave it to the TemporaryDirectory finalizer, which runs only
+    # once the exception's traceback is gone and warns when it does.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    graph = idref_graph(9, size=60)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PagedStoreError) as excinfo:
+            with FaultInjector("storage.page_enospc", "enospc"):
+                ExternalEngine(graph)
+        assert isinstance(excinfo.value.__cause__, OSError)
+        assert excinfo.value.__cause__.errno == errno.ENOSPC
+        # The traceback still holds the half-built engine, and with it
+        # the TemporaryDirectory: nothing may survive even so.
+        assert list(tmp_path.glob("dkindex-external-*")) == []
+        del excinfo
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 def test_kbisim_zero_is_label_partition():

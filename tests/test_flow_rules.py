@@ -109,26 +109,51 @@ def test_dk109_pure_worker_clean():
     assert deep_findings(FORK_SAFE).findings == []
 
 
-def test_dk109_recognizes_columnar_shm_dispatch_site():
-    # The columnar engine dispatches through a pool stored on the
-    # instance (`self._pool.map(...)`) with all buffers shipped via
-    # shared memory, not pickling.  DK109 must still see the dispatch
-    # site, resolve the worker, and find it pure (it only reads the
-    # inherited segments and returns keys).
-    from pathlib import Path
+def instance_pool_module(worker_effect):
+    """A sweep that keeps its fork pool on the instance and dispatches
+    through ``self._pool.map(worker, bounds)``.  The worker reads the
+    module-global ``_NODES`` buffer after running ``worker_effect``."""
+    return {
+        "repro.partition.sweep": f"""
+    import multiprocessing
 
-    import repro.partition.columnar as columnar_module
+    _NODES: list = []
+    _SEEN: list = []
 
-    source = Path(columnar_module.__file__).read_text(encoding="utf-8")
-    analysis = analyze_sources({"repro.partition.columnar": source})
+    def _chunk_keys(bounds: tuple) -> list:
+        {worker_effect}
+        return [_NODES[i] for i in range(bounds[0], bounds[1])]
+
+    class Sweeper:
+        def __init__(self, processes: int) -> None:
+            context = multiprocessing.get_context("fork")
+            self._pool = context.Pool(processes)
+
+        def keys(self, bounds: list) -> list:
+            return self._pool.map(_chunk_keys, bounds)
+    """
+    }
+
+
+def test_dk109_recognizes_instance_pool_dispatch_site():
+    # A pool stored on the instance is still a dispatch site: DK109
+    # must resolve the worker, find a read-only one pure, and flag one
+    # that writes a module global.
+    pure = instance_pool_module("pass")
+    analysis = analyze_sources(
+        {name: dedent(source) for name, source in pure.items()}
+    )
     sites = analysis.program.dispatch_sites
-    workers = {site.worker for site in sites}
-    assert any(
-        worker.endswith("._columnar_signature_chunk") for worker in workers
-    ), f"shm dispatch site not recognized; saw {workers!r}"
-    assert all(site.kind == "pool" for site in sites)
+    assert [(site.worker, site.kind) for site in sites] == [
+        ("repro.partition.sweep._chunk_keys", "pool")
+    ]
     report = run_deep_rules(analysis, get_deep_rules(select=["DK109"]))
     assert report.findings == []
+
+    impure = instance_pool_module("_SEEN.append(bounds)")
+    findings = deep_findings(impure).findings
+    assert [f.rule_id for f in findings] == ["DK109"]
+    assert "_SEEN" in findings[0].message
 
 
 # ------------------------- DK110 transaction coverage -------------------

@@ -15,6 +15,7 @@ from repro.bench.refine import (
 from repro.cli import main
 from repro.datasets.xmark import generate_xmark
 from repro.exceptions import DatasetError
+from repro.partition import columnar
 
 TINY = RefineBenchConfig(scale="0.05", repeats=1, datasets=("xmark",))
 
@@ -25,9 +26,10 @@ def test_report_structure_and_speedups():
     report = run_refine_bench(TINY)
     assert report["schema"] == SCHEMA
     assert report["config"]["scale_axis"] == {"0.05": 0.05}
+    assert report["config"]["numpy"] is (columnar._numpy is not None)
+    assert "jobs" not in report["config"]
     results = report["results"]
-    # 4 scenarios x 2 serial engines x 1 scale; no parallel row when
-    # jobs resolves to serial.
+    # 4 scenarios x 2 engines x 1 scale.
     assert len(results) == 8
     assert {row["scenario"] for row in results} == SCENARIOS
     assert {row["engine"] for row in results} == {"legacy", "columnar"}
@@ -36,8 +38,7 @@ def test_report_structure_and_speedups():
         assert row["median_s"] >= 0.0
         assert row["scale"] == "0.05"
         assert row["peak_kb"] > 0.0
-        # The raw CLI default (0) must never leak into a row.
-        assert row["jobs"] == 1
+        assert "jobs" not in row
     speedups = report["speedups"]
     assert set(speedups) == {f"xmark/{name}@0.05" for name in SCENARIOS}
     for entry in speedups.values():
@@ -64,19 +65,10 @@ def test_scale_axis_produces_one_row_set_per_scale():
     }
 
 
-def test_parallel_rows_added_when_jobs_given():
-    report = run_refine_bench(
-        RefineBenchConfig(scale="0.05", repeats=1, jobs=2, datasets=("xmark",))
-    )
-    engines = {row["engine"] for row in report["results"]}
-    assert engines == {"legacy", "columnar", "columnar-parallel"}
-    for row in report["results"]:
-        assert row["jobs"] == (2 if row["engine"].endswith("-parallel") else 1)
-    assert report["config"]["jobs"] == 2
-    # Speedups always compare the serial engines.
-    assert set(report["speedups"]) == {
-        f"xmark/{name}@0.05" for name in SCENARIOS
-    }
+def test_report_records_a_disabled_numpy_sweep(monkeypatch):
+    monkeypatch.setattr(columnar, "_numpy", None)
+    report = run_refine_bench(TINY)
+    assert report["config"]["numpy"] is False
 
 
 def test_write_report_round_trips(tmp_path):
