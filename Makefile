@@ -17,8 +17,9 @@ help:
 	@echo "  bench-full full-scale benchmark pass"
 	@echo "  bench-scale refinement engines over the small,medium scale"
 	@echo "             axis; refreshes the committed BENCH_refinement.json"
-	@echo "  bench-outofcore external engine vs in-memory columnar under a"
-	@echo "             25% pool budget; refreshes BENCH_outofcore.json"
+	@echo "  bench-outofcore external engine vs in-memory columnar at scale"
+	@echo "             large under a 25% pool budget and a 10% read-fault"
+	@echo "             rate; refreshes BENCH_outofcore.json"
 	@echo "  chaos      run both chaos suites: update faults + the"
 	@echo "             checkpoint-store durability crash matrix (seed 0)"
 	@echo "  results    regenerate docs/results-scale-1.0.txt"
@@ -51,8 +52,8 @@ bench-scale:
 		--out BENCH_refinement.json
 
 bench-outofcore:
-	$(PYTHON) -m repro bench outofcore --scale medium --budget-ratio 0.25 \
-		--out BENCH_outofcore.json
+	$(PYTHON) -m repro bench outofcore --scale large --budget-ratio 0.25 \
+		--fault-rate 0.1 --out BENCH_outofcore.json
 
 chaos:
 	$(PYTHON) -m repro chaos --seed 0

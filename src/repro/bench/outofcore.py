@@ -37,14 +37,20 @@ wall-clock overhead relative to the fault-free build
 
 Per-phase pool counters (hits, misses, evictions, write-backs, hit
 rate, retries, give-ups) come from
-:class:`~repro.storage.paged.PoolStats` deltas.  The result is written
-to ``BENCH_outofcore.json`` following the same committed-trajectory
-convention as ``BENCH_refinement.json``.
+:class:`~repro.storage.paged.PoolStats` deltas.  The external engine
+reads its buffers a page at a time, so a build's lookups are page
+reads: its ``misses`` count page loads and its ``hit_rate`` is low by
+design.  The report's ``config`` stamps the environment — whether the
+columnar engine's numpy sweep was active (``numpy``) and the core count
+(``nproc``).  The result is written to ``BENCH_outofcore.json``
+following the same committed-trajectory convention as
+``BENCH_refinement.json``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import random
 import time
@@ -56,6 +62,7 @@ from repro.bench.harness import dataset_builder, parse_scale
 from repro.bench.reporting import render_table
 from repro.exceptions import DatasetError
 from repro.maintenance.faults import FaultInjector
+from repro.partition import columnar
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.external import ExternalEngine
 from repro.storage.paged import (
@@ -65,8 +72,9 @@ from repro.storage.paged import (
 )
 from repro.storage.retry import RetryPolicy, resolve_retry_policy
 
-#: Schema identifier written into the report JSON.
-SCHEMA = "dkindex-bench-outofcore/1"
+#: Schema identifier written into the report JSON.  Version 2 adds the
+#: environment stamp ``config.numpy`` and ``config.nproc``.
+SCHEMA = "dkindex-bench-outofcore/2"
 
 #: Default pool budget as a fraction of the in-memory CSR footprint.
 DEFAULT_BUDGET_RATIO = 0.25
@@ -285,6 +293,8 @@ def run_outofcore_bench(config: OutOfCoreBenchConfig) -> dict[str, object]:
             "page_bytes": page_bytes,
             "queries": config.queries,
             "fault_rate": config.fault_rate,
+            "numpy": columnar._numpy is not None,
+            "nproc": os.cpu_count(),
         },
         "graph": {
             "nodes": graph.num_nodes,

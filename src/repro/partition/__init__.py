@@ -21,8 +21,9 @@ provides:
   signature sweeps and optional numpy vectorisation;
 - :class:`~repro.partition.external.ExternalEngine` — the out-of-core
   engine (``engine="external"``): the columnar round loop over a paged
-  CSR snapshot behind a byte-budgeted LRU pool, with page-ordered
-  signature sweeps spilling sorted runs to disk;
+  CSR snapshot behind a byte-budgeted LRU pool, with node-ordered,
+  page-at-a-time signature and dirty-children sweeps, the signature
+  runs spilling to disk;
 - :class:`~repro.partition.engine.RefinementEngine` — the full-rehash
   reference engine (``engine="legacy"``) the others are tested against.
 """

@@ -195,8 +195,6 @@ class ColumnarEngine:
             for node, level in enumerate(node_levels):
                 freeze_round_of.setdefault(level + 1, []).append(node)
 
-        co = self.csr.child_offsets
-        ct = self.csr.child_targets
         # Round 1 considers every node; later rounds only dirty ones.
         dirty: "range | set[int]" = range(self._num_nodes)
         round_number = 0
@@ -208,22 +206,27 @@ class ColumnarEngine:
             if moved is None:
                 return
             yield None
-            fresh_dirt: set[int] = set()
-            add = fresh_dirt.add
-            for group in moved:
-                for node in group:
-                    for position in range(co[node], co[node + 1]):
-                        add(ct[position])
-            dirty = fresh_dirt
+            dirty = self._dirty_children(moved)
+
+    def _dirty_children(self, moved: list[list[int]]) -> set[int]:
+        """The children of every moved node: the next round's dirty set."""
+        co = self.csr.child_offsets
+        ct = self.csr.child_targets
+        dirty: set[int] = set()
+        add = dirty.add
+        for group in moved:
+            for node in group:
+                for position in range(co[node], co[node + 1]):
+                    add(ct[position])
+        return dirty
 
     def _init_run(self) -> None:
         """Reset the live flat state to the label (round-0) partition."""
-        label_ids = self.csr.label_ids
         block_of = array(BUFFER_TYPECODE, bytes(8 * self._num_nodes))
         blocks: list[list[int]] = []
         table: dict[int, int] = {}
-        for node in range(self._num_nodes):
-            label = label_ids[node]
+        # Iterated, not indexed: a paged buffer streams its pages in order.
+        for node, label in enumerate(self.csr.label_ids):
             block = table.get(label)
             if block is None:
                 block = len(table)

@@ -11,36 +11,50 @@ bisimulation construction (Luo et al.; see PAPERS.md): node-sized state
 resident, while everything edge-sized — parent/child offsets and
 targets — is read through pages under a byte budget.
 
-Only the signature sweep is replaced.  The columnar engine hashes the
-round's batch in job order (frozen-bucket order), which over paged
-buffers would be a random-access storm; this engine instead visits the
-batch in **ascending node order**, so the parent-offset and
-parent-target reads advance monotonically through the pages — one miss
-per page even under a one-page budget.  Each computed key is recorded
-against its batch position in a :class:`~repro.storage.spill.
-SpillRuns` reorder buffer that spills sorted runs to disk when the
-round's working set exceeds its budget; a k-way merge then hands the
-keys back in exactly the batch order the inherited round logic expects.
-The key *values* (``-1`` sentinel, single block id as a plain ``int``,
-sorted dedup tuple otherwise) are bit-identical to the in-memory
-sweeps, so the grouping — and therefore the partition — is too.
+The engine replaces the two sweeps that touch the adjacency — the
+signature sweep and the dirty-children step — and reads every buffer
+page-at-a-time in **ascending node order** through
+:class:`~repro.storage.paged.PageCursor`, one pool lookup per page.
+The columnar engine visits the signature batch in job order
+(frozen-bucket order) and the moved nodes in moved-group order, which
+over paged buffers would be a random-access storm; here both are sorted
+by node first, so the offset and target reads advance monotonically
+through the pages — one miss per page even under a one-page budget.
+The round-0 label scan is inherited: it iterates ``label_ids``, which a
+paged buffer streams page by page.
+
+Each computed key is recorded against its batch position in a
+:class:`~repro.storage.spill.SpillRuns` reorder buffer that spills
+sorted runs to disk when the round's working set exceeds its budget; a
+k-way merge then hands the keys back in exactly the batch order the
+inherited round logic expects.  The key *values* (``-1`` sentinel,
+single block id as a plain ``int``, sorted dedup tuple otherwise) are
+bit-identical to the in-memory sweeps, so the grouping — and therefore
+the partition — is too.  The dirty set is a set, so its visiting order
+changes nothing downstream.
 """
 
 from __future__ import annotations
 
+import struct
 import tempfile
 from array import array
+from itertools import chain
 from pathlib import Path
 from types import TracebackType
 from typing import Any
 
 from repro.graph.columnar import BUFFER_TYPECODE, CSRGraph
 from repro.partition.columnar import _EMPTY_KEY, ColumnarEngine
-from repro.storage.paged import PagedCSRGraph, PoolStats
+from repro.storage.paged import PageCursor, PagedCSRGraph, PoolStats
 from repro.storage.spill import SpillRuns, resolve_spill_budget
 
+#: Codec of a one-key payload: one native int64, the bytes an
+#: ``array(BUFFER_TYPECODE)`` of that key holds, without the array.
+_ONE_KEY = struct.Struct("=" + BUFFER_TYPECODE)
+
 #: One-element encoded payload for the parentless sentinel key.
-_EMPTY_PAYLOAD = array(BUFFER_TYPECODE, [_EMPTY_KEY]).tobytes()
+_EMPTY_PAYLOAD = _ONE_KEY.pack(_EMPTY_KEY)
 
 
 class ExternalEngine(ColumnarEngine):
@@ -73,6 +87,8 @@ class ExternalEngine(ColumnarEngine):
         page_bytes: int | None = None,
         spill_bytes: int | None = None,
     ) -> None:
+        # Resolved first: an invalid budget must fail before the page-out.
+        self._spill_bytes = resolve_spill_budget(spill_bytes)
         self._tempdir: tempfile.TemporaryDirectory[str] | None = None
         self._owns_store = False
         if isinstance(graph, PagedCSRGraph):
@@ -95,12 +111,11 @@ class ExternalEngine(ColumnarEngine):
                 raise
             self._owns_store = True
         self.paged = paged
-        self._spill_bytes = resolve_spill_budget(spill_bytes)
         self._spills = 0
         self._bind(paged)
 
     # ------------------------------------------------------------------
-    # The page-ordered signature sweep
+    # The node-ordered sweeps
     # ------------------------------------------------------------------
 
     def _signature_keys(
@@ -109,11 +124,13 @@ class ExternalEngine(ColumnarEngine):
         """Keys for the batch, computed node-ascending, returned batch-order.
 
         Sorting the batch by node id turns the parent reads into a
-        monotone sweep over the offset and target pages; the spill
-        buffer restores batch order afterwards.  Key values match the
-        inherited scalar sweep exactly.
+        monotone sweep over the offset and target pages, each read once;
+        the spill buffer restores batch order afterwards.  Key values
+        match the inherited scalar sweep exactly.
         """
         store = self.paged.store
+        offsets = PageCursor(store, "parent_offsets")
+        targets = PageCursor(store, "parent_targets")
         block_of = self._block_of
         order = sorted(
             range(len(hash_nodes)), key=hash_nodes.__getitem__
@@ -128,34 +145,53 @@ class ExternalEngine(ColumnarEngine):
         ) as runs:
             for position in order:
                 node = hash_nodes[position]
-                start = store.read_element("parent_offsets", node)
-                end = store.read_element("parent_offsets", node + 1)
+                start = offsets.at(node)
+                end = offsets.at(node + 1)
                 if end == start:
                     runs.add(position, _EMPTY_PAYLOAD)
                     continue
-                targets = store.read_slice("parent_targets", start, end)
-                if len(targets) == 1:
-                    payload = array(
-                        BUFFER_TYPECODE, [block_of[targets[0]]]
-                    ).tobytes()
+                if end == start + 1:
+                    payload = _ONE_KEY.pack(block_of[targets.at(start)])
                 else:
-                    seen = {block_of[target] for target in targets}
+                    seen = {
+                        block_of[target]
+                        for target in targets.span(start, end)
+                    }
                     payload = array(
                         BUFFER_TYPECODE, sorted(seen)
                     ).tobytes()
                 runs.add(position, payload)
             self._spills += runs.runs_spilled
             for position, payload in runs.merged():
-                values = array(BUFFER_TYPECODE)
-                values.frombytes(payload)
                 # One element is an int key (single shared block, or the
                 # -1 sentinel); multi-element payloads are always the
                 # sorted dedup of >= 2 distinct blocks, hence tuples —
                 # identical to the in-memory key domain.
-                out[position] = (
-                    values[0] if len(values) == 1 else tuple(values)
-                )
+                if len(payload) == _ONE_KEY.size:
+                    out[position] = _ONE_KEY.unpack(payload)[0]
+                else:
+                    values = array(BUFFER_TYPECODE)
+                    values.frombytes(payload)
+                    out[position] = tuple(values)
         return out
+
+    def _dirty_children(self, moved: list[list[int]]) -> set[int]:
+        """The children of every moved node, swept node-ascending.
+
+        Same set as the inherited step, which reads child lists in
+        moved-group order; sorting first reads each child-offset and
+        child-target page once.
+        """
+        store = self.paged.store
+        offsets = PageCursor(store, "child_offsets")
+        targets = PageCursor(store, "child_targets")
+        dirty: set[int] = set()
+        for node in sorted(chain.from_iterable(moved)):
+            start = offsets.at(node)
+            end = offsets.at(node + 1)
+            if end > start:
+                dirty.update(targets.span(start, end))
+        return dirty
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle

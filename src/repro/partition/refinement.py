@@ -29,9 +29,9 @@ its ``engine=`` name through one table:
 - ``"external"`` — the out-of-core engine of
   :mod:`repro.partition.external`: the columnar round loop run over a
   paged CSR snapshot (:mod:`repro.storage.paged`) behind a
-  byte-budgeted LRU pool, with page-ordered signature sweeps that
-  spill sorted runs to disk — for graphs whose flat buffers should not
-  (or cannot) be held in memory.
+  byte-budgeted LRU pool, with node-ordered, page-at-a-time signature
+  and dirty-children sweeps, the signature runs spilling to disk — for
+  graphs whose flat buffers should not (or cannot) be held in memory.
 - ``"legacy"`` — the reference engine of
   :mod:`repro.partition.engine`: a full-rehash loop over
   :func:`~repro.partition.engine.refine_once` (the equivalence test

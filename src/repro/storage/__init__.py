@@ -15,6 +15,9 @@ bisimulation construction (Luo et al., Hellings et al. — see PAPERS.md):
 - :class:`~repro.storage.paged.PagedBufferPool` — the LRU buffer pool
   in front of the page files: a byte budget, pin/unpin, dirty-page
   write-back on eviction, and hit/miss/eviction counters.
+- :class:`~repro.storage.paged.PageCursor` — the forward,
+  page-at-a-time reader under the external engine's node-ordered
+  sweeps: one pool lookup per page it crosses.
 - :class:`~repro.storage.paged.PagedCSRGraph` — a paged snapshot
   satisfying the :class:`~repro.graph.columnar.CSRBuffers` read surface
   the columnar refinement engine consumes, so ``engine="external"``
@@ -30,6 +33,7 @@ from repro.storage.paged import (
     DEFAULT_POOL_BUDGET,
     PAGE_BYTES_ENV_VAR,
     POOL_BUDGET_ENV_VAR,
+    PageCursor,
     PagedBuffer,
     PagedBufferPool,
     PagedCSRGraph,
@@ -67,6 +71,7 @@ __all__ = [
     "POOL_BUDGET_ENV_VAR",
     "SPILL_BUDGET_ENV_VAR",
     "TRANSIENT_ERRNOS",
+    "PageCursor",
     "PagedBuffer",
     "PagedBufferPool",
     "PagedCSRGraph",

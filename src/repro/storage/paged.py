@@ -30,7 +30,10 @@ retained generations share page files, so
 Reads go through :class:`PagedBufferPool` — a byte-budgeted LRU with
 pin/unpin, dirty-page write-back and hit/miss/eviction counters — so
 the resident working set stays bounded no matter how large the graph
-is.  :class:`PagedCSRGraph` glues a store to the
+is.  Sequential reads go a page at a time: :meth:`PagedStore.read_page`
+is one pool lookup for a whole page, and :class:`PageCursor` keeps
+that page while a forward sweep reads inside it.
+:class:`PagedCSRGraph` glues a store to the
 :class:`~repro.graph.columnar.CSRBuffers` surface consumed by the
 refinement engines, which is what ``engine="external"`` builds on.
 """
@@ -929,6 +932,11 @@ class PagedStore:
         """Total pages across all buffers in the live table."""
         return sum(len(spec["pages"]) for spec in self._table.values())
 
+    @property
+    def entries_per_page(self) -> int:
+        """Entries a full page holds (a buffer's last page may hold fewer)."""
+        return self._entries_per_page
+
     def buffer(self, name: str) -> "PagedBuffer":
         """A sequence view of buffer ``name`` backed by the pool."""
         self._spec(name)
@@ -1016,6 +1024,28 @@ class PagedStore:
             )
         return divmod(position, self._entries_per_page)
 
+    def read_page(self, name: str, index: int) -> "array[int]":
+        """Page ``index`` of buffer ``name``, through one pool lookup.
+
+        The page-at-a-time read beneath every sequential access: a
+        caller that keeps the returned page while it reads positions
+        inside it pays one lookup per page, however small the pool.
+        Treat the page as read-only; mutate through
+        :meth:`write_element`.
+
+        Raises:
+            PagedStoreError: the store is closed, ``name`` is unknown,
+                or ``index`` is not a page of ``name``.
+        """
+        self._check_open()
+        pages = self._spec(name)["pages"]
+        if not 0 <= index < len(pages):
+            raise PagedStoreError(
+                f"page index {index} out of range for buffer {name!r} "
+                f"({len(pages)} pages)"
+            )
+        return self.pool.get((name, index))
+
     def read_element(self, name: str, position: int) -> int:
         """One entry of buffer ``name`` (negative positions count back)."""
         self._check_open()
@@ -1042,18 +1072,7 @@ class PagedStore:
         entries = self.length(name)
         start = max(0, min(start, entries))
         stop = max(start, min(stop, entries))
-        out = array(BUFFER_TYPECODE)
-        if start == stop:
-            return out
-        epp = self._entries_per_page
-        first_page, first_offset = divmod(start, epp)
-        last_page = (stop - 1) // epp
-        for page_index in range(first_page, last_page + 1):
-            page = self.pool.get((name, page_index))
-            lo = first_offset if page_index == first_page else 0
-            hi = stop - page_index * epp
-            out.extend(page[lo:min(hi, len(page))])
-        return out
+        return PageCursor(self, name).span(start, stop)
 
     def iter_buffer(self, name: str) -> Iterator[int]:
         """Stream every entry of ``name`` page-sequentially."""
@@ -1062,8 +1081,7 @@ class PagedStore:
         for page_index in range(len(spec["pages"])):
             # Snapshot the page reference; later pool traffic may evict
             # it but the yielded values come from this consistent copy.
-            page = self.pool.get((name, page_index))
-            yield from page
+            yield from self.read_page(name, page_index)
 
     # -- durability ----------------------------------------------------
 
@@ -1359,6 +1377,64 @@ class PagedBuffer(Sequence[int]):
 
     def __repr__(self) -> str:
         return f"PagedBuffer({self._name!r}, entries={len(self)})"
+
+
+class PageCursor:
+    """Forward reader over one store buffer, one pool lookup per page.
+
+    Keeps the page it read last and serves every position inside it
+    from that reference, fetching through :meth:`PagedStore.read_page`
+    only when a read leaves the page.  A sweep at non-decreasing
+    positions — the node-ordered scans of I/O-efficient bisimulation
+    (Luo et al.; Hellings et al.) — therefore reads each page it
+    crosses once, even under a one-page pool.  Reading backwards is
+    legal but may fetch a page again.
+    """
+
+    __slots__ = (
+        "_store", "_name", "_entries", "_epp", "_page", "_base", "_stop"
+    )
+
+    def __init__(self, store: PagedStore, name: str) -> None:
+        self._store = store
+        self._name = name
+        self._entries = store.length(name)
+        self._epp = store.entries_per_page
+        # Positions _base:_stop are held in _page (none yet).
+        self._page = array(BUFFER_TYPECODE)
+        self._base = 0
+        self._stop = 0
+
+    def _seek(self, position: int) -> None:
+        if not 0 <= position < self._entries:
+            raise PagedStoreError(
+                f"position {position} out of range for buffer "
+                f"{self._name!r} ({self._entries} entries)"
+            )
+        index = position // self._epp
+        self._page = self._store.read_page(self._name, index)
+        self._base = index * self._epp
+        self._stop = self._base + len(self._page)
+
+    def at(self, position: int) -> int:
+        """The entry at ``position``."""
+        if not self._base <= position < self._stop:
+            self._seek(position)
+        return self._page[position - self._base]
+
+    def span(self, start: int, stop: int) -> "array[int]":
+        """Entries ``start:stop``, reading each page they cover once."""
+        base = self._base
+        if base <= start and stop <= self._stop:
+            return self._page[start - base:stop - base]
+        out = array(BUFFER_TYPECODE)
+        while start < stop:
+            if not self._base <= start < self._stop:
+                self._seek(start)
+            end = min(stop, self._stop)
+            out.extend(self._page[start - self._base:end - self._base])
+            start = end
+        return out
 
 
 # ----------------------------------------------------------------------

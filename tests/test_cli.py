@@ -198,7 +198,9 @@ def test_bench_outofcore_writes_report(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["schema"] == "dkindex-bench-outofcore/1"
+    assert report["schema"] == "dkindex-bench-outofcore/2"
+    assert isinstance(report["config"]["numpy"], bool)
+    assert report["config"]["nproc"] >= 1
     assert report["summary"]["partition_identical"] is True
     assert report["budget_bytes"] <= max(4096, report["footprint_bytes"] // 4)
     phases = report["phases"]

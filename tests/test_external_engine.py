@@ -4,8 +4,10 @@ The broad cross-engine identity checks live in
 ``test_engine_equivalence.py`` (the seeded DAG/cyclic families and the
 driver matrix all run ``engine="external"``).  This file covers what is
 specific to the external path: forced page-pool/spill pressure, the
-borrowed-vs-owned store lifecycle, engine reuse across drivers, and the
-pool/spill counters the benchmark reports.
+node-ordered sweeps against their in-memory twins at page sizes down to
+one entry, the page-read I/O bound, the borrowed-vs-owned store
+lifecycle, engine reuse across drivers, and the pool/spill counters the
+benchmark reports.
 """
 
 import errno
@@ -13,18 +15,23 @@ import gc
 import random
 import tempfile
 import warnings
+from array import array
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from repro.datasets.nasa import generate_nasa
+from repro.datasets.xmark import generate_xmark
 from repro.exceptions import PagedStoreError
+from repro.graph.columnar import BUFFER_TYPECODE
 from repro.graph.datagraph import DataGraph
 from repro.maintenance.faults import FaultInjector
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.external import ExternalEngine
 from repro.partition.refinement import bisim_partition, kbisim_partition
-from repro.storage.paged import PagedCSRGraph
+from repro.storage.paged import PageCursor, PagedCSRGraph
+from repro.storage.spill import SPILL_BUDGET_ENV_VAR
 
 
 def idref_graph(seed, size=180, labels="abcde"):
@@ -159,6 +166,116 @@ def test_failed_page_out_removes_the_owned_temp_store(tmp_path, monkeypatch):
         del excinfo
         gc.collect()
     assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+def test_invalid_spill_budget_fails_before_the_page_out(
+    tmp_path, monkeypatch
+):
+    # The budget is checked before any page is written, so a bad value
+    # costs nothing and leaves no temp store for the finalizer.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setenv(SPILL_BUDGET_ENV_VAR, "-5")
+    graph = idref_graph(11, size=60)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PagedStoreError, match="spill budget") as excinfo:
+            ExternalEngine(graph)
+        assert list(tmp_path.glob("dkindex-external-*")) == []
+        with pytest.raises(PagedStoreError, match="spill budget"):
+            ExternalEngine(graph, spill_bytes=-1)
+        assert list(tmp_path.glob("dkindex-external-*")) == []
+        del excinfo
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+# ----------------------------------------------------------------------
+# Node-ordered sweeps across page boundaries
+# ----------------------------------------------------------------------
+
+
+def boundary_graphs():
+    """Fixtures rich in multi-parent nodes: IDREF trees and XMark."""
+    return [
+        idref_graph(12, size=160),
+        idref_graph(13, size=90, labels="ab"),
+        generate_xmark(scale=0.02, seed=3).graph,
+    ]
+
+
+def pages(store, name):
+    return -(-store.length(name) // store.entries_per_page)
+
+
+@pytest.mark.parametrize("page_bytes", [8, 16, 64])
+def test_sweeps_match_in_memory_across_page_boundaries(page_bytes):
+    # 1, 2 and 8 entries per page put offset pairs and parent or child
+    # lists across page boundaries, read under a one-page pool.
+    rng = random.Random(page_bytes)
+    for graph in boundary_graphs():
+        columnar = ColumnarEngine(graph)
+        with ExternalEngine(
+            graph, budget_bytes=0, page_bytes=page_bytes, spill_bytes=256
+        ) as external:
+            nodes = external._num_nodes
+            assert any(
+                len(external.paged.parents(node)) > 1 for node in range(nodes)
+            )
+            for _ in range(6):
+                # Few distinct blocks: multi-parent keys dedup to a
+                # shared int as well as to tuples.
+                block_of = array(
+                    BUFFER_TYPECODE,
+                    [rng.randrange(4) for _ in range(nodes)],
+                )
+                columnar._block_of = block_of
+                external._block_of = block_of
+                batch = rng.sample(range(nodes), rng.randrange(1, nodes))
+                batch.append(nodes - 1)
+                batch = list(dict.fromkeys(batch))  # unique, unsorted
+                assert external._signature_keys(
+                    batch
+                ) == columnar._scalar_keys(batch)
+
+                members = rng.sample(range(nodes), rng.randrange(2, nodes))
+                cut = rng.randrange(1, len(members))
+                moved = [members[:cut], members[cut:]]
+                assert external._dirty_children(
+                    moved
+                ) == columnar._dirty_children(moved)
+            store = external.paged.store
+            for name in ("parent_offsets", "child_targets", "label_ids"):
+                end = store.length(name)
+                with pytest.raises(PagedStoreError):
+                    store.read_element(name, end)
+                with pytest.raises(PagedStoreError):
+                    PageCursor(store, name).at(end)
+                with pytest.raises(PagedStoreError):
+                    store.read_page(name, pages(store, name))
+
+
+@pytest.mark.parametrize("generate", [generate_nasa, generate_xmark])
+def test_fixpoint_reads_each_page_once_per_sweep(generate):
+    # Under a one-page pool every page change is a miss, so the miss
+    # count is exactly the number of page reads: one label scan, one
+    # parent sweep per round (plus the final, unchanging one) and one
+    # child sweep per changing round, each reading a page at most once.
+    graph = generate(scale=0.05, seed=0).graph
+    expected = ColumnarEngine(graph).run_fixpoint()
+    with ExternalEngine(graph, budget_bytes=0, page_bytes=64) as engine:
+        store = engine.paged.store
+        before = engine.stats.snapshot()
+        partition, rounds = engine.run_fixpoint()
+        misses = engine.stats.delta(before).misses
+        bound = (
+            pages(store, "label_ids")
+            + (rounds + 1)
+            * (pages(store, "parent_offsets") + pages(store, "parent_targets"))
+            + rounds
+            * (pages(store, "child_offsets") + pages(store, "child_targets"))
+        )
+    assert (partition, rounds) == expected
+    assert misses <= bound
 
 
 def test_kbisim_zero_is_label_partition():

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.exceptions import PagedStoreError, SerializationError
 from repro.graph.datagraph import DataGraph
 from repro.storage.paged import (
+    PageCursor,
     PagedBufferPool,
     PagedCSRGraph,
     PagedStore,
@@ -158,6 +159,54 @@ def test_store_round_trip_across_page_boundaries(tmp_path):
     assert list(buf) == values
     assert store.stats.evictions > 0  # the budget really was enforced
     store.close()
+
+
+def test_page_cursor_reads_each_page_once_under_a_one_page_pool(tmp_path):
+    values = list(range(0, 3000, 3))  # 1000 entries, 8 per page
+    store = PagedStore.create(
+        tmp_path / "s", {"v": values, "w": [7] * 40},
+        page_bytes=64, budget_bytes=0,
+    )
+    assert store.entries_per_page == 8
+    assert list(store.read_page("v", 2)) == values[16:24]
+    assert list(store.read_page("v", 124)) == values[992:1000]
+    before = store.stats.snapshot()
+    cursor = PageCursor(store, "v")
+    other = PageCursor(store, "w")
+    got = []
+    for position in range(0, 1000, 3):
+        got.append(cursor.at(position))
+        # Interleaved reads of another buffer evict the cursor's page
+        # from the one-page pool; the cursor keeps its own reference.
+        other.at(position // 25)
+    assert got == values[0:1000:3]
+    assert store.stats.delta(before).accesses == 125 + 5
+    # Spans crossing page boundaries read each covered page once.
+    before = store.stats.snapshot()
+    assert PageCursor(store, "v").span(5, 45).tolist() == values[5:45]
+    assert store.stats.delta(before).accesses == 6
+    store.close()
+
+
+def test_page_reads_past_the_end_raise(tmp_path):
+    store = PagedStore.create(
+        tmp_path / "s", {"v": list(range(20))}, page_bytes=64
+    )
+    for bad_page in (-1, 3):
+        with pytest.raises(PagedStoreError):
+            store.read_page("v", bad_page)
+    with pytest.raises(PagedStoreError):
+        store.read_page("missing", 0)
+    cursor = PageCursor(store, "v")
+    # Position 20 lies on the short last page's index, past its end.
+    for bad in (20, 24, -1):
+        with pytest.raises(PagedStoreError):
+            cursor.at(bad)
+    with pytest.raises(PagedStoreError):
+        cursor.span(18, 21)
+    store.close()
+    with pytest.raises(PagedStoreError):
+        store.read_page("v", 0)
 
 
 def test_store_rejects_double_create_and_unknown_buffer(tmp_path):
