@@ -17,7 +17,8 @@ structures in this library assume stable node ids.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import (
     FrozenGraphError,
@@ -166,6 +167,11 @@ class DataGraph:
     def label_names(self) -> Sequence[str]:
         """All interned label names, indexed by label id."""
         return tuple(self._label_names)
+
+    @property
+    def label_table(self) -> Mapping[str, int]:
+        """Read-only live view of the name -> label id table."""
+        return MappingProxyType(self._label_table)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -99,9 +99,9 @@ def explain(
     Runs the actual evaluation (so costs and the result size are real),
     then annotates every terminal with its soundness verdict and, when
     validation happened, suggests the promotion that would avoid it.
-    The evaluation's visits are recorded in ``counter`` when the caller
-    passes one (so an EXPLAIN inside a measured run stays accounted),
-    and in the returned explanation's own counter otherwise.
+    The explanation reports this evaluation's own cost; when the caller
+    passes a running ``counter``, the same tallies are merged into it
+    (so an EXPLAIN inside a measured run stays accounted).
 
     Example:
         >>> from repro.graph.builder import graph_from_edges
@@ -116,11 +116,8 @@ def explain(
         >>> "promote" in report.suggestion
         True
     """
-    counter = counter if counter is not None else CostCounter()
-    result = evaluate_on_index(index, query, counter)
-
     if isinstance(query, LabelPathQuery):
-        required = query.num_edges + (1 if query.anchored else 0)
+        required: int | None = query.num_edges + (1 if query.anchored else 0)
         terminals = match_index_nodes(index, query)
     elif isinstance(query, RegexQuery):
         max_len = query.max_length
@@ -133,13 +130,13 @@ def explain(
     else:
         raise TypeError(f"unsupported query type: {type(query).__name__}")
 
-    explanation = Explanation(
-        query_text=query.to_text(),
-        required_k=required,
-        result_size=len(result),
-        candidates_validated=counter.validations,
-        cost=counter,
-    )
+    explanation = Explanation(query_text=query.to_text(), required_k=required)
+    cost = explanation.cost
+    explanation.result_size = len(evaluate_on_index(index, query, cost))
+    explanation.candidates_validated = cost.validations
+    if counter is not None:
+        counter.merge(cost)
+
     unsound_labels: set[str] = set()
     for terminal in sorted(terminals):
         sound = required is not None and index.k[terminal] >= required
@@ -160,7 +157,7 @@ def explain(
             f"promote label(s) {labels} to local similarity {required} "
             f"to answer this query from the index alone"
         )
-    elif counter.validations and required is None:
+    elif cost.validations and required is None:
         explanation.suggestion = (
             "unbounded repetition: no finite similarity can avoid "
             "validation for this expression"

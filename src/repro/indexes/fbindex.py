@@ -96,12 +96,10 @@ def evaluate_twig_on_fb(
     structurally indistinguishable in both directions.
     """
     counter = counter if counter is not None else CostCounter()
-    graph = index.graph
-    label_table = {name: i for i, name in enumerate(graph.label_names())}
     matched = evaluate_twig_over(
         index,
         index.label_ids,
-        label_table,
+        index.graph.label_table,
         index.root_index_node,
         query,
         counter,

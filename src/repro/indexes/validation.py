@@ -16,11 +16,16 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.graph.datagraph import DataGraph
 from repro.paths.cost import CostCounter
 from repro.paths.nfa import NFA
+
+# Memo states of label-path validation, one byte per (node, position).
+_UNKNOWN = 0
+_NO = 1
+_YES = 2
 
 
 def validate_label_path_candidates(
@@ -31,6 +36,15 @@ def validate_label_path_candidates(
     counter: CostCounter,
 ) -> set[int]:
     """Filter ``candidates`` to those actually matched by the label path.
+
+    An iterative depth-first search backwards from each candidate: the
+    pair ``(node, position)`` holds when ``node`` carries
+    ``label_ids[position]`` and, for ``position > 0``, some parent holds
+    at ``position - 1``.  Parents are scanned in ``graph.parents`` list
+    order and the scan stops at the first parent that holds, so the
+    visited pairs (and therefore the visit count) are exactly those this
+    short-circuit demands.  Each visited pair is counted once, when its
+    memo entry is first filled.
 
     Args:
         graph: the data graph.
@@ -47,35 +61,70 @@ def validate_label_path_candidates(
     parents = graph.parents
     node_labels = graph.label_ids
     root = graph.root
-    positions = len(label_ids)
-    # memo[(node, position)]: does a node path matching label_ids[:position+1]
-    # and ending at `node` exist?
-    memo: dict[tuple[int, int], bool] = {}
-
-    def matches_up_to(node: int, position: int) -> bool:
-        key = (node, position)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        counter.visit_data_node()
-        if node_labels[node] != label_ids[position]:
-            memo[key] = False
-            return False
-        if position == 0:
-            result = (root in parents[node]) if anchored else True
-        else:
-            result = any(
-                matches_up_to(parent, position - 1) for parent in parents[node]
-            )
-        memo[key] = result
-        return result
-
-    verified: set[int] = set()
+    last = len(label_ids) - 1
+    # memo[position][node]: _UNKNOWN, _NO or _YES for the pair (node, position).
+    memo = [bytearray(graph.num_nodes) for _ in label_ids]
+    top = memo[last]
+    visits = 0
     total = 0
+    verified: set[int] = set()
+    # The open frames of one search, one per position from `last` down
+    # to `position`: the node, and the suspended scan of its parents.
+    nodes = [0] * len(label_ids)
+    scans: list[Iterator[int]] = [iter(())] * len(label_ids)
+
     for candidate in candidates:
         total += 1
-        if matches_up_to(candidate, positions - 1):
+        verdict = top[candidate]
+        if verdict == _UNKNOWN:
+            visits += 1
+            if node_labels[candidate] != label_ids[last]:
+                verdict = _NO
+            elif last == 0:
+                verdict = _YES if not anchored or root in parents[candidate] else _NO
+            else:
+                nodes[last] = candidate
+                scans[last] = iter(parents[candidate])
+                position = last
+                while position <= last:
+                    below = position - 1
+                    below_memo = memo[below]
+                    want = label_ids[below]
+                    verdict = _NO
+                    for parent in scans[position]:
+                        state = below_memo[parent]
+                        if state == _UNKNOWN:
+                            visits += 1
+                            if node_labels[parent] != want:
+                                below_memo[parent] = _NO
+                                continue
+                            if below:
+                                # Suspend this scan and search from the parent.
+                                nodes[below] = parent
+                                scans[below] = iter(parents[parent])
+                                verdict = _UNKNOWN
+                                break
+                            state = (
+                                _YES if not anchored or root in parents[parent] else _NO
+                            )
+                            below_memo[parent] = state
+                        if state == _YES:
+                            verdict = _YES
+                            break
+                    if verdict == _UNKNOWN:
+                        position = below
+                        continue
+                    memo[position][nodes[position]] = verdict
+                    position += 1
+                    if verdict == _YES:
+                        # A match short-circuits every suspended scan above it.
+                        while position <= last:
+                            memo[position][nodes[position]] = _YES
+                            position += 1
+            top[candidate] = verdict
+        if verdict == _YES:
             verified.add(candidate)
+    counter.visit_data_node(visits)
     counter.record_validation(total)
     return verified
 

@@ -21,7 +21,7 @@ Evaluation over the F&B index lives in :mod:`repro.indexes.fbindex`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from repro.exceptions import PathSyntaxError
 from repro.graph.datagraph import DataGraph
@@ -263,7 +263,7 @@ class Adjacency(Protocol):
 def evaluate_twig_over(
     adjacency: Adjacency,
     label_ids: Sequence[int],
-    label_table: dict[str, int],
+    label_table: Mapping[str, int],
     root_node: int,
     query: TwigQuery,
     counter: CostCounter | None = None,
@@ -392,7 +392,6 @@ def evaluate_twig(
         >>> sorted(evaluate_twig(g, q)) == g.nodes_with_label("t")[:1]
         True
     """
-    label_table = {name: i for i, name in enumerate(graph.label_names())}
     return evaluate_twig_over(
-        graph, graph.label_ids, label_table, graph.root, query, counter
+        graph, graph.label_ids, graph.label_table, graph.root, query, counter
     )

@@ -30,6 +30,16 @@ def test_labels_are_interned():
     assert g.num_labels == 2  # ROOT and a
 
 
+def test_label_table_is_a_read_only_live_view():
+    g = DataGraph()
+    table = g.label_table
+    assert dict(table) == {ROOT_LABEL: 0}
+    g.add_node("movie")
+    assert table["movie"] == g.label_id("movie") == 1
+    with pytest.raises(TypeError):
+        table["movie"] = 5
+
+
 def test_add_nodes_bulk():
     g = DataGraph()
     ids = g.add_nodes(["x", "y", "z"])

@@ -9,6 +9,7 @@ from repro.indexes.akindex import build_ak_index
 from repro.indexes.explain import explain
 from repro.indexes.labelsplit import build_labelsplit_index
 from repro.indexes.oneindex import build_1index
+from repro.paths.cost import CostCounter
 from repro.paths.query import make_query
 
 
@@ -48,6 +49,22 @@ def test_explanation_matches_actual_evaluation():
 
     report = explain(index, query)
     assert report.result_size == len(evaluate_on_index(index, query))
+
+
+def test_running_counter_keeps_totals_and_explanation_its_own_cost():
+    g = two_x_graph()
+    running = CostCounter()
+    first = explain(build_labelsplit_index(g), make_query("a.x"), running)
+    assert not first.fully_indexed
+    assert first.candidates_validated == 2
+    second = explain(build_ak_index(g, 3), make_query("a.x"), running)
+    assert second.fully_indexed
+    assert second.candidates_validated == 0
+    assert (second.cost.index_nodes_visited, second.cost.data_nodes_visited) == (2, 0)
+    assert "2 index + 0 data visits (0 candidates validated)" in second.format()
+    assert running.index_nodes_visited == first.cost.index_nodes_visited + 2
+    assert running.data_nodes_visited == first.cost.data_nodes_visited
+    assert running.validations == 2
 
 
 def test_anchored_query_requires_extra_level():

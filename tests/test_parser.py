@@ -13,7 +13,14 @@ from repro.paths.ast import (
     concat_all,
     label_sequence,
 )
-from repro.paths.parser import parse_path_expression
+from repro.cli import main
+from repro.graph.builder import graph_from_edges
+from repro.graph.serialize import save_graph
+from repro.indexes.akindex import build_ak_index
+from repro.indexes.evaluation import evaluate_on_index
+from repro.paths.evaluator import evaluate_on_data_graph
+from repro.paths.parser import MAX_DEPTH, parse_path_expression
+from repro.paths.query import RegexQuery, make_query
 
 
 def parse(text):
@@ -98,6 +105,69 @@ def test_trailing_junk_is_an_error():
 def test_empty_input_is_an_error():
     with pytest.raises(PathSyntaxError):
         parse("")
+
+
+#: Expressions deeper than MAX_DEPTH.  Without the limit each one
+#: overflowed a recursive walker with a raw RecursionError, in the
+#: parser, in label_sequence, or later in compile_nfa or hashing.
+TOO_DEEP = {
+    "nested parentheses": "(" * 300 + "a" + ")" * 300,
+    "label chain": "a" + ".a" * 1000,
+    "union chain": "a" + "|a" * 1000,
+    "wildcard chain": "_" + "._" * 5000,
+    "long union chain": "a" + "|a" * 20000,
+    "postfix run": "a" + "*" * 1000,
+}
+
+#: One level under MAX_DEPTH, in each shape that counts toward it.
+DEEPEST = {
+    "label chain": "a" + ".a" * (MAX_DEPTH - 2),
+    "wildcard chain": "_" + "._" * (MAX_DEPTH - 2),
+    "union chain": "a" + "|a" * (MAX_DEPTH - 2),
+    "nested parentheses": "(" * (MAX_DEPTH - 3) + "a|_" + ")" * (MAX_DEPTH - 3),
+}
+
+
+@pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_expression_is_a_syntax_error(text):
+    with pytest.raises(PathSyntaxError, match="deeper than"):
+        make_query(text)
+
+
+def test_depth_error_points_at_the_crossing_token():
+    # A chain of n labels is n levels deep; the MAX_DEPTH-th '.' crosses.
+    with pytest.raises(PathSyntaxError) as chain:
+        parse("a" + ".a" * MAX_DEPTH)
+    assert chain.value.position == 2 * MAX_DEPTH - 1
+    # n open parentheses around an atom are n + 1 levels deep.
+    with pytest.raises(PathSyntaxError) as nested:
+        parse("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH)
+    assert nested.value.position == MAX_DEPTH - 1
+
+
+@pytest.mark.parametrize("text", DEEPEST.values(), ids=DEEPEST.keys())
+def test_expression_one_level_under_the_limit_works(text):
+    query = make_query(text)
+    assert make_query(query.to_text()) == query
+    hash(query)
+    if isinstance(query, RegexQuery):
+        assert query.nfa.num_states > 0
+    # A chain one node longer than the expression, under the root.
+    size = MAX_DEPTH
+    graph = graph_from_edges(["a"] * size, [(n, n + 1) for n in range(size)])
+    want = evaluate_on_data_graph(graph, query)
+    assert want
+    assert evaluate_on_index(build_ak_index(graph, 1), query) == want
+
+
+def test_cli_query_on_too_deep_expression_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    save_graph(graph_from_edges(["a"], [(0, 1)]), path)
+    code = main(["query", str(path), "a" + ".a" * 1000])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: expression nests deeper than")
+    assert "Traceback" not in err
 
 
 def test_lengths():
