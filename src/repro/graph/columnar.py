@@ -265,19 +265,15 @@ class CSRGraph:
         view, so ``graph.freeze()`` returns it without rebuilding the
         offsets (the frozen-persistence round-trip guarantee).
         """
-        from repro.graph.datagraph import DataGraph, ROOT_LABEL
+        from repro.graph.datagraph import DataGraph
 
-        if not label_names or label_names[self.label_ids[0]] != ROOT_LABEL:
-            raise GraphError("node 0 of a data snapshot must be ROOT")
-        graph = DataGraph()
-        for name in label_names:
-            graph.intern_label(name)
-        for label_id in self.label_ids[1:]:
-            graph.add_node(label_names[label_id])
-        co, ct = self.child_offsets, self.child_targets
-        for src in range(self.num_nodes):
-            for position in range(co[src], co[src + 1]):
-                graph.add_edge(src, ct[position])
+        co = self.child_offsets
+        sources = [
+            src for src in range(self.num_nodes) for _ in range(co[src + 1] - co[src])
+        ]
+        graph = DataGraph.from_arrays(
+            label_names, self.label_ids, sources, self.child_targets
+        )
         graph.adopt_frozen_view(self)
         return graph
 

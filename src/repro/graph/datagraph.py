@@ -81,8 +81,10 @@ class DataGraph:
         self.children: list[list[int]] = []
         #: backward adjacency: ``parents[v]`` lists all u with an edge u -> v.
         self.parents: list[list[int]] = []
-        # Per-node child sets for O(1) duplicate-edge detection.
-        self._child_sets: list[set[int]] = []
+        # Per-node child sets for O(1) duplicate-edge detection, built
+        # from ``children`` on a node's first edge test (None until then):
+        # loaders and copies need not allocate one set per node.
+        self._child_sets: list[set[int] | None] = []
         self._num_edges = 0
         # Frozen-view bookkeeping: the mutation version stamps every
         # columnar snapshot; mutating drops (or, sealed, refuses) it.
@@ -90,6 +92,80 @@ class DataGraph:
         self._frozen: "CSRGraph | None" = None
         self._sealed = False
         self.add_node(ROOT_LABEL)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        label_names: Sequence[str],
+        label_ids: Sequence[int],
+        sources: Sequence[int],
+        targets: Sequence[int],
+    ) -> "DataGraph":
+        """Build a graph in one pass from label and edge arrays.
+
+        Node ``v`` carries label ``label_names[label_ids[v]]`` and edge
+        ``i`` is ``sources[i] -> targets[i]``.  The result equals the
+        graph an :meth:`add_node` / :meth:`add_edge` loop over the same
+        arrays would build: labels are interned in ``label_names`` order
+        after ``ROOT``, and ``children`` / ``parents`` list neighbours in
+        edge order.  It is the bulk path of the loaders
+        (:func:`~repro.graph.serialize.graph_from_dict` and
+        :meth:`~repro.graph.columnar.CSRGraph.to_datagraph`).
+
+        Raises:
+            GraphError: when node 0 is not ROOT, a label id or endpoint
+                is out of range, the edge arrays differ in length, or an
+                edge repeats.
+        """
+        n = len(label_ids)
+        if n == 0:
+            raise GraphError("a data graph needs at least the ROOT node")
+        if min(label_ids) < 0 or max(label_ids) >= len(label_names):
+            raise GraphError("label id out of range")
+        if label_names[label_ids[0]] != ROOT_LABEL:
+            raise GraphError("node 0 must carry the ROOT label")
+        if len(sources) != len(targets):
+            raise GraphError("edge source and target arrays differ in length")
+        if sources and (
+            min(min(sources), min(targets)) < 0
+            or max(max(sources), max(targets)) >= n
+        ):
+            raise GraphError("edge endpoint out of range")
+
+        table = {ROOT_LABEL: 0}
+        for name in label_names:
+            table.setdefault(name, len(table))
+        remap = [table[name] for name in label_names]
+        if remap == list(range(len(label_names))):
+            ids = list(label_ids)
+        else:
+            ids = [remap[label_id] for label_id in label_ids]
+
+        if len({src * n + dst for src, dst in zip(sources, targets)}) != len(sources):
+            seen: set[tuple[int, int]] = set()
+            for edge in zip(sources, targets):
+                if edge in seen:
+                    raise GraphError(f"duplicate edge {edge[0]} -> {edge[1]}")
+                seen.add(edge)
+        children: list[list[int]] = [[] for _ in range(n)]
+        parents: list[list[int]] = [[] for _ in range(n)]
+        for src, dst in zip(sources, targets):
+            children[src].append(dst)
+            parents[dst].append(src)
+
+        graph = cls.__new__(cls)
+        graph._label_names = list(table)
+        graph._label_table = table
+        graph.label_ids = ids
+        graph.children = children
+        graph.parents = parents
+        unbuilt: list[set[int] | None] = [None] * n
+        graph._child_sets = unbuilt
+        graph._num_edges = len(sources)
+        graph._version = 0
+        graph._frozen = None
+        graph._sealed = False
+        return graph
 
     # ------------------------------------------------------------------
     # Identity and size
@@ -185,7 +261,7 @@ class DataGraph:
         self.label_ids.append(label_id)
         self.children.append([])
         self.parents.append([])
-        self._child_sets.append(set())
+        self._child_sets.append(None)
         return node
 
     def add_nodes(self, labels: Iterable[str]) -> list[int]:
@@ -201,10 +277,11 @@ class DataGraph:
         """
         self._check_node(src)
         self._check_node(dst)
-        if dst in self._child_sets[src]:
+        child_set = self._child_set(src)
+        if dst in child_set:
             raise GraphError(f"duplicate edge {src} -> {dst}")
         self._mutated()
-        self._child_sets[src].add(dst)
+        child_set.add(dst)
         self.children[src].append(dst)
         self.parents[dst].append(src)
         self._num_edges += 1
@@ -217,10 +294,11 @@ class DataGraph:
         """
         self._check_node(src)
         self._check_node(dst)
-        if dst in self._child_sets[src]:
+        child_set = self._child_set(src)
+        if dst in child_set:
             return False
         self._mutated()
-        self._child_sets[src].add(dst)
+        child_set.add(dst)
         self.children[src].append(dst)
         self.parents[dst].append(src)
         self._num_edges += 1
@@ -239,10 +317,11 @@ class DataGraph:
         """
         self._check_node(src)
         self._check_node(dst)
-        if dst not in self._child_sets[src]:
+        child_set = self._child_set(src)
+        if dst not in child_set:
             raise GraphError(f"no such edge {src} -> {dst}")
         self._mutated()
-        self._child_sets[src].discard(dst)
+        child_set.discard(dst)
         self.children[src].remove(dst)
         self.parents[dst].remove(src)
         self._num_edges -= 1
@@ -255,7 +334,7 @@ class DataGraph:
         """True if the directed edge ``src -> dst`` exists."""
         self._check_node(src)
         self._check_node(dst)
-        return dst in self._child_sets[src]
+        return dst in self._child_set(src)
 
     def has_node(self, node: int) -> bool:
         """True if ``node`` is a valid node id."""
@@ -401,7 +480,8 @@ class DataGraph:
         clone.label_ids = list(self.label_ids)
         clone.children = [list(outs) for outs in self.children]
         clone.parents = [list(ins) for ins in self.parents]
-        clone._child_sets = [set(s) for s in self._child_sets]
+        unbuilt: list[set[int] | None] = [None] * len(self._child_sets)
+        clone._child_sets = unbuilt
         clone._num_edges = self._num_edges
         clone._version = self._version
         clone._frozen = None
@@ -435,6 +515,13 @@ class DataGraph:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
+
+    def _child_set(self, src: int) -> set[int]:
+        """``src``'s child set, built from ``children`` on first use."""
+        child_set = self._child_sets[src]
+        if child_set is None:
+            child_set = self._child_sets[src] = set(self.children[src])
+        return child_set
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self.label_ids):

@@ -32,6 +32,7 @@ import io
 import json
 import sys
 from array import array
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any
 
@@ -87,40 +88,66 @@ def graph_from_dict(data: dict[str, Any]) -> DataGraph:
     labels = data.get("labels")
     nodes = data.get("nodes")
     edges = data.get("edges")
-    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+    if not isinstance(labels, list) or not _all_of_types(labels, {str}):
         raise SerializationError("'labels' must be a list of strings")
-    if not isinstance(nodes, list) or not all(isinstance(n, int) for n in nodes):
+    # Exact type tests: JSON true/false are bools, which ``isinstance``
+    # would let through as the ints 1 and 0.
+    if not isinstance(nodes, list) or not _all_of_types(nodes, {int}):
         raise SerializationError("'nodes' must be a list of label ids")
     if not isinstance(edges, list):
         raise SerializationError("'edges' must be a list")
     if not nodes:
         raise SerializationError("graph must contain at least the ROOT node")
+    if min(nodes) < 0 or max(nodes) >= len(labels):
+        bad = next(label_id for label_id in nodes if not 0 <= label_id < len(labels))
+        raise SerializationError(f"label id out of range: {bad}")
     if labels[nodes[0]] != ROOT_LABEL:
         raise SerializationError("node 0 must carry the ROOT label")
 
-    graph = DataGraph()
-    if graph.label_ids[0] != 0 or labels[nodes[0]] != ROOT_LABEL:
-        raise SerializationError("corrupt ROOT declaration")
-    # Intern labels in file order so stored ids remain meaningful.
-    for name in labels:
-        graph.intern_label(name)
-    for label_id in nodes[1:]:
-        if not 0 <= label_id < len(labels):
-            raise SerializationError(f"label id out of range: {label_id}")
-        graph.add_node(labels[label_id])
+    try:
+        return DataGraph.from_arrays(labels, nodes, *_edge_arrays(edges, len(nodes)))
+    except GraphError as error:
+        raise SerializationError(f"corrupt graph document: {error}") from error
+
+
+def _all_of_types(values: list[Any], types: set[type]) -> bool:
+    """Whether every element's exact type is in ``types``."""
+    return set(map(type, values)) <= types
+
+
+def _edge_arrays(edges: list[Any], num_nodes: int) -> tuple[list[int], list[int]]:
+    """Split ``[[src, dst], ...]`` into source and target arrays.
+
+    The whole-array checks run at C speed; a document they do not clear
+    takes the per-entry loop, which names the first bad entry.
+
+    Raises:
+        SerializationError: for a malformed entry or an unknown node.
+    """
+    if _all_of_types(edges, {list, tuple}) and set(map(len, edges)) <= {2}:
+        sources = list(map(itemgetter(0), edges))
+        targets = list(map(itemgetter(1), edges))
+        endpoints = sources + targets
+        if (
+            _all_of_types(endpoints, {int})
+            and min(endpoints, default=0) >= 0
+            and max(endpoints, default=0) < num_nodes
+        ):
+            return sources, targets
+    sources, targets = [], []
     for entry in edges:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(type(x) is int for x in entry)
         ):
             raise SerializationError(f"malformed edge entry: {entry!r}")
         src, dst = entry
-        if not (graph.has_node(src) and graph.has_node(dst)):
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
             raise SerializationError(f"edge references unknown node: {entry!r}")
-        if not graph.add_edge_if_absent(src, dst):
-            raise SerializationError(f"duplicate edge in file: {entry!r}")
-    return graph
+        sources.append(src)
+        targets.append(dst)
+    return sources, targets
 
 
 def save_graph(graph: DataGraph, target: str | Path | IO[str]) -> None:

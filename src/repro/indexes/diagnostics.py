@@ -77,26 +77,144 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _paths_up_to(
-    graph: DataGraph, node: int, depth: int, max_paths: int
-) -> set[tuple[int, ...]] | None:
-    """Incoming label-id paths of length <= depth ending at ``node``
-    (own label included); None when ``max_paths`` is exceeded."""
-    collected: set[tuple[int, ...]] = set()
-    frontier: set[tuple[int, tuple[int, ...]]] = {
-        (node, (graph.label_ids[node],))
-    }
-    for _ in range(depth + 1):
-        for _current, path in frontier:
-            collected.add(path)
-            if len(collected) > max_paths:
-                return None
-        next_frontier: set[tuple[int, tuple[int, ...]]] = set()
-        for current, path in frontier:
-            for parent in graph.parents[current]:
-                next_frontier.add((parent, (graph.label_ids[parent],) + path))
-        frontier = next_frontier
-    return collected
+#: Path-set table entries that are not set ids: not computed yet,
+#: queued in the cone being computed, and over the ``max_paths`` budget.
+_UNKNOWN = -1
+_PENDING = -2
+_OVER = -3
+
+
+class _PathSets:
+    """Incoming label-path sets of data nodes, each computed at most once.
+
+    ``P(v, 0)`` is ``{(label(v),)}`` and ``P(v, d)`` adds, for every
+    parent ``u``, each path of ``P(u, d - 1)`` extended by ``label(v)``:
+    the label paths of length ``<= d`` ending at ``v``, as the deep
+    audit compares them.  Each set is derived from its parents' sets
+    one depth down instead of searching up from ``v`` again.
+
+    Paths are interned as ints in a trie over label ids, and equal sets
+    share one id, so two nodes' sets compare as two ints.  A node whose
+    label and parents' set ids repeat an earlier node's reuses that
+    set without building it.  Per depth, a flat list maps every data
+    node to its set id.  A set larger than ``max_paths`` is recorded as
+    over budget; so is every set built from one, since extending a
+    parent's paths by the child's label keeps them distinct.  The
+    tables live as long as the object: one audit call.
+    """
+
+    def __init__(self, graph: DataGraph, max_paths: int) -> None:
+        self._labels = graph.label_ids
+        self._parents = graph.parents
+        self._num_labels = max(graph.num_labels, 1)
+        self._max_paths = max_paths
+        self._tables: list[list[int]] = []
+        self._sets: list[frozenset[int]] = [frozenset()]
+        self._set_ids: dict[frozenset[int], int] = {frozenset(): 0}
+        self._shared: dict[tuple[int, ...], int] = {}
+        # Path trie: path 0 is the empty path; path p's last label is
+        # _path_label[p] and its prefix _path_prefix[p].
+        self._path_prefix = [0]
+        self._path_label = [0]
+        self._path_ids: dict[int, int] = {}
+
+    def set_ids(self, nodes: Sequence[int], depth: int) -> list[int]:
+        """The ids of ``P(node, depth)`` for ``nodes``, in order;
+        ``_OVER`` for a set past the budget."""
+        if depth < 0:
+            return [0] * len(nodes)  # no level is searched: the empty set
+        tables = self._tables
+        while len(tables) <= depth:
+            tables.append([_UNKNOWN] * len(self._labels))
+        # The cone of sets still missing: cone[i] holds the nodes whose
+        # set at depth - i is needed, each queued once per depth.
+        table = tables[depth]
+        frontier: list[int] = []
+        for node in nodes:
+            if table[node] == _UNKNOWN:
+                table[node] = _PENDING
+                frontier.append(node)
+        parents = self._parents
+        cone = [frontier]
+        for level in range(depth - 1, -1, -1):
+            table = tables[level]
+            frontier = []
+            for child in cone[-1]:
+                for parent in parents[child]:
+                    if table[parent] == _UNKNOWN:
+                        table[parent] = _PENDING
+                        frontier.append(parent)
+            if not frontier:
+                break
+            cone.append(frontier)
+        # Derive bottom-up, so every parent's set one depth down is known.
+        labels, shared = self._labels, self._shared
+        for offset in range(len(cone) - 1, -1, -1):
+            level = depth - offset
+            table = tables[level]
+            below = tables[level - 1] if level else []
+            for node in cone[offset]:
+                node_parents = parents[node] if level else []
+                if len(node_parents) == 1:
+                    parent_id = below[node_parents[0]]
+                    key: tuple[int, ...] = (labels[node], parent_id)
+                elif node_parents:
+                    parent_ids = sorted({below[parent] for parent in node_parents})
+                    parent_id = parent_ids[0]  # _OVER sorts first
+                    key = (labels[node], *parent_ids)
+                else:
+                    parent_id = 0
+                    key = (labels[node],)
+                if parent_id == _OVER:
+                    table[node] = _OVER
+                    continue
+                set_id = shared.get(key)
+                table[node] = set_id if set_id is not None else self._build(key)
+        return [tables[depth][node] for node in nodes]
+
+    def _build(self, key: tuple[int, ...]) -> int:
+        """Build, intern and share the set of ``key``: a label followed
+        by the ids of the parents' sets one depth down."""
+        label = key[0]
+        members = {self._extend(0, label)}
+        for parent_id in key[1:]:
+            for path in self._sets[parent_id]:
+                members.add(self._extend(path, label))
+            if len(members) > self._max_paths:
+                break
+        if len(members) > self._max_paths:
+            set_id = _OVER
+        else:
+            frozen = frozenset(members)
+            set_id = self._set_ids.setdefault(frozen, len(self._sets))
+            if set_id == len(self._sets):
+                self._sets.append(frozen)
+        self._shared[key] = set_id
+        return set_id
+
+    def _extend(self, prefix: int, label: int) -> int:
+        """The id of path ``prefix`` followed by ``label``."""
+        slot = prefix * self._num_labels + label
+        path = self._path_ids.get(slot)
+        if path is None:
+            path = len(self._path_prefix)
+            self._path_ids[slot] = path
+            self._path_prefix.append(prefix)
+            self._path_label.append(label)
+        return path
+
+    def witness(self, first: int, second: int) -> tuple[int, ...]:
+        """The shortest label-id path in exactly one of two sets, ties
+        broken by the smaller tuple."""
+        paths = [self._path(path) for path in self._sets[first] ^ self._sets[second]]
+        return min(paths, key=lambda path: (len(path), path))
+
+    def _path(self, path: int) -> tuple[int, ...]:
+        labels: list[int] = []
+        while path:
+            labels.append(self._path_label[path])
+            path = self._path_prefix[path]
+        return tuple(reversed(labels))
 
 
 def audit_similarities(
@@ -139,6 +257,7 @@ def audit_similarities(
     """
     graph = index.graph
     report = AuditReport()
+    path_sets = _PathSets(graph, max_paths)
     for node in range(index.num_nodes) if nodes is None else nodes:
         if len(report.findings) >= max_findings:
             break
@@ -147,21 +266,21 @@ def audit_similarities(
             report.nodes_checked += 1
             continue
         depth = min(index.k[node], max_k, graph.num_nodes)
-        reference = _paths_up_to(graph, extent[0], depth, max_paths)
-        if reference is None:
+        # Deriving every member's set at once costs no more than the
+        # members up to the first mismatch: each set is derived once.
+        reference, *others = path_sets.set_ids(extent, depth)
+        if reference == _OVER:
             report.nodes_skipped += 1
             continue
         report.nodes_checked += 1
-        for member in extent[1:]:
-            other = _paths_up_to(graph, member, depth, max_paths)
-            if other is None:
+        for other in others:
+            if other == _OVER:
                 report.nodes_skipped += 1
                 break
             if other != reference:
-                difference = (other ^ reference)
-                witness_ids = min(difference, key=len)
                 witness = tuple(
-                    graph.label_name(label_id) for label_id in witness_ids
+                    graph.label_name(label_id)
+                    for label_id in path_sets.witness(reference, other)
                 )
                 report.findings.append(
                     AuditFinding(

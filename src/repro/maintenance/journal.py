@@ -18,7 +18,8 @@ release appends to an old journal.  The entry vocabulary is unchanged:
   ``repro-indexgraph`` document of :mod:`repro.indexes.serialize`,
   graph embedded), written once when the journal is attached — through
   the atomic writer of :mod:`repro.maintenance.store`, so a crash
-  mid-base never leaves a half-written journal head.
+  mid-base never leaves a half-written journal head.  Readers check its
+  CRC but parse the snapshot only when asked for it.
 - ``{"type": "begin", "seq": n, "op": "add_edge", "args": {...}}`` —
   appended and flushed *before* the operation touches anything, so a
   crash mid-operation leaves a dangling ``begin`` rather than silence.
@@ -86,26 +87,48 @@ class JournalEntry:
     reason: str = ""
 
 
-def _encode_line(record: dict[str, Any]) -> str:
-    """One version-2 journal line: CRC32 frame + compact JSON payload."""
-    payload = json.dumps(record, separators=(",", ":"))
+#: Payload head of a version-2 base record as :func:`_encode_line`
+#: writes it (compact separators, keys in this order).  A CRC-valid
+#: line whose payload starts with it and an object is taken as the base
+#: without parsing the snapshot; see :attr:`JournalScan.base_document`.
+_BASE_HEAD = '{"type":"base","seq":0,"index":'
+
+
+def _frame(payload: str) -> str:
+    """One version-2 journal line: CRC32 frame around ``payload``."""
     crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
     return f"{crc:08x} {payload}\n"
 
 
-def _decode_line(line: str) -> dict[str, Any] | None:
-    """Parse one journal line of either framing version.
+def _encode_line(record: dict[str, Any]) -> str:
+    """One version-2 journal line: CRC32 frame + compact JSON payload."""
+    return _frame(json.dumps(record, separators=(",", ":")))
 
-    Returns ``None`` for an undecodable line — the caller decides
-    whether that is a tolerable torn tail or hard corruption.
-    """
-    stripped = line.strip()
+
+def encode_index_document(dk: "DKIndex") -> str:
+    """``dk``'s ``repro-indexgraph`` document (graph embedded) as
+    compact JSON: the one encoding a checkpoint's snapshot body and its
+    journal base share."""
+    from repro.indexes.serialize import index_to_dict
+
+    document = index_to_dict(
+        dk.index, embed_graph=True, requirements=dict(dk.requirements)
+    )
+    return json.dumps(document, separators=(",", ":"))
+
+
+def encode_base_line(index_json: str) -> str:
+    """The base line around an index document already encoded by
+    :func:`encode_index_document` — byte-identical to
+    ``_encode_line({"type": "base", "seq": 0, "index": document})``."""
+    return _frame(_BASE_HEAD + index_json + "}")
+
+
+def _payload(stripped: str) -> str | None:
+    """The JSON payload of a journal line of either framing version;
+    ``None`` when a version-2 frame fails its CRC."""
     if stripped.startswith("{"):  # version-1 framing: bare JSON, no CRC
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError:
-            return None
-        return record if isinstance(record, dict) else None
+        return stripped
     prefix, _, payload = stripped.partition(" ")
     if len(prefix) != 8 or not payload:
         return None
@@ -115,6 +138,21 @@ def _decode_line(line: str) -> dict[str, Any] | None:
         return None
     if zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF != stored:
         return None
+    return payload
+
+
+def _decode_line(line: str) -> dict[str, Any] | None:
+    """Parse one journal line of either framing version.
+
+    Returns ``None`` for an undecodable line — the caller decides
+    whether that is a tolerable torn tail or hard corruption.
+    """
+    payload = _payload(line.strip())
+    return None if payload is None else _json_object(payload)
+
+
+def _json_object(payload: str) -> dict[str, Any] | None:
+    """``payload`` parsed, or ``None`` unless it is one JSON object."""
     try:
         record = json.loads(payload)
     except json.JSONDecodeError:
@@ -123,13 +161,61 @@ def _decode_line(line: str) -> dict[str, Any] | None:
 
 
 def _entry_from_record(record: dict[str, Any]) -> JournalEntry:
-    return JournalEntry(
-        type=str(record["type"]),
-        seq=int(record.get("seq", -1)),
-        op=str(record.get("op", "")),
-        args=dict(record.get("args", {})),
-        reason=str(record.get("reason", "")),
-    )
+    """The entry a decoded journal record describes.
+
+    Raises:
+        JournalError: when the record is not an entry object or one of
+            its fields has the wrong type.
+    """
+    kind = record.get("type")
+    if not isinstance(kind, str):
+        raise JournalError("journal line is not an entry object")
+    seq = record.get("seq", -1)
+    op = record.get("op", "")
+    args = record.get("args", {})
+    reason = record.get("reason", "")
+    # ``type(seq) is int``: JSON true/false are bools, not sequence numbers.
+    if not (
+        type(seq) is int
+        and isinstance(op, str)
+        and isinstance(args, dict)
+        and isinstance(reason, str)
+    ):
+        raise JournalError("journal entry has a field of the wrong type")
+    return JournalEntry(type=kind, seq=seq, op=op, args=dict(args), reason=reason)
+
+
+def _parse_line(
+    line: str,
+) -> tuple[JournalEntry, str | dict[str, Any] | None] | None:
+    """One line's entry, plus the snapshot when it is the base.
+
+    A version-2 base line is recognised by its frame and payload head:
+    its CRC is checked over the whole payload, but the payload is
+    returned as text, to be parsed only if a reader asks for the
+    snapshot.  Other base lines return their decoded ``index`` document.
+
+    Returns ``None`` for a line that fails its checksum or does not
+    parse; the caller decides whether that is a torn tail or corruption.
+
+    Raises:
+        JournalError: for a line that parses but is not a well-typed
+            entry object.
+    """
+    stripped = line.strip()
+    payload = _payload(stripped)
+    if payload is None:
+        return None
+    # Only a CRC frame vouches for a payload it does not parse; a
+    # version-1 base line is decoded as before.
+    if not stripped.startswith("{") and payload.startswith(_BASE_HEAD + "{"):
+        return JournalEntry(type="base", seq=0), payload
+    record = _json_object(payload)
+    if record is None:
+        return None
+    entry = _entry_from_record(record)
+    base = record.get("index") if entry.type == "base" else None
+    return entry, base if isinstance(base, dict) else None
 
 
 class UpdateJournal:
@@ -172,17 +258,11 @@ class UpdateJournal:
         ordinary appends it goes through the atomic writer: a crash
         mid-base leaves no journal file rather than a torn head.
         """
-        from repro.indexes.serialize import index_to_dict
         from repro.maintenance.store import atomic_write_text
 
         if self.path.exists() and self.path.stat().st_size > 0:
             raise JournalError(f"{self.path} already has entries; cannot re-base")
-        document = index_to_dict(
-            dk.index, embed_graph=True, requirements=dict(dk.requirements)
-        )
-        atomic_write_text(
-            self.path, _encode_line({"type": "base", "seq": 0, "index": document})
-        )
+        atomic_write_text(self.path, encode_base_line(encode_index_document(dk)))
 
     def begin(self, op: str, args: Mapping[str, Any]) -> int:
         """Record intent to run ``op``; returns the sequence number.
@@ -234,36 +314,37 @@ class UpdateJournal:
     def entries(self) -> Iterator[JournalEntry]:
         """Parse the journal, line by line.
 
+        The base line's snapshot is checksummed but not parsed; read it
+        with :meth:`base_document`.
+
         Raises:
-            JournalError: on a malformed or checksum-failing line, with
-                the path, line number and the length of the replayable
-                prefix before it (truncated trailing lines — the one
-                thing a crash can legitimately leave behind — are
-                tolerated and end the iteration instead).
+            JournalError: on a malformed, checksum-failing or mistyped
+                line, with the path, line number and the length of the
+                replayable prefix before it (truncated trailing lines —
+                the one thing a crash can legitimately leave behind —
+                are tolerated and end the iteration instead).
         """
         yielded = 0
         # errors="replace": an undecodable byte must surface as a
         # checksum failure on its line, not an untyped UnicodeDecodeError.
         with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
             for number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
+                if not line.strip():
                     continue
-                record = _decode_line(line)
-                if record is None:
+                problem = "malformed or checksum-failing journal line"
+                try:
+                    parsed = _parse_line(line)
+                except JournalError as error:
+                    parsed, problem = None, str(error)
+                if parsed is None:
                     if not line.endswith("\n"):
                         return  # torn final write from a crash
                     raise JournalError(
-                        f"{self.path}:{number}: malformed or checksum-failing "
-                        f"journal line (replayable prefix: {yielded} entries)"
-                    )
-                if "type" not in record:
-                    raise JournalError(
-                        f"{self.path}:{number}: journal line is not an entry "
-                        f"object (replayable prefix: {yielded} entries)"
+                        f"{self.path}:{number}: {problem} "
+                        f"(replayable prefix: {yielded} entries)"
                     )
                 yielded += 1
-                yield _entry_from_record(record)
+                yield parsed[0]
 
     def dangling(self) -> list[int]:
         """Sequence numbers with a ``begin`` but no ``commit``/``abort``."""
@@ -400,8 +481,6 @@ class JournalScan:
 
     Attributes:
         path: the scanned file.
-        base_document: the base snapshot's ``index`` document, or
-            ``None`` when the base line is missing or corrupt.
         committed_ops: ``(seq, op, args)`` for every operation whose
             ``begin`` *and* ``commit`` both survived, in seq order,
             truncated at the first committed seq whose ``begin`` was
@@ -409,8 +488,9 @@ class JournalScan:
             rather than skip a committed operation and apply its
             successors to the wrong state.
         dangling: ``begin`` seqs with no verdict (crash mid-operation).
-        corrupt_lines: line numbers that failed their checksum or did
-            not parse.  Line framing resyncs at the next newline, so a
+        corrupt_lines: line numbers that failed their checksum, did
+            not parse, or held an entry with a field of the wrong
+            type.  Line framing resyncs at the next newline, so a
             corrupt *base* line (line 1 — redundant with the
             generation's snapshot) does not stop the scan; a corrupt
             line in the operation region does, because record order
@@ -424,7 +504,6 @@ class JournalScan:
     """
 
     path: Path
-    base_document: dict[str, Any] | None = None
     committed_ops: list[tuple[int, str, dict[str, Any]]] = field(
         default_factory=list
     )
@@ -432,11 +511,38 @@ class JournalScan:
     corrupt_lines: list[int] = field(default_factory=list)
     lost_ops: list[int] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    # The base line's payload text until base_document parses it.
+    _base: str | dict[str, Any] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def damaged(self) -> bool:
         """Whether any complete line failed its integrity check."""
         return bool(self.corrupt_lines)
+
+    @property
+    def base_document(self) -> dict[str, Any] | None:
+        """The base snapshot's ``index`` document, or ``None`` when the
+        base line is missing or corrupt.
+
+        The scan checked the base line's CRC but left the snapshot
+        unparsed (it is a second copy of the generation's snapshot, and
+        only the journal-base and rebuild rungs read it); it is decoded
+        here, on first access.
+
+        Raises:
+            JournalError: when a CRC-valid base payload does not decode
+                to a base entry — it cannot come from this module's
+                writer; recovery reports it as an unusable base.
+        """
+        if isinstance(self._base, str):
+            record = _json_object(self._base)
+            index = record.get("index") if record is not None else None
+            if not isinstance(index, dict):
+                raise JournalError(f"{self.path}: base snapshot does not decode")
+            self._base = index
+        return self._base
 
 
 def scan_journal(path: str | Path) -> JournalScan:
@@ -459,8 +565,11 @@ def scan_journal(path: str | Path) -> JournalScan:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = _decode_line(line)
-            if record is None or "type" not in record:
+            try:
+                parsed = _parse_line(line)
+            except JournalError:  # a mistyped entry counts as corrupt
+                parsed = None
+            if parsed is None:
                 if not line.endswith("\n"):
                     scan.notes.append(
                         f"{scan.path}:{number}: torn final line "
@@ -482,11 +591,10 @@ def scan_journal(path: str | Path) -> JournalScan:
                     "beyond it are unrecoverable from this file"
                 )
                 break
-            entry = _entry_from_record(record)
+            entry, base = parsed
             if entry.type == "base":
-                raw = record.get("index")
-                if isinstance(raw, dict) and scan.base_document is None:
-                    scan.base_document = raw
+                if base is not None and scan._base is None:
+                    scan._base = base
             elif entry.type == "begin":
                 begins[entry.seq] = (entry.op, entry.args)
             elif entry.type == "commit":

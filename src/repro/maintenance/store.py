@@ -481,17 +481,15 @@ class CheckpointStore:
         return info
 
     def _write_generation(self, generation: int, dk: "DKIndex") -> CheckpointInfo:
-        from repro.indexes.serialize import index_to_dict
-        from repro.maintenance.journal import UpdateJournal
+        from repro.maintenance.journal import encode_base_line, encode_index_document
 
-        document = index_to_dict(
-            dk.index, embed_graph=True, requirements=dict(dk.requirements)
-        )
+        # One encoding serves as both the sealed snapshot's body and the
+        # fresh journal's base payload (the same state by construction).
+        body = encode_index_document(dk)
         snapshot_path = self.directory / snapshot_name(generation)
         journal_path = self.directory / journal_name(generation)
-        atomic_write_document(snapshot_path, document)
-        journal = UpdateJournal(journal_path)
-        journal.write_base(dk)
+        atomic_write_text(snapshot_path, seal(body))
+        atomic_write_text(journal_path, encode_base_line(body))
         atomic_write_document(
             self.directory / CURRENT_NAME,
             {
@@ -661,14 +659,16 @@ class CheckpointStore:
                 )
                 return None
         # kind == "journal-base": only worth trying when the snapshot
-        # did not load (they hold the same state by construction).
+        # did not load (they hold the same state by construction).  The
+        # scan left the base unparsed; reading it here decodes it.
         scan = scans.get(generation)
-        if scan is None or scan.base_document is None:
+        if scan is None:
             return None
         try:
-            index, requirements = index_from_dict(
-                scan.base_document, validate=False
-            )
+            document = scan.base_document
+            if document is None:
+                return None
+            index, requirements = index_from_dict(document, validate=False)
             return DKIndex(index.graph, index, requirements or {})
         except ReproError as error:
             report.issues.append(

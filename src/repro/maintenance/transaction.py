@@ -84,7 +84,7 @@ class GraphCheckpoint:
         graph.label_ids[:] = self._label_ids
         graph.children[:] = [list(outs) for outs in self._children]
         graph.parents[:] = [list(ins) for ins in self._parents]
-        graph._child_sets[:] = [set(outs) for outs in self._children]
+        graph._child_sets[:] = [None] * len(self._children)
         graph._num_edges = self._num_edges
 
 
@@ -173,13 +173,13 @@ class _EdgeDelta:
             # Undo an addition: the edge was appended at the list tails.
             del graph.children[src][self._children_len :]
             del graph.parents[dst][self._parents_len :]
-            graph._child_sets[src].discard(dst)
+            graph._child_sets[src] = None  # rebuilt from children[src]
         elif self.removing and self._had_data_edge and not has_edge:
             # Undo a removal: reinsert at the recorded positions so the
             # adjacency order is bit-identical, not merely equivalent.
             graph.children[src].insert(self._child_pos, dst)
             graph.parents[dst].insert(self._parent_pos, src)
-            graph._child_sets[src].add(dst)
+            graph._child_sets[src] = None  # rebuilt from children[src]
         graph._num_edges = self._num_edges
         index.k[:] = self._k
         has_index_edge = self._target in index.children[self._source]

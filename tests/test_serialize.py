@@ -7,10 +7,12 @@ from array import array
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import small_graphs
-from repro.exceptions import FrozenGraphError, SerializationError
+from repro.exceptions import FrozenGraphError, GraphError, SerializationError
 from repro.graph.builder import graph_from_edges
+from repro.graph.datagraph import DataGraph
 from repro.graph.serialize import (
     dumps,
     frozen_from_dict,
@@ -240,3 +242,124 @@ def test_roundtrip_random_graphs(graph):
     assert [restored.label(i) for i in restored.nodes()] == [
         graph.label(i) for i in graph.nodes()
     ]
+
+
+# ----------------------------------------------------------------------
+# Malformed label ids and JSON booleans
+# ----------------------------------------------------------------------
+
+
+def test_rejects_root_label_id_outside_labels():
+    data = graph_to_dict(sample())
+    data["nodes"][0] = len(data["labels"])  # read before any range check
+    with pytest.raises(SerializationError, match="out of range"):
+        graph_from_dict(data)
+
+
+def test_rejects_negative_root_label_id():
+    # labels[-1] is "ROOT": negative indexing must not make it valid.
+    data = {
+        "format": "repro-datagraph",
+        "version": 1,
+        "labels": ["a", "ROOT"],
+        "nodes": [-1, 0],
+        "edges": [[0, 1]],
+    }
+    with pytest.raises(SerializationError, match="out of range"):
+        graph_from_dict(data)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_rejects_boolean_label_ids(position):
+    data = graph_to_dict(sample())
+    data["nodes"][position] = bool(data["nodes"][position])
+    with pytest.raises(SerializationError, match="label ids"):
+        graph_from_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("endpoint", [0, 1])
+def test_rejects_boolean_edge_endpoints(endpoint):
+    data = graph_to_dict(sample())
+    data["edges"].append([1, 3])
+    data["edges"][-1][endpoint] = True
+    with pytest.raises(SerializationError, match="malformed edge"):
+        graph_from_dict(json.loads(json.dumps(data)))
+
+
+# ----------------------------------------------------------------------
+# Bulk construction against a per-element build
+# ----------------------------------------------------------------------
+
+
+def reference_build(data):
+    """The graph an ``add_node`` / ``add_edge`` loop builds from a
+    well-formed ``repro-datagraph`` document."""
+    graph = DataGraph()
+    for name in data["labels"]:
+        graph.intern_label(name)
+    for label_id in data["nodes"][1:]:
+        graph.add_node(data["labels"][label_id])
+    for src, dst in data["edges"]:
+        graph.add_edge(src, dst)
+    return graph
+
+
+@st.composite
+def graph_documents(draw):
+    """Well-formed documents: labels in any order (ROOT anywhere, names
+    possibly repeated or unused) and edges in any order."""
+    labels = draw(st.lists(st.sampled_from("abcd"), max_size=5))
+    labels.insert(draw(st.integers(min_value=0, max_value=len(labels))), "ROOT")
+    label_ids = st.integers(min_value=0, max_value=len(labels) - 1)
+    nodes = [labels.index("ROOT")] + draw(st.lists(label_ids, max_size=12))
+    node_ids = st.integers(min_value=0, max_value=len(nodes) - 1)
+    edges = draw(st.lists(st.tuples(node_ids, node_ids), unique=True, max_size=30))
+    return {
+        "format": "repro-datagraph",
+        "version": 1,
+        "labels": labels,
+        "nodes": nodes,
+        "edges": [list(edge) for edge in edges],
+    }
+
+
+def assert_same_graph(loaded, expected):
+    assert loaded.label_ids == expected.label_ids
+    assert loaded.children == expected.children
+    assert loaded.parents == expected.parents
+    assert loaded.num_edges == expected.num_edges
+    assert loaded.label_names() == expected.label_names()
+
+
+@given(graph_documents())
+def test_bulk_decode_matches_a_per_element_build(data):
+    loaded = graph_from_dict(data)
+    expected = reference_build(data)
+    assert_same_graph(loaded, expected)
+    # The frozen view's rebuild takes the same bulk path.
+    restored = loaded.freeze().to_datagraph(list(loaded.label_names()))
+    assert sorted(restored.edges()) == sorted(expected.edges())
+    assert restored.label_ids == expected.label_ids
+    assert [sorted(ins) for ins in restored.parents] == [
+        sorted(ins) for ins in expected.parents
+    ]
+
+
+@given(graph_documents())
+def test_bulk_decoded_graph_mutates_like_any_other(data):
+    loaded = graph_from_dict(data)
+    expected = reference_build(data)
+    for src, dst in data["edges"][:3]:
+        with pytest.raises(GraphError):
+            loaded.add_edge(src, dst)
+    view = loaded.freeze()
+    node = loaded.add_node("z")
+    assert expected.add_node("z") == node
+    loaded.add_edge(0, node)
+    expected.add_edge(0, node)
+    assert loaded.has_edge(0, node)
+    rebuilt = loaded.freeze()
+    assert rebuilt is not view
+    assert rebuilt.num_nodes == view.num_nodes + 1
+    assert rebuilt.num_edges == view.num_edges + 1
+    assert_same_graph(loaded, expected)

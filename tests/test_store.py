@@ -31,7 +31,12 @@ from repro.indexes.evaluation import evaluate_on_index
 from repro.indexes.serialize import index_to_dict, load_dk_index, save_dk_index
 from repro.maintenance.chaos import run_durability_suite
 from repro.maintenance.faults import inject_faults
-from repro.maintenance.journal import UpdateJournal, _encode_line, scan_journal
+from repro.maintenance.journal import (
+    UpdateJournal,
+    _encode_line,
+    _frame,
+    scan_journal,
+)
 from repro.maintenance.pipeline import UpdatePipeline
 from repro.maintenance.store import (
     CURRENT_NAME,
@@ -455,3 +460,199 @@ def test_durability_suite_is_clean(tmp_path):
     report = run_durability_suite(seed=0, work_dir=tmp_path / "chaos")
     assert report.ok, report.format()
     assert "durability crash matrix" in report.format()
+
+
+# ------------------------- mistyped journal records --------------------
+
+
+MISTYPED_RECORDS = [
+    {"type": "commit", "seq": "x"},
+    {"type": "begin", "seq": 3, "op": "add_edge", "args": 5},
+    {"type": "commit", "seq": True},
+    {"type": "abort", "seq": 3, "reason": 7},
+]
+
+
+def append_raw_line(path, record, framed):
+    line = _encode_line(record) if framed else json.dumps(record) + "\n"
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line)
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["crc-framed", "bare-json"])
+@pytest.mark.parametrize("record", MISTYPED_RECORDS)
+def test_mistyped_journal_record_is_a_typed_error(
+    journal_fixture, tmp_path, record, framed
+):
+    source, pristine_entries, pristine_ops = journal_fixture
+    path = tmp_path / "ops.jsonl"
+    path.write_bytes(source.read_bytes())
+    append_raw_line(path, record, framed)
+    line_number = len(pristine_entries) + 1
+    with pytest.raises(JournalError) as error:
+        list(UpdateJournal(path).entries())
+    assert f"{path}:{line_number}" in str(error.value)
+    assert f"replayable prefix: {len(pristine_entries)} entries" in str(error.value)
+    # The forgiving reader treats it exactly like a checksum failure.
+    scan = scan_journal(path)
+    assert scan.corrupt_lines == [line_number]
+    assert scan.committed_ops == pristine_ops
+    assert any(f":{line_number}: corrupt journal line" in note for note in scan.notes)
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["crc-framed", "bare-json"])
+def test_store_with_mistyped_live_journal_line_recovers(tmp_path, framed):
+    store, dk = make_checkpointed_store(tmp_path, (2,))
+    journal = store.directory / journal_name(1)
+    append_raw_line(journal, {"type": "begin", "seq": "x", "op": "add_edge"}, framed)
+    report = CheckpointStore(store.directory).recover()
+    assert report.recovered
+    assert report.strategy == "snapshot-1+replay"
+    assert report.replayed == 2
+    assert any(f"{journal}:6: corrupt journal line" in issue for issue in report.issues)
+    statuses = {a.name: a.status for a in report.artifacts}
+    assert statuses[journal_name(1)] == "corrupt"
+    # A corrupt line past the base is loss by the existing rules.
+    assert report.data_loss
+    assert answers(report.dk) == answers(dk)
+
+
+# ------------------------- lazy journal bases ---------------------------
+
+
+@pytest.fixture
+def base_decodes(monkeypatch):
+    """Counts ``json.loads`` calls made on a journal base payload."""
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        if isinstance(text, str) and text.startswith('{"type":"base"'):
+            calls.append(len(text))
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    return calls
+
+
+def test_clean_snapshot_recovery_decodes_no_journal_base(tmp_path, base_decodes):
+    store, dk = make_checkpointed_store(tmp_path, (2, 2))
+    report = CheckpointStore(store.directory).recover()
+    assert report.strategy == "snapshot-2+replay"
+    assert answers(report.dk) == answers(dk)
+    assert base_decodes == []
+
+
+def test_checkpoint_with_pipeline_decodes_no_journal_base(tmp_path, base_decodes):
+    dk = small_dk()
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    pipeline = UpdatePipeline(dk, store.maintenance_config(audit="deep"))
+    pipeline.add_edge(2, 9)
+    store.checkpoint(dk, pipeline)
+    pipeline.add_edge(3, 5)
+    assert [entry.type for entry in pipeline.journal.entries()] == [
+        "base", "begin", "commit",
+    ]
+    assert base_decodes == []
+
+
+def test_journal_base_rung_decodes_the_base_it_reads(tmp_path, base_decodes):
+    store, dk = make_checkpointed_store(tmp_path, (2, 2))
+    flip_byte(store.directory / snapshot_name(2), 40)
+    report = CheckpointStore(store.directory).recover()
+    assert report.strategy == "journal-base-2+replay"
+    assert len(base_decodes) == 1
+
+
+def test_crc_valid_base_that_does_not_parse_is_an_unusable_base(tmp_path):
+    # Not something the writer can produce: the frame checks out, but
+    # the payload behind the base head is not JSON.  The scan accepts
+    # the frame; the journal-base rung that reads it reports the base as
+    # unusable, and the ladder climbs down as for any failed rung.
+    store, dk = make_checkpointed_store(tmp_path, (2, 2))
+    journal = store.directory / journal_name(2)
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = _frame('{"type":"base","seq":0,"index":{"format": oops}}')
+    journal.write_text("".join(lines), encoding="utf-8")
+    scan = scan_journal(journal)
+    assert not scan.damaged
+    with pytest.raises(JournalError):
+        scan.base_document
+    flip_byte(store.directory / snapshot_name(2), 40)
+    report = CheckpointStore(store.directory).recover()
+    assert report.recovered
+    assert report.strategy == "snapshot-1+replay"
+    assert report.replayed == 4
+    assert not report.data_loss
+    assert any(
+        f"{journal_name(2)}: base snapshot unusable" in issue
+        for issue in report.issues
+    )
+    assert answers(report.dk) == answers(dk)
+
+
+# ------------------------- one encoding per checkpoint ------------------
+
+
+def journal_base_index(path):
+    return json.loads(path.read_text(encoding="utf-8").splitlines()[0][9:])["index"]
+
+
+def test_snapshot_and_journal_base_share_one_encoding(tmp_path):
+    store, _dk = make_checkpointed_store(tmp_path, (1, 1))
+    for generation in (1, 2):
+        snapshot = read_document(store.directory / snapshot_name(generation))
+        base = journal_base_index(store.directory / journal_name(generation))
+        assert base == snapshot
+    body, sealed = unseal(
+        (store.directory / snapshot_name(2)).read_text(encoding="utf-8")
+    )
+    assert sealed
+    base_line = (store.directory / journal_name(2)).read_text(
+        encoding="utf-8"
+    ).splitlines(keepends=True)[0]
+    record = {"type": "base", "seq": 0, "index": json.loads(body)}
+    assert base_line == _encode_line(record)
+
+
+def write_store_in_the_previous_format(directory, dk, edges):
+    """A one-generation store as the previous writer laid it out: the
+    snapshot encoded with default separators, then a journal of
+    committed edge additions behind a base line."""
+    directory.mkdir()
+    document = index_to_dict(
+        dk.index, embed_graph=True, requirements=dict(dk.requirements)
+    )
+    (directory / snapshot_name(1)).write_text(
+        seal(json.dumps(document)), encoding="utf-8"
+    )
+    lines = [_encode_line({"type": "base", "seq": 0, "index": document})]
+    for seq, (src, dst) in enumerate(edges, start=1):
+        args = {"src": src, "dst": dst}
+        begin = {"type": "begin", "seq": seq, "op": "add_edge", "args": args}
+        lines.append(_encode_line(begin))
+        lines.append(_encode_line({"type": "commit", "seq": seq}))
+    (directory / journal_name(1)).write_text("".join(lines), encoding="utf-8")
+    (directory / CURRENT_NAME).write_text(
+        seal(
+            json.dumps(
+                {"format": "repro-checkpoint-current", "version": 1, "generation": 1}
+            )
+        ),
+        encoding="utf-8",
+    )
+
+
+def test_store_in_the_previous_format_recovers(tmp_path):
+    dk = small_dk()
+    write_store_in_the_previous_format(tmp_path / "store", dk, [(2, 9), (3, 5)])
+    report = CheckpointStore(tmp_path / "store").recover()
+    assert report.recovered
+    assert report.strategy == "snapshot-1+replay"
+    assert report.replayed == 2
+    assert not report.data_loss
+    from repro.core.updates import dk_add_edge
+
+    dk_add_edge(dk.graph, dk.index, 2, 9)
+    dk_add_edge(dk.graph, dk.index, 3, 5)
+    assert answers(report.dk) == answers(dk)
