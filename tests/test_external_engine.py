@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from repro.bench.harness import ExperimentConfig, load_dataset
 from repro.datasets.nasa import generate_nasa
 from repro.datasets.xmark import generate_xmark
 from repro.exceptions import PagedStoreError
@@ -30,7 +31,14 @@ from repro.maintenance.faults import FaultInjector
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.external import ExternalEngine
 from repro.partition.refinement import bisim_partition, kbisim_partition
-from repro.storage.paged import PageCursor, PagedCSRGraph
+from repro.storage.paged import (
+    CORE_CSR_BUFFERS,
+    ENTRY_BYTES,
+    PageCursor,
+    PagedCSRGraph,
+    resolve_page_bytes,
+)
+from repro.storage.retry import RetryPolicy
 from repro.storage.spill import SPILL_BUDGET_ENV_VAR
 
 
@@ -286,3 +294,68 @@ def test_kbisim_zero_is_label_partition():
         )
     with pytest.raises(ValueError):
         kbisim_partition(graph, -1, engine="external")
+
+
+# ----------------------------------------------------------------------
+# Out-of-core identity on a paper dataset under a bounded pool
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "page_bytes, budget_ratio, fault_rate",
+    [(4096, 0.0, 0.0), (None, 0.25, 0.1)],
+    ids=["one-page-pool", "quarter-budget-faults"],
+)
+def test_xmark_external_build_matches_in_memory_under_a_bounded_pool(
+    tmp_path, page_bytes, budget_ratio, fault_rate
+):
+    # The external build must produce the in-memory partition, round for
+    # round, with the pool squeezed to one page (every page change
+    # evicts) and at a 25% budget under 10% transient read faults, which
+    # the retry policy alone must absorb: the engine is driven directly,
+    # so a give-up raises instead of degrading.
+    graph = load_dataset("xmark", ExperimentConfig(scale=0.2)).fresh_graph()
+    view = graph.freeze()
+    expected = ColumnarEngine(view).run_fixpoint()
+    page_bytes = resolve_page_bytes(page_bytes)
+    footprint = ENTRY_BYTES * sum(
+        len(getattr(view, name)) for name in CORE_CSR_BUFFERS
+    )
+    budget = max(page_bytes, int(footprint * budget_ratio))
+    # Deeper than the default four attempts: at a 10% fault rate eight
+    # push a give-up to about one read in 10^9.
+    retry = RetryPolicy(retries=8, backoff_ms=0.25, seed=0) if fault_rate else None
+    with PagedCSRGraph.create(
+        tmp_path / "store",
+        graph,
+        page_bytes=page_bytes,
+        budget_bytes=budget,
+        retry=retry,
+    ) as paged:
+        before = paged.stats.snapshot()
+        with ExternalEngine(paged) as engine:
+            assert engine.run_fixpoint() == expected
+        assert paged.stats.delta(before).misses > 0
+
+        if fault_rate:
+            injector = FaultInjector(
+                "storage.page_read_eio_transient",
+                "transient",
+                seed=0,
+                rate=fault_rate,
+            )
+            before = paged.stats.snapshot()
+            with injector, ExternalEngine(paged) as engine:
+                assert engine.run_fixpoint() == expected
+            pool = paged.stats.delta(before)
+            assert pool.give_ups == 0
+            assert injector.fires > 0
+            assert pool.retries >= injector.fires
+
+        rng = random.Random(0)
+        for _ in range(2000):
+            node = rng.randrange(paged.num_nodes)
+            if rng.random() < 0.5:
+                assert paged.children(node) == view.children(node)
+            else:
+                assert paged.parents(node) == view.parents(node)

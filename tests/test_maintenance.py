@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.bench.harness import ExperimentConfig, load_dataset
 from repro.core.dindex import DKIndex
 from repro.core.updates import dk_add_edge
 from repro.exceptions import (
@@ -36,6 +37,7 @@ from repro.maintenance.journal import (
     _decode_line,
     scan_journal,
 )
+from repro.maintenance import pipeline as pipeline_module
 from repro.maintenance.pipeline import MaintenanceConfig, UpdatePipeline
 from repro.maintenance.repair import repair_index
 from repro.maintenance.transaction import UpdateTransaction, state_fingerprint
@@ -357,6 +359,39 @@ def test_scoped_fast_ok_expected_k_detects_drift():
     assert not scoped_fast_ok(
         dk.index, [victim], expected={victim: dk.index.k[victim] - 10}
     )
+
+
+@pytest.mark.parametrize("dataset", ["xmark", "nasa"])
+def test_fast_tier_audits_each_edge_in_scope_and_never_scans_the_index(
+    monkeypatch, dataset
+):
+    # What keeps the default tier cheap enough to leave on: over the
+    # paper's 100-edge update stream every commit takes the scoped
+    # boolean sweep, and none falls back to a full-index run_audit.
+    monkeypatch.delenv("DKINDEX_AUDIT", raising=False)
+    calls = {"scoped_fast_ok": 0, "run_audit": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pipeline_module,
+        "scoped_fast_ok",
+        counting("scoped_fast_ok", pipeline_module.scoped_fast_ok),
+    )
+    monkeypatch.setattr(
+        pipeline_module, "run_audit", counting("run_audit", run_audit)
+    )
+    bundle = load_dataset(dataset, ExperimentConfig(scale=0.2))
+    dk = bundle.fresh_dk()
+    assert dk.pipeline.config.audit == "fast"
+    for src, dst in bundle.update_edges:
+        dk.add_edge(src, dst)
+    assert calls == {"scoped_fast_ok": 100, "run_audit": 0}
 
 
 def test_audit_level_from_env(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import ExperimentConfig, load_dataset
 from repro.core.dindex import DKIndex
 from repro.exceptions import (
     CheckpointError,
@@ -346,6 +347,27 @@ def test_recover_clean_store_replays_the_live_journal(tmp_path):
     assert not report.data_loss
     assert report.dk is not None and answers(report.dk) == answers(dk)
     assert "recovered via" in report.format()
+
+
+@pytest.mark.parametrize("dataset", ["xmark", "nasa"])
+def test_paper_dataset_recovers_after_100_journaled_edges(tmp_path, dataset):
+    # The paper's update stream (100 sampled IDREF edges) journaled
+    # into a store over a generated dataset: recovery must replay every
+    # committed operation and land on the live index exactly.
+    bundle = load_dataset(dataset, ExperimentConfig(scale=0.2))
+    dk = bundle.fresh_dk()
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    pipeline = UpdatePipeline(dk, store.maintenance_config(audit="off"))
+    assert len(bundle.update_edges) == 100
+    for src, dst in bundle.update_edges:
+        pipeline.add_edge(src, dst)
+    report = CheckpointStore(store.directory).recover()
+    assert report.recovered, report.format()
+    assert report.replayed == 100
+    assert not report.data_loss
+    assert report.dk is not None
+    assert report.dk.index.node_of == dk.index.node_of
+    assert report.dk.index.k == dk.index.k
 
 
 def test_recover_empty_directory_is_a_typed_error(tmp_path):
