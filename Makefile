@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help install test lint lint-deep typecheck bench bench-full bench-scale bench-outofcore chaos results examples clean
+.PHONY: help install test lint lint-deep typecheck bench bench-full chaos results examples clean
 
 help:
 	@echo "Targets:"
@@ -13,13 +13,9 @@ help:
 	@echo "  lint-deep  per-file linter plus the interprocedural pass"
 	@echo "             (DK109-DK112); refreshes analysis-effects.json"
 	@echo "  typecheck  run mypy (strict on repro.core/indexes/partition/analysis)"
-	@echo "  bench      quick benchmark pass (PYTHONPATH=src)"
-	@echo "  bench-full full-scale benchmark pass"
-	@echo "  bench-scale refinement engines over the small,medium scale"
-	@echo "             axis; refreshes the committed BENCH_refinement.json"
-	@echo "  bench-outofcore external engine vs in-memory columnar at scale"
-	@echo "             large under a 25% pool budget and a 10% read-fault"
-	@echo "             rate; refreshes BENCH_outofcore.json"
+	@echo "  bench      quick paper-experiment benchmark pass (pytest-benchmark)"
+	@echo "  bench-full the same at full scale"
+	@echo "             (wall-clock workloads: python3 perfbench/run.py)"
 	@echo "  chaos      run both chaos suites: update faults + the"
 	@echo "             checkpoint-store durability crash matrix (seed 0)"
 	@echo "  results    regenerate docs/results-scale-1.0.txt"
@@ -46,14 +42,6 @@ bench:
 
 bench-full:
 	REPRO_BENCH_SCALE=1.0 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-scale:
-	$(PYTHON) -m repro bench refine --scale small,medium --repeats 3 \
-		--out BENCH_refinement.json
-
-bench-outofcore:
-	$(PYTHON) -m repro bench outofcore --scale large --budget-ratio 0.25 \
-		--fault-rate 0.1 --out BENCH_outofcore.json
 
 chaos:
 	$(PYTHON) -m repro chaos --seed 0

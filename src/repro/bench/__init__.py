@@ -34,19 +34,16 @@ from repro.bench.experiments import (
     run_subgraph,
     run_update_table,
 )
-from repro.bench.refine import RefineBenchConfig, run_refine_bench
 
 __all__ = [
     "DatasetBundle",
     "ExperimentConfig",
-    "RefineBenchConfig",
     "load_dataset",
     "run_construct",
     "run_demote",
     "run_eval_after_updates",
     "run_eval_before_updates",
     "run_promote",
-    "run_refine_bench",
     "run_subgraph",
     "run_update_table",
     "sample_reference_edges",

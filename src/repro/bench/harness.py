@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.core.dindex import DKIndex
 from repro.datasets.dblp import generate_dblp
-from repro.datasets.dtd import GeneratedDocument
+from repro.datasets.dtd import GeneratedDocument, check_scale
 from repro.datasets.nasa import generate_nasa
 from repro.datasets.xmark import generate_xmark
 from repro.exceptions import DatasetError
@@ -82,20 +82,22 @@ def dataset_builder(name: str) -> Callable[[float, int], GeneratedDocument]:
 
 
 def parse_scale(text: str) -> tuple[str, float]:
-    """One scale token — a named scale or a float — as ``(name, factor)``.
+    """One scale token — a named scale or a number — as ``(name, factor)``.
 
     Raises:
-        DatasetError: for a token that is neither named nor numeric.
+        DatasetError: for a token that is neither named nor a positive,
+            finite number.
     """
     name = text.strip()
     factor = SCALE_NAMES.get(name)
     if factor is None:
         try:
             factor = float(name)
-        except ValueError:
+            check_scale(factor)
+        except (ValueError, DatasetError):
             raise DatasetError(
                 f"unknown bench scale {name!r}; use one of "
-                f"{sorted(SCALE_NAMES)} or a number"
+                f"{sorted(SCALE_NAMES)} or a positive number"
             ) from None
     return name, factor
 

@@ -2,29 +2,11 @@
 
 Commands:
 
-- ``dkindex bench <experiment|all> [--scale S]`` — regenerate the
-  paper's tables/figures as text (fig4, fig5, table1, fig6, fig7,
-  promote, demote, subgraph, construct).
-- ``dkindex bench refine [--scale small,medium,...] [--repeats N]
-  [--out FILE]`` — time the legacy vs columnar refinement engines on
-  every construction workload across the scale axis (with tracemalloc
-  peak memory per cell) and write the ``BENCH_refinement.json`` perf
-  trajectory (see docs/performance.md).
-- ``dkindex bench update [--scale S] [--edges N] [--out FILE]`` — time
-  the Table-1 edge-addition stream through the transactional pipeline
-  at every audit tier; writes ``BENCH_updates.json`` (see
-  docs/robustness.md).
-- ``dkindex bench recovery [--scale S] [--edges N] [--out FILE]`` —
-  time checkpoint recovery against an Algorithm-2 rebuild and write
-  ``BENCH_recovery.json`` (see docs/robustness.md).
-- ``dkindex bench outofcore [--scale S] [--budget-ratio R]
-  [--page-bytes B] [--fault-rate F] [--out FILE]`` — page a dataset's
-  CSR snapshot to disk, rebuild its bisimulation partition through the
-  external engine with the LRU pool capped at a fraction of the
-  in-memory footprint, verify partition identity and paged query
-  answers, and write ``BENCH_outofcore.json`` (see
-  docs/performance.md); ``--fault-rate`` repeats the build with
-  transient read faults injected and records the retry overhead.
+- ``dkindex bench <experiment|all> [--scale S] [--csv]`` — regenerate
+  the paper's tables/figures as text (fig4, fig5, table1, fig6, fig7,
+  plus the ablations and extensions ``--help`` lists); ``S`` is a
+  factor or a named scale (small/medium/large).  Wall-clock timing is
+  the repository benchmark's job (``perfbench/``).
 - ``dkindex audit FILE [--level fast|deep]`` — audit a stored
   D(k)-index; exits 1 on findings.
 - ``dkindex chaos [--seed N] [--journal-dir DIR] [--no-durability]
@@ -78,60 +60,20 @@ from repro.paths.cost import CostCounter
 from repro.paths.query import make_query
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` for similarity bounds and size limits."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.experiment == "refine":
-        from repro.bench.refine import main_entry
-
-        return main_entry(
-            scale=args.scale,
-            repeats=args.repeats,
-            seed=args.seed,
-            datasets=tuple(
-                name for name in args.datasets.split(",") if name
-            ),
-            out=args.out or "BENCH_refinement.json",
-        )
-    if args.experiment == "update":
-        from repro.bench.update import main_entry as update_entry
-
-        return update_entry(
-            scale=args.scale,
-            repeats=args.repeats,
-            seed=args.seed,
-            edges=args.edges,
-            datasets=tuple(
-                name for name in args.datasets.split(",") if name
-            ),
-            out=args.out or "BENCH_updates.json",
-        )
-    if args.experiment == "recovery":
-        from repro.bench.recovery import main_entry as recovery_entry
-
-        return recovery_entry(
-            scale=args.scale,
-            repeats=args.repeats,
-            seed=args.seed,
-            edges=args.edges,
-            datasets=tuple(
-                name for name in args.datasets.split(",") if name
-            ),
-            out=args.out or "BENCH_recovery.json",
-        )
-    if args.experiment == "outofcore":
-        from repro.bench.outofcore import main_entry as outofcore_entry
-
-        return outofcore_entry(
-            scale=args.scale,
-            seed=args.seed,
-            budget_ratio=args.budget_ratio,
-            page_bytes=args.page_bytes,
-            fault_rate=args.fault_rate,
-            dataset=args.datasets.split(",")[0].strip() or "xmark",
-            out=args.out or "BENCH_outofcore.json",
-        )
     # Validate up front: a bad token must be a clean CLI error (exit 1),
-    # never a ValueError traceback out of float().  Named scales work
-    # for the paper experiments too.
+    # never a ValueError traceback out of float().
     _, scale_factor = parse_scale(args.scale)
     config = ExperimentConfig(scale=scale_factor)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -453,41 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run a paper experiment")
-    bench.add_argument("experiment",
-                       choices=[*EXPERIMENTS, "refine", "update",
-                                "recovery", "outofcore", "all"])
+    bench.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     bench.add_argument("--scale", default="1.0",
                        help="dataset scale factor or a named scale "
-                       "(small/medium/large); refine takes a "
-                       "comma-separated axis like small,medium")
+                       "(small/medium/large)")
     bench.add_argument("--csv", action="store_true",
                        help="emit CSV series instead of text tables")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="(refine/update/recovery) timed runs per cell; "
-                       "medians recorded")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="(refine/update/recovery) dataset generator seed")
-    bench.add_argument("--edges", type=int, default=100,
-                       help="(update) edge additions per timed run; "
-                       "(recovery) journaled operations to replay")
-    bench.add_argument("--datasets", default="xmark,nasa",
-                       help="(refine/update/recovery) comma-separated "
-                       "generator names")
-    bench.add_argument("--out", default=None,
-                       help="(refine/update/recovery/outofcore) report file "
-                       "to write (default BENCH_refinement.json / "
-                       "BENCH_updates.json / BENCH_recovery.json / "
-                       "BENCH_outofcore.json)")
-    bench.add_argument("--budget-ratio", type=float, default=0.25,
-                       help="(outofcore) LRU pool budget as a fraction of "
-                       "the in-memory CSR footprint (default: 0.25)")
-    bench.add_argument("--page-bytes", type=int, default=None,
-                       help="(outofcore) page size in bytes (default: "
-                       "DKINDEX_PAGE_BYTES or 16384)")
-    bench.add_argument("--fault-rate", type=float, default=0.0,
-                       help="(outofcore) also run the external build with "
-                       "transient read faults injected at this rate and "
-                       "record the retry/recovery overhead")
     bench.set_defaults(func=_cmd_bench)
 
     generate = sub.add_parser("generate", help="generate a dataset graph")
@@ -504,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="evaluate a path expression")
     query.add_argument("file")
     query.add_argument("expression")
-    query.add_argument("--k", type=int, default=None)
+    query.add_argument("--k", type=_non_negative_int, default=None)
     query.set_defaults(func=_cmd_query)
 
     explain = sub.add_parser("explain", help="EXPLAIN a query's plan")
     explain.add_argument("file")
     explain.add_argument("expression")
-    explain.add_argument("--k", type=int, default=None,
+    explain.add_argument("--k", type=_non_negative_int, default=None,
                          help="build the index at this similarity instead "
                          "of the query-derived one (shows validation)")
     explain.set_defaults(func=_cmd_explain)
@@ -524,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     dot.add_argument("file")
     dot.add_argument("--index", action="store_true",
                      help="render the label-split index instead of the data")
-    dot.add_argument("--max-nodes", type=int, default=500)
+    dot.add_argument("--max-nodes", type=_non_negative_int, default=500)
     dot.set_defaults(func=_cmd_dot)
 
     conformance = sub.add_parser(

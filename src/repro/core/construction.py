@@ -62,8 +62,7 @@ def build_dk_index(
         requirements: ``{label name: local similarity requirement}``
             mined from the query load; unmentioned labels default to 0.
         engine: refinement engine (``"columnar"``/``"external"``/
-            ``"legacy"``; the default ``"auto"`` resolves to columnar
-            unless ``DKINDEX_ENGINE`` says otherwise).
+            ``"legacy"``; the default ``"auto"`` resolves to columnar).
 
     Returns:
         ``(index, levels)`` — the index graph, and the broadcast-adjusted

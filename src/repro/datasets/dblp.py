@@ -23,9 +23,9 @@ from repro.datasets.dtd import (
     DTDGeneratorConfig,
     GeneratedDocument,
     RandomDocumentGenerator,
+    check_scale,
     parse_dtd,
 )
-from repro.exceptions import DatasetError
 
 #: DBLP dtd subset (element spellings follow the real dblp.dtd).
 DBLP_DTD = """
@@ -80,7 +80,7 @@ def generate_dblp(
         keep_values: include VALUE leaf nodes under text elements.
 
     Raises:
-        DatasetError: on a non-positive scale.
+        DatasetError: on a scale that is not a positive finite number.
 
     Example:
         >>> doc = generate_dblp(scale=0.05, seed=1)
@@ -89,8 +89,7 @@ def generate_dblp(
         >>> ("cite", "article") in doc.reference_pairs
         True
     """
-    if scale <= 0:
-        raise DatasetError(f"scale must be positive, got {scale}")
+    check_scale(scale)
     rng = random.Random(seed)
 
     def span(lo: int, hi: int) -> tuple[int, int]:

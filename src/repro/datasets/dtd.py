@@ -25,12 +25,13 @@ finite document exists) are rejected with :class:`~repro.exceptions.DTDError`.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from repro.exceptions import DTDError
+from repro.exceptions import DatasetError, DTDError
 from repro.graph.datagraph import VALUE_LABEL, DataGraph
 
 # ----------------------------------------------------------------------
@@ -227,6 +228,19 @@ class _ContentParser:
             return PCDataParticle()
         name = self.take_name()
         return NameParticle(occurrence=self.take_occurrence(), name=name)
+
+
+def check_scale(scale: float) -> None:
+    """Reject a generator scale that is not a positive, finite number.
+
+    NaN and infinity fail the ``scale <= 0`` test a generator would
+    otherwise make, and then escape from ``int()`` as raw errors.
+
+    Raises:
+        DatasetError: for zero, negative, NaN or infinite scales.
+    """
+    if not 0 < scale < math.inf:
+        raise DatasetError(f"scale must be a positive finite number, got {scale}")
 
 
 def parse_dtd(text: str) -> DTD:

@@ -21,9 +21,9 @@ from repro.datasets.dtd import (
     DTDGeneratorConfig,
     GeneratedDocument,
     RandomDocumentGenerator,
+    check_scale,
     parse_dtd,
 )
-from repro.exceptions import DatasetError
 
 #: NASA ADC dtd subset (spellings follow the real nasa.dtd where it has
 #: the element; the deep reference/source/other chain is preserved).
@@ -122,7 +122,7 @@ def generate_nasa(
         keep_values: include VALUE leaf nodes.
 
     Raises:
-        DatasetError: on a non-positive scale.
+        DatasetError: on a scale that is not a positive finite number.
 
     Example:
         >>> doc = generate_nasa(scale=0.05, seed=3)
@@ -131,8 +131,7 @@ def generate_nasa(
         >>> doc.num_reference_edges > 0
         True
     """
-    if scale <= 0:
-        raise DatasetError(f"scale must be positive, got {scale}")
+    check_scale(scale)
     rng = random.Random(seed)
 
     def span(base_lo: int, base_hi: int) -> tuple[int, int]:

@@ -20,9 +20,9 @@ from repro.datasets.dtd import (
     DTDGeneratorConfig,
     GeneratedDocument,
     RandomDocumentGenerator,
+    check_scale,
     parse_dtd,
 )
-from repro.exceptions import DatasetError
 
 #: XMark DTD subset (element spellings follow the official benchmark).
 XMARK_DTD = """
@@ -153,7 +153,7 @@ def generate_xmark(
         keep_values: include VALUE leaf nodes under text elements.
 
     Raises:
-        DatasetError: on a non-positive scale.
+        DatasetError: on a scale that is not a positive finite number.
 
     Example:
         >>> doc = generate_xmark(scale=0.05, seed=7)
@@ -162,8 +162,7 @@ def generate_xmark(
         >>> ("itemref", "item") in doc.reference_pairs
         True
     """
-    if scale <= 0:
-        raise DatasetError(f"scale must be positive, got {scale}")
+    check_scale(scale)
     rng = random.Random(seed)
 
     def span(base_lo: int, base_hi: int) -> tuple[int, int]:

@@ -144,15 +144,17 @@ class StorageDegradationWarning(UserWarning):
     """A refinement engine failed on storage I/O and a fallback took over.
 
     Emitted by the refinement drivers' degradation path
-    (``repro.partition.refinement._run_degradable``, under
-    ``DKINDEX_DEGRADE=warn``, the default) when the external engine died
-    on an exhausted storage path — retry budget spent, disk full, pool
-    unsatisfiable — and the build restarted on the columnar engine
-    (the ``external -> columnar`` chain).
+    (``repro.partition.refinement._run_degradable``) when the external
+    engine died on an exhausted storage path — retry budget spent, disk
+    full, pool unsatisfiable — and the build restarted on the columnar
+    engine (the ``external -> columnar`` chain).
     The result is still *correct* (every engine computes the identical
     partition); what changed is the resource profile, which is why this
-    is a warning rather than an error.  A :class:`UserWarning` subclass
-    so ``-W error::UserWarning`` CI runs surface silent degradation.
+    is a warning rather than an error.  To fail loudly instead, turn it
+    into one — ``warnings.simplefilter("error",
+    StorageDegradationWarning)``, or ``-W error::UserWarning`` since it
+    is a :class:`UserWarning` subclass — or drive
+    :class:`~repro.partition.external.ExternalEngine` directly.
 
     Attributes:
         from_engine: the engine that failed.

@@ -177,11 +177,7 @@ def load_graph(source: str | Path | IO[str]) -> DataGraph:
     """
     from repro.maintenance.store import read_document
 
-    if isinstance(source, (str, Path)):
-        data: Any = read_document(source)
-    else:
-        data = json.load(source)
-    return graph_from_dict(data)
+    return graph_from_dict(read_document(source))
 
 
 def _encode_buffer(buffer: "array[int]") -> str:
@@ -362,11 +358,7 @@ def load_frozen_graph(source: str | Path | IO[str]) -> DataGraph:
     """
     from repro.maintenance.store import read_document
 
-    if isinstance(source, (str, Path)):
-        data: Any = read_document(source)
-    else:
-        data = json.load(source)
-    return frozen_from_dict(data)
+    return frozen_from_dict(read_document(source))
 
 
 def dumps(graph: DataGraph) -> str:

@@ -22,8 +22,14 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, SerializationError
 from repro.graph.datagraph import VALUE_LABEL, DataGraph
+
+
+#: What the parser raises on bad input: malformed XML (``ParseError``),
+#: an unknown declared encoding (``LookupError``) and a multi-byte one
+#: expat cannot decode (``ValueError``).
+_PARSE_ERRORS = (ET.ParseError, LookupError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -62,20 +68,36 @@ def parse_xml(text: str, options: XmlOptions | None = None) -> DataGraph:
 
     The document element is attached below the graph's ROOT node.
 
+    Raises:
+        SerializationError: if ``text`` cannot be parsed as XML.
+
     Example:
         >>> g = parse_xml("<movieDB><movie><title>Heat</title></movie></movieDB>")
         >>> sorted(set(g.label_names())) # doctest: +NORMALIZE_WHITESPACE
         ['ROOT', 'VALUE', 'movie', 'movieDB', 'title']
     """
     options = options or XmlOptions()
-    element = ET.fromstring(text)
+    try:
+        element = ET.fromstring(text)
+    except _PARSE_ERRORS as error:
+        raise SerializationError(f"cannot parse XML: {error}") from error
     return _element_to_graph(element, options)
 
 
 def parse_xml_file(source: str | IO[bytes], options: XmlOptions | None = None) -> DataGraph:
-    """Parse an XML document from a path or binary file object."""
+    """Parse an XML document from a path or binary file object.
+
+    Raises:
+        SerializationError: if the file cannot be read or parsed as XML.
+    """
     options = options or XmlOptions()
-    tree = ET.parse(source)
+    name = source if isinstance(source, str) else getattr(source, "name", "<stream>")
+    try:
+        tree = ET.parse(source)
+    except OSError as error:
+        raise SerializationError(f"{name}: cannot read: {error}") from error
+    except _PARSE_ERRORS as error:
+        raise SerializationError(f"{name}: cannot parse XML: {error}") from error
     return _element_to_graph(tree.getroot(), options)
 
 

@@ -35,8 +35,7 @@ def build_ak_index(
         graph: the data graph.
         k: the uniform local-similarity bound (>= 0).
         engine: refinement engine (``"columnar"``/``"external"``/
-            ``"legacy"``; the default ``"auto"`` resolves to columnar
-            unless ``DKINDEX_ENGINE`` says otherwise).
+            ``"legacy"``; the default ``"auto"`` resolves to columnar).
 
     Example:
         >>> from repro.graph.builder import graph_from_edges

@@ -36,8 +36,7 @@ def build_1index(
     Args:
         graph: the data graph.
         engine: refinement engine (``"columnar"``/``"external"``/
-            ``"legacy"``; ``"auto"`` picks columnar unless
-            ``DKINDEX_ENGINE`` says otherwise).
+            ``"legacy"``; ``"auto"`` picks columnar).
 
     Raises:
         ValueError: for an unknown engine name.

@@ -107,8 +107,10 @@ def index_from_dict(
     k_values = data.get("k")
     if not isinstance(node_of, list) or len(node_of) != graph.num_nodes:
         raise SerializationError("'node_of' must map every data node")
+    # Exact type tests: JSON true/false are bools, which ``isinstance``
+    # would let through as the ints 1 and 0.
     if not isinstance(k_values, list) or not all(
-        isinstance(k, int) and k >= 0 for k in k_values
+        type(k) is int and k >= 0 for k in k_values
     ):
         raise SerializationError("'k' must be a list of non-negative ints")
 
@@ -117,16 +119,18 @@ def index_from_dict(
         index = IndexGraph.from_partition(graph, partition, k_values)
         if validate:
             index.check_invariants()
-    except (IndexInvariantError, ValueError) as error:
+    except (IndexInvariantError, TypeError, ValueError) as error:
         raise SerializationError(f"stored index is inconsistent: {error}") from error
 
     requirements = data.get("requirements")
     if requirements is not None:
         if not isinstance(requirements, dict) or not all(
-            isinstance(name, str) and isinstance(value, int)
+            isinstance(name, str) and type(value) is int and value >= 0
             for name, value in requirements.items()
         ):
-            raise SerializationError("'requirements' must map labels to ints")
+            raise SerializationError(
+                "'requirements' must map labels to non-negative ints"
+            )
     return index, requirements
 
 
@@ -162,11 +166,7 @@ def load_index(
     Raises:
         SerializationError: on integrity or structural problems.
     """
-    if isinstance(source, (str, Path)):
-        data: Any = read_document(source)
-    else:
-        data = json.load(source)
-    return index_from_dict(data, graph)
+    return index_from_dict(read_document(source), graph)
 
 
 def save_dk_index(dk: DKIndex, target: str | Path | IO[str]) -> None:

@@ -10,9 +10,10 @@ one of three tiers:
   touched*, plus empty-extent and ``node_of``-coverage accounting on
   the same neighbourhood.  ``O(degree of the touched nodes)`` — the
   same order as the update itself, which is what keeps the shipped
-  default within the Table-1 overhead budget (see
-  ``BENCH_updates.json``).  When no touched set is known (demote, the
-  ``dkindex audit`` CLI) it degrades to the full ``O(index)`` scan.
+  default within the Table-1 overhead budget (timed by the
+  benchmark's ``nasa-update`` workload).  When no touched set is known
+  (demote, the ``dkindex audit`` CLI) it degrades to the full
+  ``O(index)`` scan.
 - ``deep`` — the full-index Definition-3 scan and partition accounting,
   the structural :meth:`~repro.indexes.base.IndexGraph.check_invariants`,
   and targeted label-path spot checks

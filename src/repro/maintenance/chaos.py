@@ -54,11 +54,7 @@ from repro.maintenance.pipeline import MaintenanceConfig, UpdatePipeline
 from repro.maintenance.store import CheckpointStore
 from repro.maintenance.transaction import UpdateTransaction, state_fingerprint
 from repro.partition.blocks import Partition
-from repro.partition.refinement import (
-    DEGRADE_ENV_VAR,
-    ENGINE_ENV_VAR,
-    bisim_partition,
-)
+from repro.partition.refinement import bisim_partition
 from repro.paths.evaluator import evaluate_on_data_graph
 from repro.paths.query import make_query
 from repro.storage.paged import (
@@ -1006,8 +1002,6 @@ def _run_storage_scenario(
         # not the wall-clock of its sleeps.
         IO_BACKOFF_MS_ENV_VAR: "0",
         IO_RETRIES_ENV_VAR: None,
-        DEGRADE_ENV_VAR: "warn",
-        ENGINE_ENV_VAR: None,
         # Spill scenarios force a spill per appended record; everything
         # else runs with the default in-memory working set.
         SPILL_BUDGET_ENV_VAR: (

@@ -67,7 +67,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import IO, TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import (
     CheckpointError,
@@ -269,24 +269,34 @@ def atomic_write_document(path: str | Path, document: dict[str, Any]) -> None:
     atomic_write_text(path, seal(json.dumps(document)))
 
 
-def read_document(path: str | Path) -> dict[str, Any]:
+def read_document(path: str | Path | IO[str]) -> dict[str, Any]:
     """Load a JSON document, verifying the seal when one is present.
+
+    ``path`` may also be an open stream (text, or UTF-8 bytes); it is
+    read to the end and held to the same checks as a file.
 
     Raises:
         SerializationError: unreadable file, digest mismatch, or text
             that is not a JSON object.
     """
-    source = Path(path)
+    if isinstance(path, (str, Path)):
+        source = str(path)
+    else:
+        source = getattr(path, "name", "<stream>")
     try:
-        text = source.read_text(encoding="utf-8")
+        if isinstance(path, (str, Path)):
+            text = Path(path).read_text(encoding="utf-8")
+        else:
+            raw = path.read()
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     except OSError as error:
         raise SerializationError(f"{source}: cannot read: {error}") from error
     except UnicodeDecodeError as error:
         raise SerializationError(f"{source}: not valid UTF-8: {error}") from error
-    body, _sealed = unseal(text, str(source))
+    body, _sealed = unseal(text, source)
     try:
         data = json.loads(body)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise SerializationError(f"{source}: not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise SerializationError(f"{source}: document must be a JSON object")

@@ -27,6 +27,10 @@ class Partition:
     def __init__(self, block_of: Sequence[int]) -> None:
         self.block_of = list(block_of)
         num_blocks = max(self.block_of, default=-1) + 1
+        if num_blocks > len(self.block_of):
+            # Dense ids: n nodes fill at most n blocks.  Checked before
+            # allocating, so a corrupt huge id cannot exhaust memory.
+            raise IndexInvariantError(f"block id out of range: {num_blocks - 1}")
         blocks: list[list[int]] = [[] for _ in range(num_blocks)]
         for node, block in enumerate(self.block_of):
             if not 0 <= block < num_blocks:

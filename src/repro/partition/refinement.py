@@ -35,29 +35,26 @@ its ``engine=`` name through one table:
 - ``"legacy"`` — the reference engine of
   :mod:`repro.partition.engine`: a full-rehash loop over
   :func:`~repro.partition.engine.refine_once` (the equivalence test
-  suite checks the other engines against it round for round, and
-  ``dkindex bench refine`` times the columnar engine against it).
+  suite checks the other engines against it round for round).
 
-``engine="auto"`` resolves to the columnar engine unless the
-``DKINDEX_ENGINE`` environment variable names another one — which lets
-the benchmark harness re-route whole construction pipelines without
-threading a parameter through every call site.
+``engine="auto"`` resolves to the columnar engine.
 
 When the external engine *fails on storage* — retry budget exhausted,
 disk full, pool unsatisfiable — the drivers degrade to the columnar
 engine instead of dying, emitting a
 :class:`~repro.exceptions.StorageDegradationWarning` (every engine
 computes the identical partition, so correctness is unaffected; only
-the resource profile changes).  ``DKINDEX_DEGRADE`` selects the
-policy: ``warn`` (the default) falls back with the warning, ``auto``
-falls back silently, ``off`` re-raises the storage error unchanged.
-Injected crash faults (:class:`~repro.exceptions.InjectedFaultError`)
-are never absorbed — a simulated crash must stay loud.
+the resource profile changes).  To fail loudly instead, turn the
+warning into an error (``warnings.simplefilter("error",
+StorageDegradationWarning)``) or drive
+:class:`~repro.partition.external.ExternalEngine` directly, which has
+no fallback.  Injected crash faults
+(:class:`~repro.exceptions.InjectedFaultError`) are never absorbed — a
+simulated crash must stay loud.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from contextlib import closing
 from typing import Callable, Sequence, TypeVar
@@ -69,19 +66,6 @@ from repro.partition.engine import LabeledAdjacency, RefinementEngine
 
 #: Engine names accepted by the ``engine=`` parameters below.
 ENGINE_CHOICES = ("auto", "columnar", "external", "legacy")
-
-#: Environment variable that re-routes ``engine="auto"`` callers.
-ENGINE_ENV_VAR = "DKINDEX_ENGINE"
-
-#: Environment variable selecting the storage-degradation policy.
-DEGRADE_ENV_VAR = "DKINDEX_DEGRADE"
-
-#: Degradation policies: ``off`` re-raises storage failures, ``warn``
-#: falls back with a :class:`StorageDegradationWarning`, ``auto`` falls
-#: back silently.
-DEGRADE_CHOICES = ("off", "warn", "auto")
-
-DEFAULT_DEGRADE = "warn"
 
 #: Fallback order when a storage-backed engine is exhausted.  The
 #: in-memory engines have no entry: they touch no storage, so a failure
@@ -118,43 +102,20 @@ _ENGINES: dict[str, Callable[[LabeledAdjacency], _Engine]] = {
 def resolve_engine(engine: str) -> str:
     """Resolve ``engine=`` to a concrete engine name.
 
-    ``"auto"`` yields ``"columnar"`` unless ``DKINDEX_ENGINE`` routes
-    elsewhere; concrete names (``"columnar"``, ``"external"``,
-    ``"legacy"``) pass through.
+    ``"auto"`` yields ``"columnar"``; concrete names (``"columnar"``,
+    ``"external"``, ``"legacy"``) pass through.
 
     Raises:
-        ValueError: for unknown engine names (argument or environment).
+        ValueError: for unknown engine names.
     """
     if engine == "auto":
-        env = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-        if not env or env == "auto":
-            return "columnar"
-        engine = env
+        return "columnar"
     if engine not in _ENGINES:
         raise ValueError(
             f"unknown refinement engine {engine!r}; choose from "
             f"{ENGINE_CHOICES}"
         )
     return engine
-
-
-def resolve_degrade(policy: str | None = None) -> str:
-    """Resolve the degradation policy: argument, environment, default.
-
-    Raises:
-        ValueError: for unknown policy names.
-    """
-    if policy is None:
-        policy = (
-            os.environ.get(DEGRADE_ENV_VAR, "").strip().lower()
-            or DEFAULT_DEGRADE
-        )
-    if policy not in DEGRADE_CHOICES:
-        raise ValueError(
-            f"unknown degradation policy {policy!r}; choose from "
-            f"{DEGRADE_CHOICES}"
-        )
-    return policy
 
 
 def _run_degradable(
@@ -165,31 +126,31 @@ def _run_degradable(
     """Apply ``run`` to the selected engine, degrading down the chain.
 
     A storage-exhaustion failure (:data:`_DEGRADABLE_ERRORS`) in an
-    engine with a fallback restarts the build on the next engine down
-    — every engine computes the identical partition, so the retry is
-    semantically free.  The ``off`` policy, the absence of a fallback,
-    and non-storage exceptions (including injected crash faults) all
-    re-raise unchanged.  Called directly by the public drivers, so the
-    warning's ``stacklevel`` points at the driver's caller.
+    engine with a fallback restarts the build on the next engine down,
+    with a :class:`StorageDegradationWarning` — every engine computes
+    the identical partition, so the retry is semantically free.  The
+    absence of a fallback and non-storage exceptions (including
+    injected crash faults) re-raise unchanged, as does the warning
+    itself when a filter turns it into an error.  Called directly by
+    the public drivers, so the warning's ``stacklevel`` points at the
+    driver's caller.
 
     Raises:
-        ValueError: for unknown engine or degradation policy names.
+        ValueError: for unknown engine names.
     """
     current = resolve_engine(engine)
-    policy = resolve_degrade()
     while True:
         try:
             with closing(_ENGINES[current](graph)) as instance:
                 return run(instance)
         except _DEGRADABLE_ERRORS as error:
             fallback = _DEGRADE_CHAIN.get(current)
-            if policy == "off" or fallback is None:
+            if fallback is None:
                 raise
-            if policy == "warn":
-                warnings.warn(
-                    StorageDegradationWarning(current, fallback, str(error)),
-                    stacklevel=3,
-                )
+            warnings.warn(
+                StorageDegradationWarning(current, fallback, str(error)),
+                stacklevel=3,
+            )
             current = fallback
 
 

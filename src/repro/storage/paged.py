@@ -84,7 +84,7 @@ DEFAULT_PAGE_BYTES = 16384
 #: Default LRU pool budget when neither argument nor environment says.
 DEFAULT_POOL_BUDGET = 8 * 1024 * 1024
 
-#: Environment overrides, sibling knobs to ``DKINDEX_ENGINE``.
+#: Environment overrides of the two defaults above.
 PAGE_BYTES_ENV_VAR = "DKINDEX_PAGE_BYTES"
 POOL_BUDGET_ENV_VAR = "DKINDEX_POOL_BUDGET"
 

@@ -110,8 +110,4 @@ def load_query_load(source: str | Path | IO[str]) -> QueryLoad:
     """
     from repro.maintenance.store import read_document
 
-    if isinstance(source, (str, Path)):
-        data: Any = read_document(source)
-    else:
-        data = json.load(source)
-    return load_from_dict(data)
+    return load_from_dict(read_document(source))

@@ -147,21 +147,6 @@ def test_recover_unrecoverable_store_exits_nonzero(tmp_path, capsys):
     assert "UNRECOVERED" in capsys.readouterr().out
 
 
-def test_bench_recovery_writes_report(tmp_path, capsys):
-    import json
-
-    out = tmp_path / "BENCH_recovery.json"
-    code = main(
-        ["bench", "recovery", "--scale", "0.05", "--repeats", "1",
-         "--edges", "3", "--datasets", "xmark", "--out", str(out)]
-    )
-    assert code == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["schema"] == "dkindex-bench-recovery/1"
-    assert {row["arm"] for row in report["results"]} == {"recover", "rebuild"}
-    assert "[RECOVERY]" in capsys.readouterr().out
-
-
 def test_chaos_no_durability_flag(capsys):
     code = main(["chaos", "--seed", "1", "--no-durability"])
     assert code == 0
@@ -171,49 +156,56 @@ def test_chaos_no_durability_flag(capsys):
 
 def test_bench_bogus_scale_is_clean_error(capsys):
     # Regression: an unknown scale token used to escape as a raw
-    # ValueError traceback from float(); it must be a clean CLI error.
-    code = main(["bench", "fig4", "--scale", "bogus"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
-    assert "bogus" in err
-    assert "small" in err  # the message names the valid tokens
+    # ValueError traceback from float(), and NaN or infinity as one from
+    # int() inside the generator; each must be a clean CLI error.
+    for token in ("bogus", "nan", "inf"):
+        code = main(["bench", "fig4", "--scale", token])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert token in err
+        assert "small" in err  # the message names the valid tokens
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "xmark", "--scale", "nan"],
+        ["generate", "nasa", "--scale", "inf"],
+        ["generate", "dblp", "--scale", "nan"],
+        ["conformance", "xmark", "--scale", "nan"],
+    ],
+)
+def test_non_finite_generator_scale_is_clean_error(tmp_path, capsys, argv):
+    if argv[0] == "generate":
+        argv = [*argv, "--out", str(tmp_path / "g.json")]
+    assert main(argv) == 1
+    assert "error: scale must be a positive finite number" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "{file}", "site.people", "--k", "-1"],
+        ["explain", "{file}", "site.people", "--k", "-2"],
+        ["dot", "{file}", "--max-nodes", "-1"],
+    ],
+)
+def test_negative_cli_integers_are_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "g.json"
+    main(["generate", "xmark", "--out", str(path), "--scale", "0.03"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as raised:
+        main([arg.format(file=path) for arg in argv])
+    assert raised.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_bench_named_scale_accepted(capsys):
-    # Named scales (small/medium/large) work on every bench experiment,
-    # not just the refinement harness that introduced them.
+    # Named scales (small/medium/large) work on every bench experiment.
     code = main(["bench", "fig4", "--scale", "small"])
     assert code == 0
     assert "[FIG4]" in capsys.readouterr().out
-
-
-def test_bench_outofcore_writes_report(tmp_path, capsys):
-    import json
-
-    out = tmp_path / "BENCH_outofcore.json"
-    code = main(
-        ["bench", "outofcore", "--scale", "0.05", "--budget-ratio", "0.25",
-         "--page-bytes", "4096", "--out", str(out)]
-    )
-    assert code == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["schema"] == "dkindex-bench-outofcore/2"
-    assert isinstance(report["config"]["numpy"], bool)
-    assert report["config"]["nproc"] >= 1
-    assert report["summary"]["partition_identical"] is True
-    assert report["budget_bytes"] <= max(4096, report["footprint_bytes"] // 4)
-    phases = report["phases"]
-    assert set(phases) >= {
-        "columnar_in_memory", "page_out", "external_build", "query_sweep"
-    }
-    assert phases["external_build"]["pool"]["misses"] > 0
-    output = capsys.readouterr().out
-    assert "[OUTOFCORE]" in output
-    assert "partition identical" in output
-
-
-def test_bench_outofcore_bogus_scale_is_clean_error(capsys):
-    code = main(["bench", "outofcore", "--scale", "huge"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err

@@ -203,16 +203,3 @@ def test_engine_instance_is_reusable_across_runs():
     assert engine.run_leveled(levels) == leveled_partition(
         graph, levels, engine="legacy"
     )
-
-
-def test_engine_routes_through_dkindex_env(monkeypatch):
-    # DKINDEX_ENGINE=columnar re-routes whole construction pipelines.
-    from repro.core.construction import build_dk_index
-
-    graph = cyclic_idref_graph(3, size=80)
-    requirements = {"a": 2, "b": 1}
-    baseline, baseline_levels = build_dk_index(graph, requirements)
-    monkeypatch.setenv("DKINDEX_ENGINE", "columnar")
-    routed, routed_levels = build_dk_index(graph, requirements)
-    assert routed_levels == baseline_levels
-    assert routed.to_partition() == baseline.to_partition()

@@ -174,41 +174,20 @@ def test_unknown_engine_rejected():
         kbisim_partition(g, 1, engine="quantum")
 
 
-def test_auto_engine_is_columnar(monkeypatch):
-    monkeypatch.delenv("DKINDEX_ENGINE", raising=False)
-    assert resolve_engine("auto") == "columnar"
-    monkeypatch.setenv("DKINDEX_ENGINE", "auto")
+def test_auto_engine_is_columnar():
     assert resolve_engine("auto") == "columnar"
 
 
-def test_worklist_engine_name_rejected(monkeypatch):
-    # "worklist" names no engine: it is an error by argument and by
-    # environment, and the message lists the engines there are.
+def test_worklist_engine_name_rejected():
+    # "worklist" names no engine: it is an error, and the message lists
+    # the engines there are.
     g = cyclic_idref_graph(0, size=10)
-    monkeypatch.delenv("DKINDEX_ENGINE", raising=False)
-    with pytest.raises(ValueError) as by_argument:
+    with pytest.raises(ValueError) as raised:
         bisim_partition(g, engine="worklist")
-    monkeypatch.setenv("DKINDEX_ENGINE", "worklist")
-    with pytest.raises(ValueError) as by_environment:
-        bisim_partition(g)
-    for raised in (by_argument, by_environment):
-        message = str(raised.value)
-        assert "'worklist'" in message
-        for name in ("columnar", "external", "legacy"):
-            assert name in message
-
-
-def test_resolve_engine_env_override(monkeypatch):
-    monkeypatch.setenv("DKINDEX_ENGINE", "legacy")
-    assert resolve_engine("auto") == "legacy"
-    assert resolve_engine("columnar") == "columnar"  # explicit beats env
-    monkeypatch.setenv("DKINDEX_ENGINE", "columnar")
-    assert resolve_engine("auto") == "columnar"
-    monkeypatch.setenv("DKINDEX_ENGINE", "external")
-    assert resolve_engine("auto") == "external"
-    monkeypatch.setenv("DKINDEX_ENGINE", "bogus")
-    with pytest.raises(ValueError):
-        resolve_engine("auto")
+    message = str(raised.value)
+    assert "'worklist'" in message
+    for name in ("columnar", "external", "legacy"):
+        assert name in message
 
 
 def test_resolve_jobs_env(monkeypatch):

@@ -92,6 +92,33 @@ def test_negative_k_rejected():
         index_from_dict(data)
 
 
+@pytest.mark.parametrize("bad", [-1, True])
+def test_bad_requirement_values_rejected(bad):
+    # A JSON true would load as the requirement 1 and a negative one
+    # would fail later, in promote, as a raw ValueError.
+    dk = DKIndex.build(sample_graph(), {"x": 2})
+    data = index_to_dict(dk.index, requirements={"x": bad})
+    with pytest.raises(SerializationError, match="requirements"):
+        index_from_dict(data)
+
+
+def test_boolean_k_rejected():
+    data = index_to_dict(build_ak_index(sample_graph(), 1))
+    data["k"][0] = True
+    with pytest.raises(SerializationError, match="'k'"):
+        index_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", ["a", 1.5, None, 10**12])
+def test_bad_block_id_rejected(bad):
+    # 10**12 is an int, but no partition of five nodes has that many
+    # blocks; it must be refused before any per-block allocation.
+    data = index_to_dict(build_ak_index(sample_graph(), 1))
+    data["node_of"][1] = bad
+    with pytest.raises(SerializationError):
+        index_from_dict(data)
+
+
 def test_wrong_format_rejected():
     with pytest.raises(SerializationError):
         index_from_dict({"format": "nope"})

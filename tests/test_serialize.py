@@ -1,16 +1,23 @@
 """Unit tests for :mod:`repro.graph.serialize`."""
 
 import base64
+import io
 import json
 import sys
 from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from repro.exceptions import FrozenGraphError, GraphError, SerializationError
+from repro.core.dindex import DKIndex
+from repro.exceptions import (
+    FrozenGraphError,
+    GraphError,
+    ReproError,
+    SerializationError,
+)
 from repro.graph.builder import graph_from_edges
 from repro.graph.datagraph import DataGraph
 from repro.graph.serialize import (
@@ -25,6 +32,12 @@ from repro.graph.serialize import (
     save_frozen_graph,
     save_graph,
 )
+from repro.graph.xmlio import parse_xml, parse_xml_file
+from repro.indexes.serialize import index_to_dict, load_dk_index, load_index
+from repro.maintenance.store import seal
+from repro.paths.query import make_query
+from repro.workload.queryload import QueryLoad
+from repro.workload.serialize import load_query_load, load_to_dict
 
 
 def sample():
@@ -363,3 +376,88 @@ def test_bulk_decoded_graph_mutates_like_any_other(data):
     assert rebuilt.num_nodes == view.num_nodes + 1
     assert rebuilt.num_edges == view.num_edges + 1
     assert_same_graph(loaded, expected)
+
+
+# ----------------------------------------------------------------------
+# Every text entry point fails with a typed error
+# ----------------------------------------------------------------------
+
+
+def _valid_texts():
+    """One valid document per entry point, as a saved file holds it."""
+    graph = graph_from_edges(
+        ["site", "person", "item", "person"], [(0, 1), (1, 2), (0, 3), (3, 2)]
+    )
+    dk = DKIndex.build(graph, {"item": 1})
+    load = QueryLoad()
+    load.add(make_query("site.person.item"), 2)
+    documents = [
+        graph_to_dict(graph),
+        index_to_dict(dk.index, requirements=dk.requirements),
+        load_to_dict(load),
+    ]
+    xml = '<site><person id="p1"><item idref="p2"/></person><person id="p2"/></site>'
+    return [seal(json.dumps(document)) for document in documents] + [xml]
+
+
+VALID_TEXTS = _valid_texts()
+
+TEXT_ENTRY_POINTS = {
+    "load_graph": lambda text: load_graph(io.StringIO(text)),
+    "load_index": lambda text: load_index(io.StringIO(text)),
+    "load_dk_index": lambda text: load_dk_index(io.StringIO(text)),
+    "load_query_load": lambda text: load_query_load(io.StringIO(text)),
+    "parse_xml": parse_xml,
+    "parse_xml_file": lambda text: parse_xml_file(io.BytesIO(text.encode())),
+}
+
+
+@st.composite
+def loader_texts(draw):
+    """Arbitrary text, or a valid document cut short anywhere."""
+    if draw(st.booleans()):
+        return draw(st.text())
+    document = draw(st.sampled_from(VALID_TEXTS))
+    return document[: draw(st.integers(0, len(document)))]
+
+
+@given(loader_texts())
+@settings(max_examples=150, deadline=None)
+def test_text_entry_points_return_or_raise_typed_errors(text):
+    for load in TEXT_ENTRY_POINTS.values():
+        try:
+            load(text)
+        except ReproError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_ENTRY_POINTS))
+def test_valid_documents_load_through_every_entry_point(name):
+    # The fuzz above is vacuous if nothing ever loads.
+    loaded = 0
+    for text in VALID_TEXTS:
+        try:
+            TEXT_ENTRY_POINTS[name](text)
+            loaded += 1
+        except ReproError:
+            pass
+    assert loaded == 1
+
+
+def test_stream_and_path_loads_fail_alike(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("{", encoding="utf-8")
+    for load in (load_graph, load_index, load_dk_index, load_query_load):
+        with pytest.raises(SerializationError, match="not valid JSON"):
+            load(path)
+        with pytest.raises(SerializationError, match="not valid JSON"):
+            load(io.StringIO("{"))
+
+
+def test_parse_xml_file_read_failures_are_typed(tmp_path):
+    with pytest.raises(SerializationError, match="cannot read"):
+        parse_xml_file(str(tmp_path / "missing.xml"))
+    malformed = tmp_path / "bad.xml"
+    malformed.write_text("<a><b></a>", encoding="utf-8")
+    with pytest.raises(SerializationError, match="cannot parse XML"):
+        parse_xml_file(str(malformed))

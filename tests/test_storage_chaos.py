@@ -31,7 +31,7 @@ from repro.maintenance.faults import (
     FaultInjector,
 )
 from repro.maintenance.repair import scrub_store
-from repro.partition.refinement import bisim_partition, resolve_degrade
+from repro.partition.refinement import bisim_partition
 from repro.storage.paged import PagedCSRGraph, PagedStore, PoolStats
 from repro.storage.retry import (
     TRANSIENT_ERRNOS,
@@ -212,15 +212,7 @@ def fast_retries(monkeypatch):
     monkeypatch.setenv("DKINDEX_IO_BACKOFF_MS", "0")
 
 
-def test_degrade_off_reraises(monkeypatch, fast_retries):
-    monkeypatch.setenv("DKINDEX_DEGRADE", "off")
-    with _fail_all_page_reads():
-        with pytest.raises(PagedStoreError):
-            bisim_partition(_fixture_graph(), engine="external")
-
-
-def test_degrade_warn_falls_back_with_warning(monkeypatch, fast_retries):
-    monkeypatch.delenv("DKINDEX_DEGRADE", raising=False)  # default: warn
+def test_degrade_warn_falls_back_with_warning(fast_retries):
     graph = _fixture_graph()
     baseline, rounds = bisim_partition(graph, engine="columnar")
     with warnings.catch_warnings(record=True) as caught:
@@ -243,42 +235,22 @@ def test_degrade_warn_falls_back_with_warning(monkeypatch, fast_retries):
     assert degraded_rounds == rounds
 
 
-def test_degrade_auto_falls_back_silently(monkeypatch, fast_retries):
-    monkeypatch.setenv("DKINDEX_DEGRADE", "auto")
-    graph = _fixture_graph()
-    baseline, _ = bisim_partition(graph, engine="columnar")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_degradation_warning_as_error_fails_loudly(fast_retries):
+    # The documented way to refuse the fallback: escalate the warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StorageDegradationWarning)
         with _fail_all_page_reads():
-            partition, _ = bisim_partition(graph, engine="external")
-    assert not [
-        entry
-        for entry in caught
-        if isinstance(entry.message, StorageDegradationWarning)
-    ]
-    assert partition.block_of == baseline.block_of
+            with pytest.raises(StorageDegradationWarning) as raised:
+                bisim_partition(_fixture_graph(), engine="external")
+    assert isinstance(raised.value.__context__, PagedStoreError)
 
 
-def test_degrade_never_absorbs_injected_crashes(monkeypatch):
+def test_degrade_never_absorbs_injected_crashes():
     # A simulated crash (InjectedFaultError) must propagate: if the
     # degradation chain could eat it, it could eat real crashes too.
-    monkeypatch.setenv("DKINDEX_DEGRADE", "auto")
     with FaultInjector("storage.page_torn_write", "raise"):
         with pytest.raises(InjectedFaultError):
             bisim_partition(_fixture_graph(), engine="external")
-
-
-def test_resolve_degrade_validates(monkeypatch):
-    monkeypatch.delenv("DKINDEX_DEGRADE", raising=False)
-    assert resolve_degrade() == "warn"
-    assert resolve_degrade("off") == "off"
-    monkeypatch.setenv("DKINDEX_DEGRADE", "auto")
-    assert resolve_degrade() == "auto"
-    with pytest.raises(ValueError):
-        resolve_degrade("loudly")
-    monkeypatch.setenv("DKINDEX_DEGRADE", "maybe")
-    with pytest.raises(ValueError):
-        resolve_degrade()
 
 
 # ----------------------------------------------------------------------
@@ -393,34 +365,3 @@ def test_cli_scrub(tmp_path, capsys):
     assert main(["scrub", str(store_dir)]) == 1
     out = capsys.readouterr().out
     assert "UNREPAIRED" in out and "rebuild from the source graph" in out
-
-
-def test_cli_bench_outofcore_fault_rate(tmp_path, capsys):
-    # The acceptance check in miniature: a transient-fault-riddled
-    # external build must complete through retry/backoff alone, with
-    # the retry counters recorded in the report.
-    out = tmp_path / "bench.json"
-    code = main(
-        [
-            "bench",
-            "outofcore",
-            "--scale",
-            "0.05",
-            "--fault-rate",
-            "0.25",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "faulted build @ rate 0.25" in printed
-    import json
-
-    report = json.loads(out.read_text(encoding="utf-8"))
-    faulty = report["phases"]["external_build_faulty"]
-    assert faulty["partition_identical"] is True
-    assert faulty["degraded"] is False
-    assert faulty["give_ups"] == 0
-    assert faulty["retries"] >= faulty["faults_injected"] > 0
-    assert report["summary"]["faulted_build_ok"] is True
