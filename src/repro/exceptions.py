@@ -59,6 +59,16 @@ class PathSyntaxError(ReproError):
         self.position = position
 
 
+class RenderLimitError(ReproError, ValueError):
+    """A graph is too large for the requested rendering.
+
+    Raised by the DOT export over its ``max_nodes`` limit.  Also a
+    :class:`ValueError`, which is what the export raised before it had
+    a typed error, so existing ``except ValueError`` callers keep
+    working.
+    """
+
+
 class IndexError_(ReproError):
     """Invalid operation on an index graph.
 

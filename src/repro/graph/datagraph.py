@@ -391,6 +391,15 @@ class DataGraph:
         """True while mutations are forbidden (``freeze(mode="seal")``)."""
         return self._sealed
 
+    @property
+    def frozen_view(self) -> "CSRGraph | None":
+        """The cached columnar snapshot while it is current, else ``None``.
+
+        Unlike :meth:`freeze`, never builds one: a reader that can use
+        either the flat buffers or the lists asks here first.
+        """
+        return self._frozen
+
     def freeze(self, mode: str = "refresh") -> "CSRGraph":
         """Return the columnar CSR snapshot of this graph.
 

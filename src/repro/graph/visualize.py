@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.exceptions import RenderLimitError
 from repro.graph.datagraph import DataGraph
 from repro.indexes.base import K_UNBOUNDED, IndexGraph
 
@@ -37,10 +38,10 @@ def data_graph_to_dot(
             graph helps nobody).
 
     Raises:
-        ValueError: if the graph exceeds ``max_nodes``.
+        RenderLimitError: if the graph exceeds ``max_nodes``.
     """
     if graph.num_nodes > max_nodes:
-        raise ValueError(
+        raise RenderLimitError(
             f"graph has {graph.num_nodes} nodes; refusing to render more "
             f"than {max_nodes} (pass max_nodes explicitly to override)"
         )
@@ -64,10 +65,10 @@ def index_graph_to_dot(
     """Render an index graph as DOT (label, extent size and k per node).
 
     Raises:
-        ValueError: if the index exceeds ``max_nodes``.
+        RenderLimitError: if the index exceeds ``max_nodes``.
     """
     if index.num_nodes > max_nodes:
-        raise ValueError(
+        raise RenderLimitError(
             f"index has {index.num_nodes} nodes; refusing to render more "
             f"than {max_nodes}"
         )

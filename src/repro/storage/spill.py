@@ -44,6 +44,9 @@ _HEAD = struct.Struct(">QI")
 #: 32-bit CRC over the packed position/length and the payload.
 _FRAME = struct.Struct(">QII")
 
+#: Bytes a record costs the budget on top of its payload.
+FRAME_BYTES = _FRAME.size
+
 #: Default in-memory working-set budget before a run is spilled.
 DEFAULT_SPILL_BUDGET = 4 * 1024 * 1024
 
@@ -147,7 +150,7 @@ class SpillRuns:
         if position < 0:
             raise PagedStoreError(f"spill position must be >= 0: {position}")
         self._pending.append((position, payload))
-        self._pending_bytes += len(payload) + _FRAME.size
+        self._pending_bytes += len(payload) + FRAME_BYTES
         self._count += 1
         if self._pending_bytes > self.budget_bytes:
             self._spill()

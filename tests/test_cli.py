@@ -76,10 +76,16 @@ def test_dot_command(tmp_path, capsys):
 
 
 def test_dot_command_size_guard(tmp_path, capsys):
+    # Over --max-nodes the export fails with a typed error, which main
+    # reports on stderr with exit code 1 instead of a traceback.
     out = tmp_path / "g.json"
     main(["generate", "xmark", "--out", str(out), "--scale", "0.03"])
-    with pytest.raises(ValueError):
-        main(["dot", str(out), "--max-nodes", "3"])
+    capsys.readouterr()
+    assert main(["dot", str(out), "--max-nodes", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: graph has ")
+    assert "refusing to render more than 3" in captured.err
 
 
 def test_conformance_command(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+import repro.partition.columnar as columnar
 from repro.exceptions import IndexInvariantError
 from repro.graph.builder import graph_from_edges
 from repro.indexes.base import IndexGraph
@@ -59,6 +60,27 @@ def test_rejects_label_mixed_blocks():
     bad = Partition([0] * g.num_nodes)
     with pytest.raises(IndexInvariantError):
         IndexGraph.from_partition(g, bad, 0)
+
+
+@pytest.mark.parametrize("array_path", [False, True], ids=["scalar", "numpy"])
+@pytest.mark.parametrize("size", [4, 6])
+def test_rejects_mis_sized_partitions(size, array_path, monkeypatch):
+    # A 5-node graph with a 4- or 6-node partition: a typed error on
+    # both quotient paths, raised before any index state is built.
+    if array_path:
+        if columnar._numpy is None:
+            pytest.skip("numpy extra not installed")
+        monkeypatch.setattr(columnar, "NUMPY_NODE_THRESHOLD", 0)
+    else:
+        monkeypatch.setattr(columnar, "_numpy", None)
+    g = two_x_graph()
+    built = []
+    monkeypatch.setattr(
+        IndexGraph, "__init__", lambda self, graph: built.append(graph)
+    )
+    with pytest.raises(IndexInvariantError, match=f"covers {size} nodes"):
+        IndexGraph.from_partition(g, Partition(list(range(size))), 0)
+    assert built == []
 
 
 def test_label_lookup():

@@ -11,6 +11,8 @@ Covers the three layers of ``repro.storage``:
   out, plus :class:`SpillRuns` merge ordering.
 """
 
+import copy
+import json
 import random
 import tempfile
 from array import array
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import PagedStoreError, SerializationError
 from repro.graph.datagraph import DataGraph
+from repro.maintenance.store import unseal
 from repro.storage.paged import (
     PageCursor,
     PagedBufferPool,
@@ -568,3 +571,96 @@ def test_retained_generations_stay_fully_readable(ops):
             with PagedStore.open(base, generation=generation) as snap:
                 values = snap.read_slice("v", 0, snap.length("v"))
                 assert len(values) == 32
+
+
+# ----------------------------------------------------------------------
+# Manifest loader: arbitrary and damaged manifests
+# ----------------------------------------------------------------------
+
+#: Fields of the manifest (and its CSR meta) that must be JSON integers.
+INT_FIELDS = [
+    ("generation",),
+    ("page_bytes",),
+    ("next_page",),
+    ("page_table", "label_ids", "entries"),
+    ("page_table", "label_ids", "pages", 0, 0),
+    ("meta", "num_nodes"),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_store(tmp_path_factory):
+    """A small paged CSR store plus its manifest file and parsed body."""
+    directory = tmp_path_factory.mktemp("manifest-fuzz") / "csr"
+    PagedCSRGraph.create(directory, seeded_graph(seed=7, size=40)).close()
+    (manifest,) = directory.glob("manifest-*.json")
+    text = manifest.read_text(encoding="utf-8")
+    body, sealed = unseal(text)
+    assert sealed
+    return directory, manifest, text, json.loads(body)
+
+
+def _replaced(document, path, value):
+    document = copy.deepcopy(document)
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
+
+
+def _open_both(directory):
+    """Open the store both ways; every failure must be a PagedStoreError."""
+    for open_store in (PagedStore.open, PagedCSRGraph.open):
+        try:
+            opened = open_store(directory)
+        except PagedStoreError:
+            continue
+        opened.close()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_manifest_loader_raises_only_paged_store_errors(manifest_store, data):
+    directory, manifest, text, document = manifest_store
+    choice = data.draw(st.sampled_from(["text", "truncated", "field"]))
+    if choice == "text":
+        damaged = data.draw(st.text())
+    elif choice == "truncated":
+        damaged = text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        # Unsealed JSON is read as a version-1 manifest: the structural
+        # checks alone stand between a bad field and the store.
+        path = data.draw(
+            st.sampled_from(
+                INT_FIELDS + [("format",), ("byteorder",), ("meta",), ("page_table",)]
+            )
+        )
+        damaged = json.dumps(_replaced(document, path, data.draw(json_values)))
+    try:
+        manifest.write_text(damaged, encoding="utf-8")
+        _open_both(directory)
+    finally:
+        manifest.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", INT_FIELDS, ids=lambda path: ".".join(map(str, path)))
+@pytest.mark.parametrize("value", [True, False])
+def test_manifest_rejects_booleans_for_integers(manifest_store, path, value):
+    directory, manifest, text, document = manifest_store
+    try:
+        manifest.write_text(
+            json.dumps(_replaced(document, path, value)), encoding="utf-8"
+        )
+        with pytest.raises(PagedStoreError):
+            PagedCSRGraph.open(directory)
+    finally:
+        manifest.write_text(text, encoding="utf-8")
+    PagedCSRGraph.open(directory).close()
