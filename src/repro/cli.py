@@ -51,6 +51,7 @@ from repro.bench.harness import (
     ExperimentConfig,
     parse_scale,
 )
+from repro.core.broadcast import MAX_LEVEL
 from repro.core.dindex import DKIndex
 from repro.core.requirements import requirements_from_queries
 from repro.exceptions import ReproError
@@ -61,13 +62,16 @@ from repro.paths.query import make_query
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse ``type=`` for similarity bounds and size limits."""
+    """argparse ``type=`` for similarity bounds and size limits; both
+    end up in int64 buffers."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value > MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be at most 2**63 - 1, got {value}")
     return value
 
 

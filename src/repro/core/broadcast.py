@@ -11,12 +11,18 @@ The broadcast processes labels from the highest requirement downwards:
 a label processed at level ``v`` raises each of its *parent labels* to at
 least ``v - 1``.  Each label is processed exactly once — at its final
 (maximal) level — so the total work is O(m) in the number of label-graph
-edges, as claimed in Section 4.2.
+edges, as claimed in Section 4.2.  Only levels that hold a label are
+visited, so the work does not grow with the requirement's size.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Mapping, Protocol, Sequence
+
+#: Largest requirement a level may hold: index ``k`` values are stored
+#: in int64 buffers (frozen views, paged snapshots).
+MAX_LEVEL = 2**63 - 1
 
 
 class _LabeledAdjacency(Protocol):
@@ -61,6 +67,10 @@ def broadcast_levels(
         ``levels`` with ``levels[l] >= initial.get(l, 0)`` and
         ``levels[parent] >= levels[child] - 1`` for every label edge.
 
+    Raises:
+        ValueError: for a requirement below 0 or above
+            :data:`MAX_LEVEL`, or a label id out of range.
+
     Example:
         >>> # c (req 2) under b under a: b must reach 1, a stays 0.
         >>> parent_labels = [set(), {0}, {1}]
@@ -72,23 +82,28 @@ def broadcast_levels(
     for label, requirement in initial.items():
         if requirement < 0:
             raise ValueError(f"negative requirement for label {label}: {requirement}")
+        if requirement > MAX_LEVEL:
+            raise ValueError(
+                f"requirement for label {label} exceeds 2**63 - 1: {requirement}"
+            )
         if not 0 <= label < num_labels:
             raise ValueError(f"label id out of range: {label}")
         levels[label] = requirement
-
-    max_level = max(levels, default=0)
-    if max_level == 0:
-        return levels
 
     buckets: dict[int, set[int]] = {}
     for label, level in enumerate(levels):
         if level > 0:
             buckets.setdefault(level, set()).add(label)
+    # The non-empty levels, largest first; a label raised to a new level
+    # adds it below the one being processed.
+    pending = [-level for level in buckets]
+    heapq.heapify(pending)
 
     processed = [False] * num_labels
-    for level in range(max_level, 0, -1):
+    while pending:
+        level = -heapq.heappop(pending)
         # Sorted for deterministic processing order.
-        for label in sorted(buckets.get(level, ())):
+        for label in sorted(buckets.pop(level)):
             if processed[label] or levels[label] != level:
                 continue  # raised past this bucket, or stale entry
             processed[label] = True
@@ -98,7 +113,10 @@ def broadcast_levels(
             for parent in parent_labels[label]:
                 if levels[parent] < floor:
                     levels[parent] = floor
-                    buckets.setdefault(floor, set()).add(parent)
+                    if floor not in buckets:
+                        buckets[floor] = set()
+                        heapq.heappush(pending, -floor)
+                    buckets[floor].add(parent)
     return levels
 
 

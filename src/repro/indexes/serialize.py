@@ -29,6 +29,7 @@ import json
 from pathlib import Path
 from typing import IO, Any
 
+from repro.core.broadcast import MAX_LEVEL
 from repro.core.dindex import DKIndex, check_dk_constraint
 from repro.exceptions import IndexInvariantError, SerializationError
 from repro.graph.datagraph import DataGraph
@@ -108,11 +109,12 @@ def index_from_dict(
     if not isinstance(node_of, list) or len(node_of) != graph.num_nodes:
         raise SerializationError("'node_of' must map every data node")
     # Exact type tests: JSON true/false are bools, which ``isinstance``
-    # would let through as the ints 1 and 0.
+    # would let through as the ints 1 and 0.  Levels past int64 would
+    # fail later, when ``k`` is copied into an int64 buffer.
     if not isinstance(k_values, list) or not all(
-        type(k) is int and k >= 0 for k in k_values
+        type(k) is int and 0 <= k <= MAX_LEVEL for k in k_values
     ):
-        raise SerializationError("'k' must be a list of non-negative ints")
+        raise SerializationError("'k' must be a list of ints in [0, 2**63 - 1]")
 
     try:
         partition = Partition(node_of)
@@ -125,11 +127,13 @@ def index_from_dict(
     requirements = data.get("requirements")
     if requirements is not None:
         if not isinstance(requirements, dict) or not all(
-            isinstance(name, str) and type(value) is int and value >= 0
+            isinstance(name, str)
+            and type(value) is int
+            and 0 <= value <= MAX_LEVEL
             for name, value in requirements.items()
         ):
             raise SerializationError(
-                "'requirements' must map labels to non-negative ints"
+                "'requirements' must map labels to ints in [0, 2**63 - 1]"
             )
     return index, requirements
 

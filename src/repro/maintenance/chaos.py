@@ -63,7 +63,6 @@ from repro.storage.paged import (
     PagedCSRGraph,
 )
 from repro.storage.retry import IO_BACKOFF_MS_ENV_VAR, IO_RETRIES_ENV_VAR
-from repro.storage.spill import SPILL_BUDGET_ENV_VAR
 
 #: Modes the update-pipeline matrix exercises.  The OS-error modes
 #: (``transient``/``enospc``) belong to the storage matrix below — the
@@ -633,9 +632,6 @@ STORAGE_SCENARIOS: tuple[tuple[str, str, str, int, float, str], ...] = (
     ("build", "storage.page_enospc", "enospc", 1, 0.0, "degraded"),
     ("build", "storage.page_bit_flip", "corrupt", 1, 0.0, "degraded"),
     ("build", "storage.page_torn_write", "raise", 1, 0.0, "loud"),
-    ("build", "storage.spill_torn_run", "transient", 1, 1.0, "degraded"),
-    ("build", "storage.spill_torn_run", "corrupt", 1, 0.0, "degraded"),
-    ("build", "storage.spill_torn_run", "raise", 1, 0.0, "loud"),
     ("writeback", "storage.pool_evict_writeback_fail", "raise", 1, 0.0, "rolled-back"),
     ("writeback", "storage.pool_evict_writeback_fail", "transient", 1, 0.0, "absorbed"),
     ("writeback", "storage.page_torn_write", "raise", 1, 0.0, "rolled-back"),
@@ -1002,11 +998,6 @@ def _run_storage_scenario(
         # not the wall-clock of its sleeps.
         IO_BACKOFF_MS_ENV_VAR: "0",
         IO_RETRIES_ENV_VAR: None,
-        # Spill scenarios force a spill per appended record; everything
-        # else runs with the default in-memory working set.
-        SPILL_BUDGET_ENV_VAR: (
-            "0" if point == "storage.spill_torn_run" else None
-        ),
     }
     if 0 < rate < 1:
         # Probabilistic-rate scenarios: a one-page pool makes every

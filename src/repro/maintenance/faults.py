@@ -56,21 +56,20 @@ DURABILITY_FAULT_POINTS: dict[str, str] = {
 }
 
 #: Storage injection points threaded through the out-of-core layer
-#: (:mod:`repro.storage.paged` and :mod:`repro.storage.spill`).  Unlike
-#: the durability points, several of these model *operating-system*
-#: failures rather than crashes: the ``transient`` mode raises an
-#: ``EIO`` that a later attempt would not see (exercising the retry/
-#: backoff policy), and ``enospc`` raises a persistent ``ENOSPC`` that
-#: no amount of retrying fixes (exercising degradation).  The ``rate``
-#: knob makes a point fire probabilistically on *every* hit instead of
-#: latching on the Nth — a flaky disk, not a single landmine.
+#: (:mod:`repro.storage.paged`).  Unlike the durability points, several
+#: of these model *operating-system* failures rather than crashes: the
+#: ``transient`` mode raises an ``EIO`` that a later attempt would not
+#: see (exercising the retry/backoff policy), and ``enospc`` raises a
+#: persistent ``ENOSPC`` that no amount of retrying fixes (exercising
+#: degradation).  The ``rate`` knob makes a point fire probabilistically
+#: on *every* hit instead of latching on the Nth — a flaky disk, not a
+#: single landmine.
 STORAGE_FAULT_POINTS: dict[str, str] = {
     "storage.page_torn_write": "page emit: page file half-written at the crash",
     "storage.page_bit_flip": "page emit: page durable, then one byte rots",
     "storage.page_read_eio_transient": "page load: the read fails with EIO",
     "storage.page_enospc": "page emit: the filesystem is out of space",
     "storage.manifest_corrupt": "checkpoint: manifest durable, then rots",
-    "storage.spill_torn_run": "spill append: the run frame tears or rots",
     "storage.pool_evict_writeback_fail": "pool evict: dirty write-back fails",
 }
 

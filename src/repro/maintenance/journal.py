@@ -155,7 +155,9 @@ def _json_object(payload: str) -> dict[str, Any] | None:
     """``payload`` parsed, or ``None`` unless it is one JSON object."""
     try:
         record = json.loads(payload)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
+        # JSONDecodeError is a ValueError; so is an integer literal past
+        # Python's digit limit.  Deep nesting overflows the decoder.
         return None
     return record if isinstance(record, dict) else None
 

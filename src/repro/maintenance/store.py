@@ -243,7 +243,9 @@ def unseal(text: str, source: str = "<sealed>") -> tuple[str, bool]:
     body, footer_line = parts
     try:
         footer = json.loads(footer_line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
+        # JSONDecodeError is a ValueError; so is an integer literal past
+        # Python's digit limit.  Deep nesting overflows the decoder.
         return text, False
     if not isinstance(footer, dict) or footer.get("format") != SEAL_FORMAT:
         return text, False
@@ -296,7 +298,7 @@ def read_document(path: str | Path | IO[str]) -> dict[str, Any]:
     body, _sealed = unseal(text, source)
     try:
         data = json.loads(body)
-    except (json.JSONDecodeError, RecursionError) as error:
+    except (ValueError, RecursionError) as error:
         raise SerializationError(f"{source}: not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise SerializationError(f"{source}: document must be a JSON object")

@@ -22,8 +22,8 @@ provides:
 - :class:`~repro.partition.external.ExternalEngine` — the out-of-core
   engine (``engine="external"``): the columnar round loop over a paged
   CSR snapshot behind a byte-budgeted LRU pool, with node-ordered,
-  page-at-a-time signature and dirty-children sweeps, the signature
-  runs spilling to disk;
+  page-at-a-time signature and dirty-children sweeps; only node-sized
+  state (block ids, member lists, signature keys) stays in memory;
 - :class:`~repro.partition.engine.RefinementEngine` — the full-rehash
   reference engine (``engine="legacy"``) the others are tested against.
 """

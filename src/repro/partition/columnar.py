@@ -114,24 +114,20 @@ def concat_ranges(starts: Any, lengths: Any) -> Any:
     return positions
 
 
-def array_signature_keys(
-    block_of: Any, degrees: Any, parents: Any
-) -> tuple[Any, list[tuple[int, ...]]]:
+def array_signature_keys(block_of: Any, degrees: Any, parents: Any) -> Any:
     """int64 signature keys from gathered parent lists.
 
     ``parents`` holds each node's parent list back to back,
     ``degrees[i]`` entries for node ``i``.  A key is ``-1`` for no
     parent, the block id when every parent shares one block, and
-    ``-2 - j`` for the ``j``-th distinct multi-block set, whose sorted
-    blocks are returned in the second element.  Equal keys mean equal
-    scalar keys, which is all the grouping reads.
+    ``-2 - j`` for the ``j``-th distinct multi-block set.  Equal keys
+    mean equal scalar keys, which is all the grouping reads.
     """
     np = _numpy
     keys = np.full(len(degrees), _EMPTY_KEY, dtype=np.int64)
-    multisets: list[tuple[int, ...]] = []
     with_parents = np.flatnonzero(degrees)
     if not len(with_parents):
-        return keys, multisets
+        return keys
     parent_blocks = block_of[parents]
     firsts = (np.cumsum(degrees) - degrees)[with_parents]
     low = np.minimum.reduceat(parent_blocks, firsts)
@@ -154,16 +150,11 @@ def array_signature_keys(
         ids: list[int] = []
         start = 0
         for end in ends.tolist():
-            signature = tuple(flat[start:end])
+            ids.append(table.setdefault(tuple(flat[start:end]), len(table)))
             start = end
-            ident = table.get(signature)
-            if ident is None:
-                ident = table[signature] = len(multisets)
-                multisets.append(signature)
-            ids.append(ident)
         low[multi] = -2 - np.asarray(ids, dtype=np.int64)
     keys[with_parents] = low
-    return keys, multisets
+    return keys
 
 
 class ColumnarEngine:
@@ -464,14 +455,9 @@ class ColumnarEngine:
     def _signature_keys(
         self, hash_nodes: list[int]
     ) -> list["int | tuple[int, ...]"]:
-        """Per-node signature keys for a scalar round, in batch order."""
-        return self._scalar_keys(hash_nodes)
-
-    def _scalar_keys(
-        self, hash_nodes: list[int]
-    ) -> list["int | tuple[int, ...]"]:
-        """The stdlib sweep: flat-buffer reads, int keys, no tuples on
-        the zero/single-parent fast paths."""
+        """Per-node signature keys for a scalar round, in batch order:
+        flat-buffer reads, int keys, no tuples on the zero/single-parent
+        fast paths."""
         po = self.csr.parent_offsets
         pt = self.csr.parent_targets
         block_of = self._block_of
@@ -513,13 +499,10 @@ class ColumnarEngine:
         degrees = offset_view[nodes + 1] - starts
         return degrees, target_view[concat_ranges(starts, degrees)]
 
-    def _array_keys(self, nodes: Any, blocks: Any) -> Any:
-        """Signature keys of ascending ``nodes`` (their blocks alongside)."""
+    def _array_keys(self, nodes: Any) -> Any:
+        """Signature keys of ascending ``nodes``."""
         degrees, parents = self._gather("parent_offsets", "parent_targets", nodes)
-        keys, _ = array_signature_keys(
-            self._block_view(), degrees, parents
-        )
-        return keys
+        return array_signature_keys(self._block_view(), degrees, parents)
 
     def _block_view(self) -> Any:
         """``block_of`` as a writable int64 array over the same memory."""
@@ -596,7 +579,7 @@ class ColumnarEngine:
         nodes, blocks = active[in_job], active_blocks[in_job]
         if not len(nodes):
             return None
-        keys = self._array_keys(nodes, blocks)
+        keys = self._array_keys(nodes)
 
         # Groups by (block, key); stable, so each group lists its nodes
         # ascending and its first node is its first-seen member.

@@ -27,48 +27,32 @@ pages into arrays, fetching them in exactly the order the scalar sweep
 does, so pool hits, misses and read faults come out the same either
 way.
 
-Each computed key is recorded against its batch position in a
-:class:`~repro.storage.spill.SpillRuns` reorder buffer that spills
-sorted runs to disk when the round's working set exceeds its budget; a
-k-way merge then hands the keys back in exactly the batch order the
-inherited round logic expects.  The key *values* (``-1`` sentinel,
+Each key is written straight to its batch position as the sweep
+computes it, so the inherited round logic sees exactly the sequence the
+in-memory sweep would have produced.  The keys are node-sized state,
+like ``block_of``, and stay resident.  Their values (``-1`` sentinel,
 single block id as a plain ``int``, sorted dedup tuple otherwise) are
-bit-identical to the in-memory sweeps, so the grouping — and therefore
-the partition — is too.  An array round reorders keys that fit the
-budget in memory, which is what the buffer does when nothing spills,
-and sends a batch over budget through the same buffer, record for
-record.  The dirty set is a set, so its visiting order changes nothing
-downstream.
+bit-identical to the in-memory sweeps, so the grouping, and therefore
+the partition, is too.  The dirty set is a set, so its visiting order
+changes nothing downstream.
 """
 
 from __future__ import annotations
 
-import struct
 import tempfile
-from array import array
 from itertools import chain
 from pathlib import Path
 from types import TracebackType
 from typing import Any
 
-from repro.graph.columnar import BUFFER_TYPECODE, CSRGraph
 from repro.partition import columnar
 from repro.partition.columnar import (
     _EMPTY_KEY,
     ColumnarEngine,
-    array_signature_keys,
     concat_ranges,
     run_starts,
 )
 from repro.storage.paged import PageCursor, PagedCSRGraph, PoolStats
-from repro.storage.spill import FRAME_BYTES, SpillRuns, resolve_spill_budget
-
-#: Codec of a one-key payload: one native int64, the bytes an
-#: ``array(BUFFER_TYPECODE)`` of that key holds, without the array.
-_ONE_KEY = struct.Struct("=" + BUFFER_TYPECODE)
-
-#: One-element encoded payload for the parentless sentinel key.
-_EMPTY_PAYLOAD = _ONE_KEY.pack(_EMPTY_KEY)
 
 
 class ExternalEngine(ColumnarEngine):
@@ -85,9 +69,6 @@ class ExternalEngine(ColumnarEngine):
             paged graph is passed in, which brings its own pool.
         page_bytes: page size for an engine-owned store (``None`` reads
             ``DKINDEX_PAGE_BYTES``); ignored for a passed-in store.
-        spill_bytes: in-memory working-set cap per signature sweep
-            before ``(position, key)`` runs spill to disk (``None``
-            reads ``DKINDEX_SPILL_BUDGET``).
 
     The driver surface (``run_kbisim`` / ``run_fixpoint`` /
     ``run_leveled`` / ``refine_rounds``) is inherited unchanged.
@@ -99,10 +80,7 @@ class ExternalEngine(ColumnarEngine):
         *,
         budget_bytes: int | None = None,
         page_bytes: int | None = None,
-        spill_bytes: int | None = None,
     ) -> None:
-        # Resolved first: an invalid budget must fail before the page-out.
-        self._spill_bytes = resolve_spill_budget(spill_bytes)
         self._tempdir: tempfile.TemporaryDirectory[str] | None = None
         self._owns_store = False
         if isinstance(graph, PagedCSRGraph):
@@ -125,7 +103,6 @@ class ExternalEngine(ColumnarEngine):
                 raise
             self._owns_store = True
         self.paged = paged
-        self._spills = 0
         self._bind(paged)
 
     # ------------------------------------------------------------------
@@ -139,54 +116,30 @@ class ExternalEngine(ColumnarEngine):
 
         Sorting the batch by node id turns the parent reads into a
         monotone sweep over the offset and target pages, each read once;
-        the spill buffer restores batch order afterwards.  Key values
-        match the inherited scalar sweep exactly.
+        each key lands at its batch position.  Key values match the
+        columnar engine's sweep exactly.
         """
         store = self.paged.store
         offsets = PageCursor(store, "parent_offsets")
         targets = PageCursor(store, "parent_targets")
         block_of = self._block_of
-        order = sorted(
-            range(len(hash_nodes)), key=hash_nodes.__getitem__
-        )
         out: list[int | tuple[int, ...]] = [_EMPTY_KEY] * len(hash_nodes)
-        # Spill retries/give-ups land in the same PoolStats the page
-        # I/O uses, so one counter pair prices the whole fault story.
-        with SpillRuns(
-            budget_bytes=self._spill_bytes,
-            stats=store.stats,
-            retry=store.retry,
-        ) as runs:
-            for position in order:
-                node = hash_nodes[position]
-                start = offsets.at(node)
-                end = offsets.at(node + 1)
-                if end == start:
-                    runs.add(position, _EMPTY_PAYLOAD)
-                    continue
-                if end == start + 1:
-                    payload = _ONE_KEY.pack(block_of[targets.at(start)])
-                else:
-                    seen = {
-                        block_of[target]
-                        for target in targets.span(start, end)
-                    }
-                    payload = array(
-                        BUFFER_TYPECODE, sorted(seen)
-                    ).tobytes()
-                runs.add(position, payload)
-            self._spills += runs.runs_spilled
-            for position, payload in runs.merged():
-                # One element is an int key (single shared block, or the
-                # -1 sentinel); multi-element payloads are always the
-                # sorted dedup of >= 2 distinct blocks, hence tuples —
-                # identical to the in-memory key domain.
-                if len(payload) == _ONE_KEY.size:
-                    out[position] = _ONE_KEY.unpack(payload)[0]
-                else:
-                    values = array(BUFFER_TYPECODE)
-                    values.frombytes(payload)
-                    out[position] = tuple(values)
+        for position in sorted(
+            range(len(hash_nodes)), key=hash_nodes.__getitem__
+        ):
+            node = hash_nodes[position]
+            start = offsets.at(node)
+            end = offsets.at(node + 1)
+            if end == start:
+                continue  # the parentless sentinel is already in place
+            if end == start + 1:
+                out[position] = block_of[targets.at(start)]
+                continue
+            seen = {block_of[target] for target in targets.span(start, end)}
+            if len(seen) == 1:
+                out[position] = next(iter(seen))
+            else:
+                out[position] = tuple(sorted(seen))
         return out
 
     def _dirty_children(self, moved: list[list[int]]) -> set[int]:
@@ -258,61 +211,6 @@ class ExternalEngine(ColumnarEngine):
         chunks.append(_read_ranges(target_cursor, bounds[2 * done:], per_page))
         return bounds[1::2] - bounds[0::2], np.concatenate(chunks)
 
-    def _array_keys(self, nodes: Any, blocks: Any) -> Any:
-        """Signature keys of ascending ``nodes``; a batch over the spill
-        budget goes through :class:`SpillRuns` as in the scalar sweep."""
-        degrees, parents = self._gather("parent_offsets", "parent_targets", nodes)
-        keys, multisets = array_signature_keys(
-            self._block_view(), degrees, parents
-        )
-        # The buffer's accounting: a frame per record and one int64 per
-        # key element; it spills exactly when the total passes the budget.
-        elements = len(keys) + sum(
-            len(multisets[-2 - key]) - 1
-            for key in keys[keys < _EMPTY_KEY].tolist()
-        )
-        if elements * _ONE_KEY.size + len(keys) * FRAME_BYTES <= self._spill_bytes:
-            return keys
-        return self._spilled_keys(blocks, keys, multisets)
-
-    def _spilled_keys(
-        self, blocks: Any, keys: Any, multisets: list[tuple[int, ...]]
-    ) -> Any:
-        """Reorder keys through the spill buffer: the scalar sweep's
-        records, positions and order, so runs come out byte-identical."""
-        np = columnar._numpy
-        # Batch position: job blocks ascending, members ascending.
-        order = np.argsort(blocks, kind="stable")
-        positions = np.empty(len(keys), dtype=np.int64)
-        positions[order] = np.arange(len(keys))
-        order_list = order.tolist()
-        store = self.paged.store
-        out = np.empty(len(keys), dtype=np.int64)
-        table: dict[tuple[int, ...], int] = {}
-        with SpillRuns(
-            budget_bytes=self._spill_bytes,
-            stats=store.stats,
-            retry=store.retry,
-        ) as runs:
-            for position, key in zip(positions.tolist(), keys.tolist()):
-                if key >= _EMPTY_KEY:
-                    runs.add(position, _ONE_KEY.pack(key))
-                else:
-                    runs.add(
-                        position,
-                        array(BUFFER_TYPECODE, multisets[-2 - key]).tobytes(),
-                    )
-            self._spills += runs.runs_spilled
-            for position, payload in runs.merged():
-                if len(payload) == _ONE_KEY.size:
-                    key = _ONE_KEY.unpack(payload)[0]
-                else:
-                    values = array(BUFFER_TYPECODE)
-                    values.frombytes(payload)
-                    key = -2 - table.setdefault(tuple(values), len(table))
-                out[order_list[position]] = key
-        return out
-
     # ------------------------------------------------------------------
     # Introspection and lifecycle
     # ------------------------------------------------------------------
@@ -324,12 +222,12 @@ class ExternalEngine(ColumnarEngine):
 
     @property
     def spilled_runs(self) -> int:
-        """Sorted signature runs spilled to disk across all rounds."""
-        return self._spills
+        """Always 0: signature keys stay in memory.
 
-    def materialize(self) -> CSRGraph:
-        """The snapshot as an in-memory :class:`CSRGraph` (for tests)."""
-        return self.paged.to_csr()
+        Kept only because the benchmark's tracer
+        (``perfbench/tracing.py``) reads it around every external run.
+        """
+        return 0
 
     def close(self) -> None:
         """Release resources; delete the temp store if this engine owns it.

@@ -30,8 +30,9 @@ its ``engine=`` name through one table:
   :mod:`repro.partition.external`: the columnar round loop run over a
   paged CSR snapshot (:mod:`repro.storage.paged`) behind a
   byte-budgeted LRU pool, with node-ordered, page-at-a-time signature
-  and dirty-children sweeps, the signature runs spilling to disk — for
-  graphs whose flat buffers should not (or cannot) be held in memory.
+  and dirty-children sweeps, keeping only node-sized state in memory —
+  for graphs whose flat buffers should not (or cannot) be held in
+  memory.
 - ``"legacy"`` — the reference engine of
   :mod:`repro.partition.engine`: a full-rehash loop over
   :func:`~repro.partition.engine.refine_once` (the equivalence test

@@ -1,4 +1,4 @@
-"""Out-of-core storage: paged buffers, an LRU pool, external sorting.
+"""Out-of-core storage: paged buffers, an LRU pool, page cursors.
 
 The in-memory columnar path (:mod:`repro.graph.columnar`) tops out at
 graphs whose flat CSR buffers fit in RAM.  This subpackage removes that
@@ -13,8 +13,8 @@ bisimulation construction (Luo et al., Hellings et al. — see PAPERS.md):
   publishes a new *manifest* referencing fresh pages for dirty blocks
   and the existing files for everything else — never a full rewrite.
 - :class:`~repro.storage.paged.PagedBufferPool` — the LRU buffer pool
-  in front of the page files: a byte budget, pin/unpin, dirty-page
-  write-back on eviction, and hit/miss/eviction counters.
+  in front of the page files: a byte budget, dirty-page write-back on
+  eviction, and hit/miss/eviction counters.
 - :class:`~repro.storage.paged.PageCursor` — the forward,
   page-at-a-time reader under the external engine's node-ordered
   sweeps: one pool lookup per page it crosses.
@@ -23,9 +23,6 @@ bisimulation construction (Luo et al., Hellings et al. — see PAPERS.md):
   the columnar refinement engine consumes, so ``engine="external"``
   (:mod:`repro.partition.external`) can refine graphs larger than the
   pool budget.
-- :class:`~repro.storage.spill.SpillRuns` — sorted run spilling with a
-  streaming merge, used by the external engine for per-round
-  ``(node, signature)`` working sets that exceed the budget.
 """
 
 from repro.storage.paged import (
@@ -54,11 +51,6 @@ from repro.storage.retry import (
     io_retry,
     resolve_retry_policy,
 )
-from repro.storage.spill import (
-    SPILL_BUDGET_ENV_VAR,
-    SpillRuns,
-    resolve_spill_budget,
-)
 
 __all__ = [
     "DEFAULT_IO_BACKOFF_MS",
@@ -69,7 +61,6 @@ __all__ = [
     "IO_RETRIES_ENV_VAR",
     "PAGE_BYTES_ENV_VAR",
     "POOL_BUDGET_ENV_VAR",
-    "SPILL_BUDGET_ENV_VAR",
     "TRANSIENT_ERRNOS",
     "PageCursor",
     "PagedBuffer",
@@ -80,10 +71,8 @@ __all__ = [
     "RetryPolicy",
     "ScrubPage",
     "ScrubReport",
-    "SpillRuns",
     "io_retry",
     "resolve_page_bytes",
     "resolve_pool_budget",
     "resolve_retry_policy",
-    "resolve_spill_budget",
 ]

@@ -28,7 +28,7 @@ retained generations share page files, so
 ``PagedStore.open(..., generation=g)`` gives a point-in-time view.
 
 Reads go through :class:`PagedBufferPool` — a byte-budgeted LRU with
-pin/unpin, dirty-page write-back and hit/miss/eviction counters — so
+dirty-page write-back and hit/miss/eviction counters — so
 the resident working set stays bounded no matter how large the graph
 is.  Sequential reads go a page at a time: :meth:`PagedStore.read_page`
 is one pool lookup for a whole page, and :class:`PageCursor` keeps
@@ -149,9 +149,9 @@ def resolve_page_bytes(page_bytes: int | None = None) -> int:
 def resolve_pool_budget(budget_bytes: int | None = None) -> int:
     """Pick the pool budget: argument, ``DKINDEX_POOL_BUDGET``, default.
 
-    A budget of 0 is legal — the pool then holds only the page being
-    accessed and evicts it on the next access, the worst honest case
-    for the eviction counters.
+    A budget of 0 is legal — the pool then evicts each page as soon as
+    it is loaded (the reader keeps its own reference), the worst honest
+    case for the eviction counters.
 
     Raises:
         PagedStoreError: for a negative budget.
@@ -236,10 +236,7 @@ class PagedBufferPool:
     The pool is storage-agnostic: a ``loader`` callback materialises a
     missing page and an optional ``writer`` callback persists a dirty
     page when it is evicted or flushed (a pool without a writer is
-    read-only — evicting a dirty page raises).  Pinned pages are never
-    evicted; the pool will exceed its budget rather than drop a pin,
-    because a pin means a caller holds a live reference it is about to
-    mutate.
+    read-only — evicting a dirty page raises).
     """
 
     def __init__(
@@ -257,7 +254,6 @@ class PagedBufferPool:
         self._retry = retry
         self._pages: "OrderedDict[PageKey, array[int]]" = OrderedDict()
         self._dirty: set[PageKey] = set()
-        self._pins: dict[PageKey, int] = {}
         self._cached_bytes = 0
         self.stats = PoolStats()
 
@@ -288,8 +284,8 @@ class PagedBufferPool:
         """The page at ``key``, loading (and possibly evicting) on miss.
 
         The returned array stays valid after eviction (the caller holds
-        a reference), but mutations to an evicted copy are lost — pin
-        the page or go through :meth:`mark_dirty` before releasing it.
+        a reference), but mutations to an evicted copy are lost, and
+        :meth:`mark_dirty` accepts only a resident page.
         """
         page = self._pages.get(key)
         if page is not None:
@@ -303,23 +299,6 @@ class PagedBufferPool:
         self._shrink()
         return page
 
-    def pin(self, key: PageKey) -> "array[int]":
-        """Fetch ``key`` and protect it from eviction until unpinned."""
-        page = self.get(key)
-        self._pins[key] = self._pins.get(key, 0) + 1
-        return page
-
-    def unpin(self, key: PageKey) -> None:
-        """Release one pin on ``key`` (page becomes evictable at zero)."""
-        count = self._pins.get(key, 0)
-        if count <= 0:
-            raise PagedStoreError(f"page {key!r} is not pinned")
-        if count == 1:
-            del self._pins[key]
-            self._shrink()
-        else:
-            self._pins[key] = count - 1
-
     def mark_dirty(self, key: PageKey) -> None:
         """Flag a *resident* page as mutated (write back before drop)."""
         if key not in self._pages:
@@ -331,15 +310,9 @@ class PagedBufferPool:
     # -- eviction and flushing -----------------------------------------
 
     def _shrink(self) -> None:
-        """Evict LRU unpinned pages until the budget is respected."""
+        """Evict from the LRU head until the budget is respected."""
         while self._cached_bytes > self.budget_bytes:
-            victim = next(
-                (key for key in self._pages if not self._pins.get(key)),
-                None,
-            )
-            if victim is None:
-                return  # everything pinned: run over budget, by design
-            self._evict(victim)
+            self._evict(next(iter(self._pages)))
 
     def _evict(self, key: PageKey) -> None:
         if key in self._dirty:
@@ -396,7 +369,6 @@ class PagedBufferPool:
             )
         self._pages.clear()
         self._dirty.clear()
-        self._pins.clear()
         self._cached_bytes = 0
 
 

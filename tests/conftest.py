@@ -229,6 +229,15 @@ def small_graphs(
     return graph
 
 
+#: Arbitrary JSON values, for fuzzing the document and journal decoders.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=6,
+)
+
+
 @st.composite
 def label_requirements(draw, labels: str = "abc", max_k: int = 3):
     """Random per-label requirement maps over the small alphabet."""

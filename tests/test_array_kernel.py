@@ -4,13 +4,12 @@ Index node ids are block ids, so the array path must reproduce the
 scalar path's ``block_of`` exactly; ``Partition.__eq__`` ignores ids and
 is not enough.  Every check runs the same drivers twice — numpy on every
 round (threshold 0) and numpy hidden — and compares ``block_of`` and the
-member lists; the external engine's pool counters and spilled runs must
-match too, and the quotient must rebuild the same :class:`IndexGraph`
-down to the iteration order of its adjacency sets.
+member lists; the external engine's pool counters must match too, and
+the quotient must rebuild the same :class:`IndexGraph` down to the
+iteration order of its adjacency sets.
 """
 
 import random
-import re
 from contextlib import contextmanager
 
 import pytest
@@ -29,6 +28,7 @@ from repro.indexes.oneindex import build_1index
 from repro.maintenance.faults import FaultInjector
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.external import ExternalEngine
+from repro.storage.paged import CORE_CSR_BUFFERS, ENTRY_BYTES
 from test_engine_equivalence import cyclic_idref_graph, dag_with_shared_subtrees
 
 pytestmark = pytest.mark.skipif(
@@ -93,16 +93,18 @@ def columnar_results(graph, levels, drivers=ALL_DRIVERS):
     return driver_results(ColumnarEngine(graph), levels, drivers)
 
 
-def external_results(graph, levels, page_bytes, spill_bytes, drivers=ALL_DRIVERS):
-    """Driver results under a one-page pool, plus the I/O counters."""
+def external_results(graph, levels, page_bytes, pool_share=0.0, drivers=ALL_DRIVERS):
+    """Driver results, plus the I/O counters, with the pool at
+    ``pool_share`` of the CSR bytes; the default 0 leaves only the page
+    being read (a one-page pool)."""
+    view = graph.freeze()
+    footprint = ENTRY_BYTES * sum(len(getattr(view, name)) for name in CORE_CSR_BUFFERS)
     with ExternalEngine(
-        graph, budget_bytes=0, page_bytes=page_bytes, spill_bytes=spill_bytes
+        graph, budget_bytes=int(footprint * pool_share), page_bytes=page_bytes
     ) as engine:
         results = driver_results(engine, levels, drivers)
         stats = engine.stats
-        results.append(
-            ("io", stats.hits, stats.misses, stats.evictions, engine.spilled_runs)
-        )
+        results.append(("io", stats.hits, stats.misses, stats.evictions))
     return results
 
 
@@ -159,7 +161,7 @@ def test_array_rounds_accept_levels_past_int64():
 
 
 # ----------------------------------------------------------------------
-# The external engine: page-ordered gathers and the spill buffer
+# The external engine: page-ordered gathers
 # ----------------------------------------------------------------------
 
 
@@ -169,17 +171,22 @@ SMALL = {
 }
 
 
-@pytest.mark.parametrize("spill_bytes", [0, None], ids=["spill-0", "spill-default"])
+@pytest.mark.parametrize(
+    "pool_share", [0.0, 0.25], ids=["one-page-pool", "quarter-pool"]
+)
 @pytest.mark.parametrize("page_bytes", [8, 16, 64])
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_external_array_rounds_match_scalar_io(name, page_bytes, spill_bytes):
+def test_external_array_rounds_match_scalar_io(name, page_bytes, pool_share):
     graph = SMALL[name]
     levels = random_levels(graph, 7)
     scalar, arrays = both_paths(
-        lambda: external_results(graph, levels, page_bytes, spill_bytes)
+        lambda: external_results(graph, levels, page_bytes, pool_share)
     )
     assert arrays == scalar
-    assert scalar[-1][2] > 0  # the one-page pool really paged
+    _, hits, misses, evictions = scalar[-1]
+    assert misses > 0 and evictions > 0  # the pool really paged
+    if pool_share:
+        assert hits > 0  # and the LRU order decided which pages stayed
 
 
 @pytest.mark.parametrize("name", ["xmark", "nasa"])
@@ -189,51 +196,34 @@ def test_external_array_rounds_match_scalar_io_on_datasets(name):
     levels = random_levels(graph, 3)
     drivers = ("fixpoint", "leveled")
     scalar, arrays = both_paths(
-        lambda: external_results(graph, levels, page_bytes, None, drivers)
+        lambda: external_results(graph, levels, page_bytes, drivers=drivers)
     )
     assert arrays == scalar
-
-
-def test_external_spilled_batches_match_scalar_runs():
-    # Spill budget 0 writes one run per record, so this also pins the
-    # record order and positions the runs hold.
-    graph = SEEDED["xmark"]
-    scalar, arrays = both_paths(
-        lambda: external_results(graph, None, 64, 0, ("kbisim",))
-    )
-    assert arrays == scalar
-    assert scalar[-1][4] > 0
 
 
 @pytest.mark.parametrize(
     "point, mode, hit, rate",
     [
-        ("storage.spill_torn_run", "transient", 1, 1.0),
-        ("storage.spill_torn_run", "transient", 1, 0.3),
-        ("storage.spill_torn_run", "corrupt", 1, 0.0),
-        ("storage.spill_torn_run", "raise", 2, 0.0),
         ("storage.page_read_eio_transient", "transient", 1, 0.3),
         ("storage.page_read_eio_transient", "transient", 40, 0.0),
     ],
 )
 def test_storage_faults_behave_alike_on_both_paths(point, mode, hit, rate):
     # The storage chaos matrix runs an 11-node graph, below the array
-    # threshold; here the same fault points hit array rounds, under a
-    # one-page pool and a spill per record.
+    # threshold; here the same fault point hits array rounds, under a
+    # one-page pool.
     graph = SMALL["cyclic"]
 
     def faulted_fixpoint():
         injector = FaultInjector(point, mode, trigger_on_hit=hit, seed=0, rate=rate)
         with ExternalEngine(
-            graph, budget_bytes=0, page_bytes=64, spill_bytes=0
+            graph, budget_bytes=0, page_bytes=64
         ) as engine, injector:
             try:
                 partition, rounds = engine.run_fixpoint()
                 outcome = (partition.block_of, rounds)
             except (InjectedFaultError, PagedStoreError) as error:
-                # Run files live in a fresh temp directory per buffer.
-                message = re.sub(r"dkindex-spill-[^/]+", "*", str(error))
-                outcome = (type(error).__name__, message)
+                outcome = (type(error).__name__, str(error))
             stats = engine.stats
             return (
                 outcome,
@@ -241,7 +231,6 @@ def test_storage_faults_behave_alike_on_both_paths(point, mode, hit, rate):
                 injector.fires,
                 stats.retries,
                 stats.give_ups,
-                engine.spilled_runs,
             )
 
     scalar, arrays = both_paths(faulted_fixpoint)
@@ -254,9 +243,9 @@ def test_storage_faults_behave_alike_on_both_paths(point, mode, hit, rate):
 def test_external_array_rounds_match_scalar_on_random_graphs(graph, seed):
     levels = random_levels(graph, seed)
     for page_bytes in (8, 16):
-        for spill_bytes in (0, None):
+        for pool_share in (0.0, 0.25):
             scalar, arrays = both_paths(
-                lambda: external_results(graph, levels, page_bytes, spill_bytes)
+                lambda: external_results(graph, levels, page_bytes, pool_share)
             )
             assert arrays == scalar
 

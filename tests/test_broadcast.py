@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.core.broadcast` (Algorithm 1)."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from repro.core.broadcast import (
     broadcast_levels,
     label_parent_graph,
 )
+from repro.core.construction import build_dk_index
+from repro.datasets.xmark import generate_xmark
 from repro.graph.builder import graph_from_edges
 
 
@@ -104,3 +109,100 @@ def test_broadcast_postconditions(graph, raw_requirements):
             + [levels[c] - 1 for c in children_of]
         )
         assert level == forced
+
+
+# ----------------------------------------------------------------------
+# Requirements of any size
+# ----------------------------------------------------------------------
+
+
+def one_level_per_loop(parent_labels, initial):
+    """The broadcast as it was first written: one pass per level, from
+    the largest requirement down to 1.  Kept as the oracle."""
+    levels = [0] * len(parent_labels)
+    for label, requirement in initial.items():
+        levels[label] = requirement
+    buckets = {}
+    for label, level in enumerate(levels):
+        if level > 0:
+            buckets.setdefault(level, set()).add(label)
+    processed = [False] * len(parent_labels)
+    for level in range(max(levels, default=0), 0, -1):
+        for label in sorted(buckets.get(level, ())):
+            if processed[label] or levels[label] != level:
+                continue
+            processed[label] = True
+            floor = level - 1
+            if floor == 0:
+                continue
+            for parent in parent_labels[label]:
+                if levels[parent] < floor:
+                    levels[parent] = floor
+                    buckets.setdefault(floor, set()).add(parent)
+    return levels
+
+
+@st.composite
+def label_graphs_and_requirements(draw):
+    count = draw(st.integers(1, 8))
+    labels = st.integers(0, count - 1)
+    parent_labels = [
+        draw(st.sets(labels, max_size=3)) for _ in range(count)
+    ]
+    initial = draw(st.dictionaries(labels, st.integers(0, 12)))
+    return parent_labels, initial
+
+
+@given(label_graphs_and_requirements())
+@settings(max_examples=200, deadline=None)
+def test_levels_match_the_one_pass_per_level_oracle(case):
+    parent_labels, initial = case
+    assert broadcast_levels(parent_labels, initial) == one_level_per_loop(
+        parent_labels, initial
+    )
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test, instead of hanging it, if the block overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_alarm = pytest.mark.skipif(
+    not hasattr(signal, "setitimer"), reason="needs SIGALRM"
+)
+
+
+@needs_alarm
+def test_huge_requirement_returns_at_once():
+    # A run ends by round num_nodes, so any level past num_nodes plus
+    # the broadcast's label-graph depth gives the same extents; the
+    # largest int64 requirement must cost no more than such a level.
+    graph = generate_xmark(scale=0.05, seed=0).graph
+    label = graph.label_name(graph.label_ids[graph.num_nodes - 1])
+    enough = graph.num_nodes + graph.num_labels + 1
+    with deadline(20):
+        huge, _ = build_dk_index(graph, {label: 2**63 - 1})
+    expected, _ = build_dk_index(graph, {label: enough})
+    assert huge.freeze().k[huge.node_of[graph.num_nodes - 1]] == 2**63 - 1
+    assert sorted(map(sorted, huge.extents)) == sorted(
+        map(sorted, expected.extents)
+    )
+
+
+@needs_alarm
+@pytest.mark.parametrize("requirement", [2**63, 10**30])
+def test_requirement_past_int64_rejected(requirement):
+    with deadline(20):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            broadcast_levels(chain_parent_labels(), {2: requirement})

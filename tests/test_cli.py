@@ -210,6 +210,24 @@ def test_negative_cli_integers_are_usage_errors(tmp_path, capsys, argv):
     assert "must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "{file}", "site.people", "--k", str(2**63)],
+        ["dot", "{file}", "--max-nodes", str(2**63)],
+    ],
+)
+def test_cli_integers_past_int64_are_usage_errors(tmp_path, capsys, argv):
+    # A requirement past 2**63 - 1 would overflow the int64 copy of k.
+    path = tmp_path / "g.json"
+    main(["generate", "xmark", "--out", str(path), "--scale", "0.03"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as raised:
+        main([arg.format(file=path) for arg in argv])
+    assert raised.value.code == 2
+    assert "must be at most 2**63 - 1" in capsys.readouterr().err
+
+
 def test_bench_named_scale_accepted(capsys):
     # Named scales (small/medium/large) work on every bench experiment.
     code = main(["bench", "fig4", "--scale", "small"])

@@ -1,12 +1,12 @@
-"""The out-of-core ``ExternalEngine``: equivalence, spilling, lifecycle.
+"""The out-of-core ``ExternalEngine``: equivalence, pool pressure, lifecycle.
 
 The broad cross-engine identity checks live in
 ``test_engine_equivalence.py`` (the seeded DAG/cyclic families and the
 driver matrix all run ``engine="external"``).  This file covers what is
-specific to the external path: forced page-pool/spill pressure, the
+specific to the external path: forced page-pool pressure, the
 node-ordered sweeps against their in-memory twins at page sizes down to
 one entry, the page-read I/O bound, the borrowed-vs-owned store
-lifecycle, engine reuse across drivers, and the pool/spill counters the
+lifecycle, engine reuse across drivers, and the pool counters the
 benchmark reports.
 """
 
@@ -39,7 +39,6 @@ from repro.storage.paged import (
     resolve_page_bytes,
 )
 from repro.storage.retry import RetryPolicy
-from repro.storage.spill import SPILL_BUDGET_ENV_VAR
 
 
 def idref_graph(seed, size=180, labels="abcde"):
@@ -68,17 +67,15 @@ def test_external_fixpoint_matches_columnar(graph):
     assert external_rounds == columnar_rounds
 
 
-def test_tiny_budgets_force_spills_and_stay_identical():
+def test_tiny_budgets_force_evictions_and_stay_identical():
     graph = idref_graph(7)
     baseline = ColumnarEngine(graph).run_fixpoint()
-    with ExternalEngine(
-        graph, budget_bytes=512, page_bytes=64, spill_bytes=128
-    ) as engine:
+    with ExternalEngine(graph, budget_bytes=512, page_bytes=64) as engine:
         partition = engine.run_fixpoint()
-        assert engine.spilled_runs > 0  # the spill budget really bit
         stats = engine.stats
-        assert stats.evictions > 0  # so did the page pool
+        assert stats.evictions > 0  # the page pool really bit
         assert stats.hits + stats.misses == stats.accesses
+        assert engine.spilled_runs == 0  # keys never leave memory
     assert partition == baseline
 
 
@@ -124,7 +121,7 @@ def test_materialize_round_trips_the_paged_csr():
     graph = idref_graph(6, size=50)
     view = graph.freeze()
     with ExternalEngine(graph, page_bytes=64) as engine:
-        csr = engine.materialize()
+        csr = engine.paged.to_csr()
     csr.check_invariants()
     assert csr.label_ids == view.label_ids
     assert csr.child_offsets == view.child_offsets
@@ -145,11 +142,9 @@ def test_leveled_run_matches_columnar_under_pressure():
     graph = idref_graph(8, size=120)
     levels = [min(2, graph.label_ids[n] % 3) for n in graph.nodes()]
     baseline = ColumnarEngine(graph).run_leveled(list(levels))
-    with ExternalEngine(
-        graph, budget_bytes=0, page_bytes=64, spill_bytes=64
-    ) as engine:
-        # budget 0 keeps exactly one page resident: every access that
-        # changes page evicts, the worst case for the pool.
+    with ExternalEngine(graph, budget_bytes=0, page_bytes=64) as engine:
+        # budget 0 evicts each page as soon as it is loaded: every
+        # page change is a miss, the worst case for the pool.
         assert engine.run_leveled(list(levels)) == baseline
         assert engine.stats.evictions > 0
 
@@ -170,27 +165,6 @@ def test_failed_page_out_removes_the_owned_temp_store(tmp_path, monkeypatch):
         assert excinfo.value.__cause__.errno == errno.ENOSPC
         # The traceback still holds the half-built engine, and with it
         # the TemporaryDirectory: nothing may survive even so.
-        assert list(tmp_path.glob("dkindex-external-*")) == []
-        del excinfo
-        gc.collect()
-    assert [w for w in caught if w.category is ResourceWarning] == []
-
-
-def test_invalid_spill_budget_fails_before_the_page_out(
-    tmp_path, monkeypatch
-):
-    # The budget is checked before any page is written, so a bad value
-    # costs nothing and leaves no temp store for the finalizer.
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setenv(SPILL_BUDGET_ENV_VAR, "-5")
-    graph = idref_graph(11, size=60)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(PagedStoreError, match="spill budget") as excinfo:
-            ExternalEngine(graph)
-        assert list(tmp_path.glob("dkindex-external-*")) == []
-        with pytest.raises(PagedStoreError, match="spill budget"):
-            ExternalEngine(graph, spill_bytes=-1)
         assert list(tmp_path.glob("dkindex-external-*")) == []
         del excinfo
         gc.collect()
@@ -223,7 +197,7 @@ def test_sweeps_match_in_memory_across_page_boundaries(page_bytes):
     for graph in boundary_graphs():
         columnar = ColumnarEngine(graph)
         with ExternalEngine(
-            graph, budget_bytes=0, page_bytes=page_bytes, spill_bytes=256
+            graph, budget_bytes=0, page_bytes=page_bytes
         ) as external:
             nodes = external._num_nodes
             assert any(
@@ -243,7 +217,7 @@ def test_sweeps_match_in_memory_across_page_boundaries(page_bytes):
                 batch = list(dict.fromkeys(batch))  # unique, unsorted
                 assert external._signature_keys(
                     batch
-                ) == columnar._scalar_keys(batch)
+                ) == columnar._signature_keys(batch)
 
                 members = rng.sample(range(nodes), rng.randrange(2, nodes))
                 cut = rng.randrange(1, len(members))

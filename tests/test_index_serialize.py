@@ -92,14 +92,27 @@ def test_negative_k_rejected():
         index_from_dict(data)
 
 
-@pytest.mark.parametrize("bad", [-1, True])
+@pytest.mark.parametrize("bad", [-1, True, 2**63])
 def test_bad_requirement_values_rejected(bad):
-    # A JSON true would load as the requirement 1 and a negative one
-    # would fail later, in promote, as a raw ValueError.
+    # A JSON true would load as the requirement 1, a negative one would
+    # fail later, in promote, as a raw ValueError, and one past int64
+    # would overflow the first int64 copy of the index's ``k``.
     dk = DKIndex.build(sample_graph(), {"x": 2})
     data = index_to_dict(dk.index, requirements={"x": bad})
     with pytest.raises(SerializationError, match="requirements"):
         index_from_dict(data)
+
+
+def test_k_past_int64_rejected():
+    # Freezing the index copies ``k`` into an int64 buffer, which would
+    # raise a raw OverflowError long after the load.
+    data = index_to_dict(build_ak_index(sample_graph(), 1))
+    data["k"][0] = 2**63
+    with pytest.raises(SerializationError, match="'k'"):
+        index_from_dict(data)
+    data["k"][0] = 2**63 - 1
+    index, _ = index_from_dict(data, validate=False)
+    assert index.freeze().k[0] == 2**63 - 1
 
 
 def test_boolean_k_rejected():

@@ -3,12 +3,12 @@
 Covers the three layers of ``repro.storage``:
 
 - :class:`PagedBufferPool` in isolation (LRU order, byte budget,
-  pin/unpin, dirty write-back, counters) against a dict-backed loader;
+  dirty write-back, counters) against a dict-backed loader;
 - :class:`PagedStore` round-trips, copy-on-write checkpoint
   generations, point-in-time opens, pruning/GC and corruption
   detection (flipped page bytes, truncated pages, bad manifests);
 - :class:`PagedCSRGraph` against the in-memory frozen view it pages
-  out, plus :class:`SpillRuns` merge ordering.
+  out.
 """
 
 import copy
@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from repro.exceptions import PagedStoreError, SerializationError
 from repro.graph.datagraph import DataGraph
-from repro.maintenance.store import unseal
+from repro.maintenance.store import seal, unseal
 from repro.storage.paged import (
     PageCursor,
     PagedBufferPool,
@@ -35,7 +36,6 @@ from repro.storage.paged import (
     resolve_page_bytes,
     resolve_pool_budget,
 )
-from repro.storage.spill import SpillRuns
 
 # ----------------------------------------------------------------------
 # The pool in isolation
@@ -81,20 +81,6 @@ def test_pool_evicts_least_recently_used():
     assert pool.is_resident(("buf", 0))
     assert not pool.is_resident(("buf", 1))
     assert pool.is_resident(("buf", 2))
-
-
-def test_pool_pinned_pages_survive_pressure():
-    pool, _, _ = make_pool(budget_pages=1)
-    pool.pin(("buf", 0))
-    pool.get(("buf", 1))
-    pool.get(("buf", 2))
-    # The pinned page is never the victim, even under a 1-page budget.
-    assert pool.is_resident(("buf", 0))
-    pool.unpin(("buf", 0))
-    pool.get(("buf", 3))
-    assert not pool.is_resident(("buf", 0))
-    with pytest.raises(PagedStoreError):
-        pool.unpin(("buf", 0))
 
 
 def test_pool_dirty_write_back_on_eviction():
@@ -444,45 +430,6 @@ def test_paged_csr_rejects_non_csr_store(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Spill runs
-# ----------------------------------------------------------------------
-
-
-def test_spill_runs_merge_in_position_order():
-    rng = random.Random(11)
-    positions = list(range(300))
-    rng.shuffle(positions)
-    with SpillRuns(budget_bytes=128) as runs:
-        for position in positions:
-            runs.add(position, position.to_bytes(8, "big"))
-        assert runs.runs_spilled > 1  # the budget forced real spills
-        merged = list(runs.merged())
-    assert [p for p, _ in merged] == list(range(300))
-    assert all(
-        int.from_bytes(payload, "big") == position
-        for position, payload in merged
-    )
-
-
-def test_spill_runs_all_in_memory_when_under_budget():
-    with SpillRuns(budget_bytes=1 << 20) as runs:
-        runs.add(2, b"c")
-        runs.add(0, b"a")
-        runs.add(1, b"b")
-        assert runs.runs_spilled == 0
-        assert [p for p, _ in runs.merged()] == [0, 1, 2]
-
-
-def test_spill_runs_rejects_misuse():
-    runs = SpillRuns()
-    with pytest.raises(PagedStoreError):
-        runs.add(-1, b"x")
-    runs.close()
-    with pytest.raises(PagedStoreError):
-        runs.add(0, b"x")
-
-
-# ----------------------------------------------------------------------
 # Generation lifecycle and pool counters (robustness satellites)
 # ----------------------------------------------------------------------
 
@@ -587,13 +534,6 @@ INT_FIELDS = [
     ("meta", "num_nodes"),
 ]
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(), children, max_size=3),
-    max_leaves=6,
-)
-
 
 @pytest.fixture(scope="module")
 def manifest_store(tmp_path_factory):
@@ -647,6 +587,30 @@ def test_manifest_loader_raises_only_paged_store_errors(manifest_store, data):
     try:
         manifest.write_text(damaged, encoding="utf-8")
         _open_both(directory)
+    finally:
+        manifest.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+    ids=["long-int", "deep"],
+)
+@pytest.mark.parametrize("sealed", [True, False], ids=["sealed", "unsealed"])
+def test_manifest_json_the_decoder_refuses_is_a_store_error(
+    manifest_store, literal, sealed
+):
+    # json.loads raises a plain ValueError for an integer literal past
+    # Python's digit limit and RecursionError for deep nesting.
+    directory, manifest, text, document = manifest_store
+    body = json.dumps(document).replace(
+        f'"generation": {document["generation"]}', f'"generation": {literal}', 1
+    )
+    try:
+        manifest.write_text(seal(body) if sealed else body, encoding="utf-8")
+        for open_store in (PagedStore.open, PagedCSRGraph.open):
+            with pytest.raises(PagedStoreError, match="no readable manifest"):
+                open_store(directory)
     finally:
         manifest.write_text(text, encoding="utf-8")
 

@@ -461,3 +461,29 @@ def test_parse_xml_file_read_failures_are_typed(tmp_path):
     malformed.write_text("<a><b></a>", encoding="utf-8")
     with pytest.raises(SerializationError, match="cannot parse XML"):
         parse_xml_file(str(malformed))
+
+
+#: JSON that ``json.loads`` itself refuses with something other than a
+#: ``JSONDecodeError``: an integer literal past Python's 4,300-digit
+#: conversion limit (a plain ``ValueError``) and nesting past the
+#: recursion limit (a ``RecursionError``).
+LONG_INT = "1" * 5000
+DEEP = "[" * 100_000 + "]" * 100_000
+
+UNDECODABLE_TEXTS = {
+    "long-int-body": '{"format": ' + LONG_INT + "}",
+    "long-int-sealed-body": seal('{"format": ' + LONG_INT + "}"),
+    "long-int-footer": '{"format": 1}\n{"format": ' + LONG_INT + "}\n",
+    "deep-body": DEEP,
+    "deep-footer": '{"format": 1}\n' + DEEP + "\n",
+}
+
+
+@pytest.mark.parametrize("text", UNDECODABLE_TEXTS.values(), ids=UNDECODABLE_TEXTS)
+@pytest.mark.parametrize(
+    "load", [load_graph, load_index, load_dk_index, load_query_load],
+    ids=lambda load: load.__name__,
+)
+def test_undecodable_json_is_a_serialization_error(load, text):
+    with pytest.raises(SerializationError):
+        load(io.StringIO(text))

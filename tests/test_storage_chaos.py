@@ -4,8 +4,7 @@ The storage crash matrix (:func:`repro.maintenance.chaos.run_storage_suite`)
 is itself the test of the out-of-core robustness stack; these tests pin
 its headline guarantee (zero silent data loss across >= 20 scenarios)
 and unit-test the pieces it composes: the transient-I/O retry policy,
-the OS-error fault modes, engine degradation, page scrub & repair, and
-the spill-run CRC frames.
+the OS-error fault modes, engine degradation, and page scrub & repair.
 """
 
 import errno
@@ -39,7 +38,6 @@ from repro.storage.retry import (
     io_retry,
     resolve_retry_policy,
 )
-from repro.storage.spill import SpillRuns
 
 # ----------------------------------------------------------------------
 # The storage crash matrix
@@ -318,29 +316,6 @@ def test_scrub_refuses_dirty_pages(tmp_path):
     store.checkpoint()
     assert store.scrub().ok
     store.close()
-
-
-# ----------------------------------------------------------------------
-# Spill-run CRC frames
-# ----------------------------------------------------------------------
-
-
-def test_spill_run_crc_detects_bit_rot(tmp_path):
-    with SpillRuns(budget_bytes=0, directory=tmp_path) as runs:
-        for position in range(8):
-            runs.add(position, position.to_bytes(8, "big"))
-        assert runs.runs_spilled >= 1
-        victim = sorted(tmp_path.iterdir())[0]
-        _flip_byte(victim)
-        with pytest.raises(PagedStoreError, match="CRC"):
-            list(runs.merged())
-
-
-def test_spill_torn_run_fault_point_is_loud(tmp_path):
-    with FaultInjector("storage.spill_torn_run", "raise"):
-        with pytest.raises(InjectedFaultError):
-            with SpillRuns(budget_bytes=0, directory=tmp_path) as runs:
-                runs.add(0, b"payload!")
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from repro.bench.harness import ExperimentConfig, load_dataset
 from repro.core.dindex import DKIndex
 from repro.exceptions import (
@@ -537,6 +538,109 @@ def test_store_with_mistyped_live_journal_line_recovers(tmp_path, framed):
     # A corrupt line past the base is loss by the existing rules.
     assert report.data_loss
     assert answers(report.dk) == answers(dk)
+
+
+# ------------------------- undecodable journal lines -------------------
+
+#: Payloads ``json.loads`` refuses with something other than a
+#: ``JSONDecodeError``: an integer literal past Python's 4,300-digit
+#: conversion limit (a plain ``ValueError``) and nesting past the
+#: recursion limit (a ``RecursionError``).
+UNDECODABLE_PAYLOADS = {
+    "long-int": '{"type":"commit","seq":' + "1" * 5000 + "}",
+    "deep": '{"type":' + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+
+def append_payload(path, payload, framed):
+    line = _frame(payload) if framed else payload + "\n"
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line)
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["crc-framed", "bare-json"])
+@pytest.mark.parametrize(
+    "payload", UNDECODABLE_PAYLOADS.values(), ids=UNDECODABLE_PAYLOADS
+)
+def test_undecodable_journal_line_is_a_corrupt_line(
+    journal_fixture, tmp_path, payload, framed
+):
+    source, pristine_entries, pristine_ops = journal_fixture
+    path = tmp_path / "ops.jsonl"
+    path.write_bytes(source.read_bytes())
+    append_payload(path, payload, framed)
+    line_number = len(pristine_entries) + 1
+    with pytest.raises(JournalError, match=f":{line_number}: malformed"):
+        list(UpdateJournal(path).entries())
+    scan = scan_journal(path)
+    assert scan.corrupt_lines == [line_number]
+    assert scan.committed_ops == pristine_ops
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["crc-framed", "bare-json"])
+@pytest.mark.parametrize(
+    "payload", UNDECODABLE_PAYLOADS.values(), ids=UNDECODABLE_PAYLOADS
+)
+def test_store_with_undecodable_live_journal_line_recovers(
+    tmp_path, payload, framed
+):
+    store, dk = make_checkpointed_store(tmp_path, (2,))
+    journal = store.directory / journal_name(1)
+    append_payload(journal, payload, framed)
+    report = CheckpointStore(store.directory).recover()
+    assert report.recovered
+    assert report.strategy == "snapshot-1+replay"
+    assert report.replayed == 2
+    assert any(f"{journal}:6: corrupt journal line" in issue for issue in report.issues)
+    assert {a.name: a.status for a in report.artifacts}[journal_name(1)] == "corrupt"
+    assert report.data_loss
+    assert answers(report.dk) == answers(dk)
+
+
+ENTRY_KEYS = ["type", "seq", "op", "args", "reason", "index"]
+
+
+@st.composite
+def journal_lines(draw):
+    """One journal line: bare or CRC-framed JSON, or arbitrary text."""
+    kind = draw(st.sampled_from(["json", "entry", "undecodable", "text"]))
+    if kind == "json":
+        payload = json.dumps(draw(json_values))
+    elif kind == "entry":
+        payload = json.dumps(
+            draw(st.dictionaries(st.sampled_from(ENTRY_KEYS), json_values))
+        )
+    elif kind == "undecodable":
+        payload = draw(st.sampled_from(list(UNDECODABLE_PAYLOADS.values())))
+    else:
+        payload = draw(st.text().filter(lambda text: "\n" not in text))
+    if draw(st.booleans()):
+        return _frame(payload)
+    return payload + "\n"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_journal_readers_raise_only_journal_errors(journal_fixture, data):
+    source, _pristine_entries, _pristine_ops = journal_fixture
+    raw = source.read_bytes()
+    raw = raw[: data.draw(st.integers(0, len(raw)))]
+    raw += "".join(data.draw(st.lists(journal_lines(), max_size=4))).encode()
+    raw = raw[: data.draw(st.integers(0, len(raw)))]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "ops.jsonl"
+        path.write_bytes(raw)
+        # The forgiving reader never raises; its lazy base decode and
+        # the strict reader raise JournalError or nothing.
+        scan = scan_journal(path)
+        try:
+            scan.base_document
+        except JournalError:
+            pass
+        try:
+            list(UpdateJournal(path).entries())
+        except JournalError:
+            pass
 
 
 # ------------------------- lazy journal bases ---------------------------
