@@ -16,8 +16,9 @@ help:
 	@echo "  bench      quick paper-experiment benchmark pass (pytest-benchmark)"
 	@echo "  bench-full the same at full scale"
 	@echo "             (wall-clock workloads: python3 perfbench/run.py)"
-	@echo "  chaos      run both chaos suites: update faults + the"
-	@echo "             checkpoint-store durability crash matrix (seed 0)"
+	@echo "  chaos      run the three chaos suites at seed 0: update faults,"
+	@echo "             the checkpoint-store durability crash matrix and"
+	@echo "             the storage crash matrix"
 	@echo "  results    regenerate docs/results-scale-1.0.txt"
 	@echo "  examples   run every example script"
 	@echo "  clean      remove caches and build artifacts"

@@ -1,10 +1,10 @@
 """Frozen columnar (CSR) views of data and index graphs.
 
 The mutable structures — :class:`~repro.graph.datagraph.DataGraph` with
-its per-node ``list[list[int]]`` adjacency, :class:`IndexGraph` with its
-adjacency *sets* and dict-shaped extent bookkeeping — are the right
+its per-node ``tuple[int, ...]`` adjacency rows, :class:`IndexGraph` with
+its adjacency *sets* and dict-shaped extent bookkeeping — are the right
 shape for the paper's additive update model, but every hot refinement
-loop pays for their pointer-chasing: one list object per node, one
+loop pays for their pointer-chasing: one row object per node, one
 ``PyObject*`` per neighbour, re-allocated signature containers per
 round.  Following the flat partition-array representations of Rau et
 al. ("Computing k-Bisimulations for Large Graphs") and Blume et al.

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 
 class Adjacency(Protocol):
-    """Structural typing for anything with parent/child adjacency lists."""
+    """Structural typing for anything with parent/child adjacency rows."""
 
     children: Sequence[Sequence[int]]
     parents: Sequence[Sequence[int]]

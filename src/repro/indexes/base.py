@@ -154,7 +154,7 @@ class IndexGraph:
         pairs, sorted and compared, then added in the order of their
         first data edge, which is the order the scalar loop adds them.
         Edges come from the graph's frozen view when it is current and
-        from its child lists otherwise; a mutated graph is not re-frozen
+        from its child rows otherwise; a mutated graph is not re-frozen
         for this.
         """
         np = columnar._numpy

@@ -285,7 +285,8 @@ class PagedBufferPool:
 
         The returned array stays valid after eviction (the caller holds
         a reference), but mutations to an evicted copy are lost, and
-        :meth:`mark_dirty` accepts only a resident page.
+        :meth:`mark_dirty` accepts only a resident page: change entries
+        through :meth:`write`.
         """
         page = self._pages.get(key)
         if page is not None:
@@ -298,6 +299,21 @@ class PagedBufferPool:
         self._cached_bytes += len(page) * ENTRY_BYTES
         self._shrink()
         return page
+
+    def write(self, key: PageKey, offset: int, value: int) -> None:
+        """Set entry ``offset`` of the page at ``key``.
+
+        The page is written back when it is evicted or flushed.  A pool
+        whose budget holds less than one page has evicted it already,
+        in :meth:`get`; the write then goes through the write-back path
+        at once, with the same retry policy and fault point.
+        """
+        page = self.get(key)
+        page[offset] = value
+        if key in self._pages:
+            self.mark_dirty(key)
+        else:
+            self._write_back(key, page)
 
     def mark_dirty(self, key: PageKey) -> None:
         """Flag a *resident* page as mutated (write back before drop)."""
@@ -1034,10 +1050,7 @@ class PagedStore:
         """Mutate one entry in place (durable at the next checkpoint)."""
         self._check_open()
         page_index, offset = self._locate(name, position)
-        key = (name, page_index)
-        page = self.pool.get(key)
-        page[offset] = value
-        self.pool.mark_dirty(key)
+        self.pool.write((name, page_index), offset, value)
 
     def read_slice(self, name: str, start: int, stop: int) -> "array[int]":
         """Entries ``start:stop`` of buffer ``name`` as one array.

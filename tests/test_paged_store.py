@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values
-from repro.exceptions import PagedStoreError, SerializationError
+from repro.exceptions import InjectedFaultError, PagedStoreError, SerializationError
 from repro.graph.datagraph import DataGraph
+from repro.maintenance.faults import FaultInjector
 from repro.maintenance.store import seal, unseal
 from repro.storage.paged import (
     PageCursor,
@@ -222,6 +223,41 @@ def test_checkpoint_is_copy_on_write(tmp_path):
     # with generation 1, not rewritten.
     assert len(files_after) == len(files_before) + 1
     assert set(files_before) < set(files_after)
+    store.close()
+
+
+def test_write_element_under_a_zero_budget_pool(tmp_path):
+    # A zero budget evicts each page as soon as it is loaded; the write
+    # goes through the write-back path at once instead of being lost.
+    store = PagedStore.create(
+        tmp_path / "s", {"v": range(16)}, page_bytes=64, budget_bytes=0
+    )
+    store.write_element("v", 0, 99)
+    store.write_element("v", 9, -9)
+    assert store.pool.cached_pages == 0 and store.pool.dirty_pages == 0
+    assert store.stats.write_backs == 2
+    assert store.read_element("v", 0) == 99
+    assert store.read_element("v", 9) == -9
+    store.checkpoint()
+    store.close()
+    reopened = PagedStore.open(tmp_path / "s", budget_bytes=0)
+    assert list(reopened.buffer("v")) == [99, *range(1, 9), -9, *range(10, 16)]
+    reopened.close()
+
+
+def test_zero_budget_write_retries_a_transient_write_back_fault(tmp_path):
+    store = PagedStore.create(
+        tmp_path / "s", {"v": range(16)}, page_bytes=64, budget_bytes=0
+    )
+    with FaultInjector(
+        "storage.pool_evict_writeback_fail", "transient"
+    ) as injector:
+        store.write_element("v", 3, 33)
+    assert injector.fired and store.stats.retries >= 1
+    assert store.read_element("v", 3) == 33
+    with FaultInjector("storage.pool_evict_writeback_fail", "raise"):
+        with pytest.raises(InjectedFaultError):
+            store.write_element("v", 4, 44)
     store.close()
 
 

@@ -19,6 +19,7 @@ from repro.exceptions import (
     PagedStoreError,
     StorageDegradationWarning,
 )
+from repro.maintenance import chaos
 from repro.maintenance.chaos import (
     STORAGE_SCENARIOS,
     _fixture_graph,
@@ -64,6 +65,22 @@ def test_storage_matrix_zero_silent_loss(seed, tmp_path):
         "loud",
     ):
         assert counts.get(outcome, 0) > 0, (outcome, counts)
+
+
+def test_storage_rows_do_not_move_when_a_row_is_removed(tmp_path, monkeypatch):
+    # Every scenario runs under the run's seed, not one derived from its
+    # position, so deleting a row leaves every other row's outcome and
+    # counts as they were.
+    full = run_storage_suite(seed=0, work_dir=tmp_path / "full")
+    removed = next(
+        position
+        for position, scenario in enumerate(STORAGE_SCENARIOS)
+        if scenario[4] > 0.0
+    )
+    kept = STORAGE_SCENARIOS[:removed] + STORAGE_SCENARIOS[removed + 1 :]
+    monkeypatch.setattr(chaos, "STORAGE_SCENARIOS", kept)
+    fewer = run_storage_suite(seed=0, work_dir=tmp_path / "fewer")
+    assert fewer.outcomes == full.outcomes[:removed] + full.outcomes[removed + 1 :]
 
 
 def test_storage_scenarios_only_name_registered_points():

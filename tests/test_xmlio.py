@@ -75,7 +75,7 @@ def test_duplicate_id_rejected():
 def test_dangling_idref_dropped_by_default():
     g = parse_xml('<db><ref idref="missing"/></db>', NO_VALUES)
     ref = g.nodes_with_label("ref")[0]
-    assert g.children[ref] == []
+    assert g.children[ref] == ()
 
 
 def test_dangling_idref_strict():
