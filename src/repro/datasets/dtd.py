@@ -429,26 +429,36 @@ class RandomDocumentGenerator:
         graph = DataGraph()
         id_pools: dict[str, list[int]] = {}
         pending_refs: list[tuple[int, str, str]] = []  # (src node, src label, target)
+        # parent_of[v - 1] is node v's tree parent: every node is linked
+        # to its parent as it is created, so the tree edges, in order,
+        # are parent_of[i] -> i + 1, added in one batch.
+        parent_of: list[int] = []
 
-        self._expand(graph, graph.root, decl, 1, rng, id_pools, pending_refs)
+        self._expand(
+            graph, graph.root, decl, 1, rng, id_pools, pending_refs, parent_of
+        )
+        graph.add_edges(parent_of, range(1, graph.num_nodes))
 
         pairs: dict[tuple[str, str], int] = {}
-        wired = 0
+        refs: dict[tuple[int, int], None] = {}
         for source_node, source_label, target_label in pending_refs:
             pool = id_pools.get(target_label)
             if not pool:
                 continue
             target_node = rng.choice(pool)
-            if graph.add_edge_if_absent(source_node, target_node):
-                wired += 1
+            edge = (source_node, target_node)
+            # Skip a repeated reference and one equal to a tree edge.
+            if edge not in refs and parent_of[target_node - 1] != source_node:
+                refs[edge] = None
                 pairs[(source_label, target_label)] = (
                     pairs.get((source_label, target_label), 0) + 1
                 )
+        graph.add_edges([src for src, _ in refs], [dst for _, dst in refs])
         return GeneratedDocument(
             graph=graph,
             id_pools=id_pools,
             reference_pairs=sorted(pairs),
-            num_reference_edges=wired,
+            num_reference_edges=len(refs),
         )
 
     def _count_for(
@@ -489,10 +499,11 @@ class RandomDocumentGenerator:
         rng: random.Random,
         id_pools: dict[str, list[int]],
         pending_refs: list[tuple[int, str, str]],
+        parent_of: list[int],
         forced: bool = False,
     ) -> None:
         node = graph.add_node(decl.name)
-        graph.add_edge(parent, node)
+        parent_of.append(parent)
 
         for attribute in decl.attributes:
             if attribute.kind == "ID":
@@ -503,7 +514,7 @@ class RandomDocumentGenerator:
                     pending_refs.append((node, decl.name, target))
 
         self._expand_particle(
-            graph, node, decl.content, depth, rng, id_pools, pending_refs,
+            graph, node, decl.content, depth, rng, id_pools, pending_refs, parent_of,
             forced=forced,
         )
 
@@ -516,6 +527,7 @@ class RandomDocumentGenerator:
         rng: random.Random,
         id_pools: dict[str, list[int]],
         pending_refs: list[tuple[int, str, str]],
+        parent_of: list[int],
         forced: bool = False,
     ) -> None:
         """Expand one particle under ``node``.
@@ -533,8 +545,8 @@ class RandomDocumentGenerator:
             if forced:
                 return  # text is always optional; minimal mode skips it
             if config.keep_values and rng.random() < config.value_prob:
-                value = graph.add_node(VALUE_LABEL)
-                graph.add_edge(node, value)
+                graph.add_node(VALUE_LABEL)
+                parent_of.append(node)
             return
 
         if particle.occurrence in ("*", "+"):
@@ -557,7 +569,7 @@ class RandomDocumentGenerator:
                     if capped or depth + floor > config.max_depth:
                         break
                 self._expand_particle(
-                    graph, node, once, depth, rng, id_pools, pending_refs,
+                    graph, node, once, depth, rng, id_pools, pending_refs, parent_of,
                     forced=forced or depth + floor > config.max_depth,
                 )
             return
@@ -574,7 +586,7 @@ class RandomDocumentGenerator:
                 return
             self._expand_particle(
                 graph, node, _strip_occurrence(particle), depth, rng,
-                id_pools, pending_refs,
+                id_pools, pending_refs, parent_of,
             )
             return
 
@@ -582,8 +594,8 @@ class RandomDocumentGenerator:
             child_decl = self.dtd.elements.get(particle.name)
             if child_decl is None:
                 # Undeclared child: generate as an empty leaf element.
-                leaf = graph.add_node(particle.name)
-                graph.add_edge(node, leaf)
+                graph.add_node(particle.name)
+                parent_of.append(node)
                 return
             child_floor = self._element_min_depth(particle.name)
             if child_floor >= _UNSATISFIABLE:
@@ -594,14 +606,14 @@ class RandomDocumentGenerator:
                 return
             self._expand(
                 graph, node, child_decl, depth + 1, rng, id_pools,
-                pending_refs,
+                pending_refs, parent_of,
                 forced=forced or depth + child_floor > config.max_depth,
             )
             return
         if isinstance(particle, SeqParticle):
             for item in particle.items:
                 self._expand_particle(
-                    graph, node, item, depth, rng, id_pools, pending_refs,
+                    graph, node, item, depth, rng, id_pools, pending_refs, parent_of,
                     forced=forced,
                 )
             return
@@ -632,7 +644,7 @@ class RandomDocumentGenerator:
                     ]
             chosen = rng.choice(pool)
             self._expand_particle(
-                graph, node, chosen, depth, rng, id_pools, pending_refs,
+                graph, node, chosen, depth, rng, id_pools, pending_refs, parent_of,
                 forced=forced,
             )
             return

@@ -32,8 +32,22 @@ class GraphBuilder:
     """
 
     def __init__(self) -> None:
-        self.graph = DataGraph()
-        self._names: dict[str, int] = {"root": self.graph.root}
+        self._graph = DataGraph()
+        self._names: dict[str, int] = {"root": self._graph.root}
+        # Edges not yet in the graph, in order; added in one batch when
+        # the graph is read, so a node with many children costs linear
+        # time (DataGraph.add_edges).
+        self._pending: dict[tuple[int, int], None] = {}
+
+    @property
+    def graph(self) -> DataGraph:
+        """The graph built so far."""
+        if self._pending:
+            pending, self._pending = self._pending, {}
+            self._graph.add_edges(
+                [src for src, _ in pending], [dst for _, dst in pending]
+            )
+        return self._graph
 
     def id_of(self, name: str) -> int:
         """Return the node id registered under ``name``.
@@ -57,15 +71,22 @@ class GraphBuilder:
         """
         if name in self._names:
             raise GraphError(f"duplicate node name: {name!r}")
-        node = self.graph.add_node(label)
+        node = self._graph.add_node(label)
         self._names[name] = node
         if parent is not None:
-            self.graph.add_edge(self.id_of(parent), node)
+            self._pending[(self.id_of(parent), node)] = None
         return name
 
     def edge(self, src: str, dst: str) -> None:
-        """Add an edge between two named nodes."""
-        self.graph.add_edge(self.id_of(src), self.id_of(dst))
+        """Add an edge between two named nodes.
+
+        Raises:
+            GraphError: if either name is unknown or the edge exists.
+        """
+        edge = (self.id_of(src), self.id_of(dst))
+        if edge in self._pending or self._graph.has_edge(*edge):
+            raise GraphError(f"duplicate edge {edge[0]} -> {edge[1]}")
+        self._pending[edge] = None
 
     def tree(self, spec: TreeSpec, parent: str = "root", prefix: str = "") -> str:
         """Declare a whole subtree from a nested mapping.
@@ -116,8 +137,6 @@ def graph_from_edges(
         'b'
     """
     graph = DataGraph()
-    for label in labels:
-        graph.add_node(label)
-    for src, dst in edges:
-        graph.add_edge(src, dst)
+    graph.add_nodes(labels)
+    graph.add_edges([src for src, _ in edges], [dst for _, dst in edges])
     return graph

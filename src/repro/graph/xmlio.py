@@ -105,14 +105,22 @@ def _element_to_graph(root_element: ET.Element, options: XmlOptions) -> DataGrap
     graph = DataGraph()
     ids: dict[str, int] = {}
     pending: list[_PendingRef] = []
-    _add_element(graph, graph.root, root_element, options, ids, pending)
+    # parent_of[v - 1] is node v's tree parent: every node is linked to
+    # its parent as it is created, so the tree edges, in order, are
+    # parent_of[i] -> i + 1, added in one batch.
+    parent_of: list[int] = []
+    _add_element(graph, graph.root, root_element, options, ids, pending, parent_of)
+    graph.add_edges(parent_of, range(1, graph.num_nodes))
+    refs: dict[tuple[int, int], None] = {}
     for ref in pending:
         target = ids.get(ref.target_id)
         if target is None:
             if options.strict_refs:
                 raise GraphError(f"dangling IDREF: {ref.target_id!r}")
             continue
-        graph.add_edge_if_absent(ref.source_node, target)
+        if parent_of[target - 1] != ref.source_node:  # not a tree edge
+            refs[(ref.source_node, target)] = None
+    graph.add_edges([src for src, _ in refs], [dst for _, dst in refs])
     return graph
 
 
@@ -123,9 +131,10 @@ def _add_element(
     options: XmlOptions,
     ids: dict[str, int],
     pending: list[_PendingRef],
+    parent_of: list[int],
 ) -> int:
     node = graph.add_node(_local_name(element.tag))
-    graph.add_edge(parent, node)
+    parent_of.append(parent)
     for attr_name, attr_value in element.attrib.items():
         name = _local_name(attr_name)
         if name in options.id_attributes:
@@ -137,18 +146,18 @@ def _add_element(
                 pending.append(_PendingRef(source_node=node, target_id=token))
         elif options.keep_attributes:
             attr_node = graph.add_node(name)
-            graph.add_edge(node, attr_node)
+            parent_of.append(node)
             if options.keep_values:
-                value_node = graph.add_node(VALUE_LABEL)
-                graph.add_edge(attr_node, value_node)
+                graph.add_node(VALUE_LABEL)
+                parent_of.append(attr_node)
     if options.keep_values and element.text and element.text.strip():
-        value_node = graph.add_node(VALUE_LABEL)
-        graph.add_edge(node, value_node)
+        graph.add_node(VALUE_LABEL)
+        parent_of.append(node)
     for child in element:
-        _add_element(graph, node, child, options, ids, pending)
+        _add_element(graph, node, child, options, ids, pending, parent_of)
         if options.keep_values and child.tail and child.tail.strip():
-            value_node = graph.add_node(VALUE_LABEL)
-            graph.add_edge(node, value_node)
+            graph.add_node(VALUE_LABEL)
+            parent_of.append(node)
     return node
 
 

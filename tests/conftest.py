@@ -10,6 +10,8 @@ than against itself.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -18,6 +20,32 @@ from hypothesis import strategies as st
 from repro.graph.builder import GraphBuilder
 from repro.graph.datagraph import DataGraph
 from repro.partition.blocks import Partition
+
+# ----------------------------------------------------------------------
+# Deadlines
+# ----------------------------------------------------------------------
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test, instead of hanging it, if the block overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_alarm = pytest.mark.skipif(
+    not hasattr(signal, "setitimer"), reason="needs SIGALRM"
+)
+
 
 # ----------------------------------------------------------------------
 # Reference graphs

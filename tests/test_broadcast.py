@@ -1,13 +1,10 @@
 """Unit tests for :mod:`repro.core.broadcast` (Algorithm 1)."""
 
-import signal
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import deadline, needs_alarm, small_graphs
 from repro.core.broadcast import (
     broadcast_for_graph,
     broadcast_levels,
@@ -160,27 +157,6 @@ def test_levels_match_the_one_pass_per_level_oracle(case):
     assert broadcast_levels(parent_labels, initial) == one_level_per_loop(
         parent_labels, initial
     )
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail the test, instead of hanging it, if the block overruns."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-needs_alarm = pytest.mark.skipif(
-    not hasattr(signal, "setitimer"), reason="needs SIGALRM"
-)
 
 
 @needs_alarm
