@@ -47,7 +47,6 @@ from repro.exceptions import (
 from repro.graph.builder import graph_from_edges
 from repro.graph.columnar import CSRGraph
 from repro.graph.datagraph import DataGraph
-from repro.graph.serialize import graph_to_dict
 from repro.indexes.evaluation import evaluate_on_index
 from repro.maintenance.faults import FaultInjector
 from repro.maintenance.pipeline import MaintenanceConfig, UpdatePipeline
@@ -370,9 +369,10 @@ def run_chaos_suite(
 #: Every durability scenario: which phase of the checkpoint-store
 #: lifecycle is attacked, at which injection point, in which mode, on
 #: which hit of the point (the atomic writes of a checkpoint are hit 1 =
-#: snapshot, hit 2 = journal base, hit 3 = ``CURRENT``; a journal append
-#: is hit 1 = the ``begin`` record, hit 2 = the ``commit``), and a label
-#: for what that hit lands on.
+#: snapshot, hit 2 = journal base, hit 3 = ``CURRENT``; the append phase
+#: runs two operations, one record each, so hit 1 lands on the first
+#: record and hit 2 on the second), and a label for what that hit lands
+#: on.
 DURABILITY_SCENARIOS: tuple[tuple[str, str, str, int, str], ...] = (
     ("checkpoint", "store.torn_write", "raise", 1, "snapshot"),
     ("checkpoint", "store.torn_write", "raise", 2, "journal base"),
@@ -386,8 +386,8 @@ DURABILITY_SCENARIOS: tuple[tuple[str, str, str, int, str], ...] = (
     ("checkpoint", "store.bit_flip", "corrupt", 1, "snapshot"),
     ("checkpoint", "store.bit_flip", "corrupt", 2, "journal base"),
     ("checkpoint", "store.bit_flip", "corrupt", 3, "CURRENT"),
-    ("append", "journal.torn_append", "raise", 1, "begin record"),
-    ("append", "journal.torn_append", "raise", 2, "commit record"),
+    ("append", "journal.torn_append", "raise", 1, "first record"),
+    ("append", "journal.torn_append", "raise", 2, "second record"),
     ("append", "journal.bit_flip", "corrupt", 1, "journal file"),
     ("append", "journal.bit_flip", "corrupt", 2, "journal file"),
     ("recover", "recover.mid_ladder", "raise", 1, "first rung"),
@@ -397,14 +397,16 @@ DURABILITY_SCENARIOS: tuple[tuple[str, str, str, int, str], ...] = (
 #: the fault is armed (its committed history).
 _DURABILITY_HISTORY = 3
 
+#: Operations the append phase runs with the fault armed.
+_APPEND_OPERATIONS = 2
+
 
 def _graph_key(graph: DataGraph) -> tuple[object, ...]:
     """An order-insensitive identity for a data graph's content."""
-    document = graph_to_dict(graph)
     return (
-        tuple(document["labels"]),
-        tuple(document["nodes"]),
-        tuple(sorted((src, dst) for src, dst in document["edges"])),
+        tuple(graph.label_names()),
+        tuple(graph.label_ids),
+        tuple(sorted(graph.edges())),
     )
 
 
@@ -439,11 +441,12 @@ def _run_durability_scenario(
             if phase == "checkpoint":
                 store.checkpoint(dk, pipeline)
             elif phase == "append":
-                src, dst = rng.choice(_new_edge_candidates(dk.graph))
-                pipeline.add_edge(src, dst)
-                if mode == "corrupt":
-                    # No crash: the operation committed durably before
-                    # the injected rot landed somewhere in the journal.
+                for _ in range(_APPEND_OPERATIONS):
+                    src, dst = rng.choice(_new_edge_candidates(dk.graph))
+                    pipeline.add_edge(src, dst)
+                    # Reached only when the record is durable (a crash
+                    # raises out of the loop); injected rot lands in
+                    # the journal after that.
                     prefixes.append((_graph_key(dk.graph), _oracle(dk.graph)))
             else:  # phase == "recover": crash the first recovery attempt
                 CheckpointStore(store_dir).recover()

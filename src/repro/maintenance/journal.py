@@ -1,17 +1,17 @@
 """Write-ahead journaling for D(k)-index updates.
 
-The :class:`UpdateJournal` is a line-oriented file with one entry per
+The :class:`UpdateJournal` is a line-oriented file with one record per
 line.  Since format version 2, every line is framed with a CRC32 of its
 payload so corruption *anywhere* in the file — not just a torn tail —
 is detected and localized to a line number::
 
     9a2b3c4d {"type":"base","seq":0,"index":{...}}
-    11f00e77 {"type":"begin","seq":1,"op":"add_edge","args":{...}}
-    5d6e7f80 {"type":"commit","seq":1}
+    11f00e77 {"type":"op","seq":1,"op":"add_edge","args":{"src":2,"dst":9}}
+    5d6e7f80 {"type":"op","seq":2,"op":"promote","args":{"requirements":null}}
 
 Version-1 journals (bare JSON lines, no checksum) are still readable;
 the two framings may even be mixed, which is what happens when a new
-release appends to an old journal.  The entry vocabulary is unchanged:
+release appends to an old journal.  The records:
 
 - ``{"type": "base", "seq": 0, "index": {...}}`` — a full snapshot of
   the starting :class:`~repro.core.dindex.DKIndex` (the
@@ -20,20 +20,36 @@ release appends to an old journal.  The entry vocabulary is unchanged:
   the atomic writer of :mod:`repro.maintenance.store`, so a crash
   mid-base never leaves a half-written journal head.  Readers check its
   CRC but parse the snapshot only when asked for it.
-- ``{"type": "begin", "seq": n, "op": "add_edge", "args": {...}}`` —
-  appended and flushed *before* the operation touches anything, so a
-  crash mid-operation leaves a dangling ``begin`` rather than silence.
-- ``{"type": "commit", "seq": n}`` / ``{"type": "abort", "seq": n,
-  "reason": "..."}`` — the operation's fate.
+- ``{"type": "op", "seq": n, "op": "add_edge", "args": {...}}`` — one
+  committed operation.  :class:`~repro.maintenance.pipeline.UpdatePipeline`
+  appends it with :meth:`UpdateJournal.commit` inside the operation's
+  transaction, after the operation ran and before the call returns:
+  one write and one ``fsync`` through a file handle the journal keeps
+  open.  A record on disk is an operation that committed; a
+  rolled-back operation writes nothing, and an append that fails rolls
+  its operation back.
+
+An append that fails cuts the file back to the end of the last complete
+record before it re-raises, and a journal re-attached to an existing
+file cuts the torn tail a crash left there, so no record ever lands
+behind half of another.
+
+Journals written before the one-record format hold a ``begin`` record
+(operation and arguments) before each operation and a ``commit`` or
+``abort`` record after it.  They are still read: a ``begin`` counts as
+committed once a ``commit`` of its seq follows, and a ``begin`` without
+one (aborted, or cut off by a crash) is skipped.  New records continue
+such a journal's sequence numbers.
 
 :meth:`UpdateJournal.replay` rebuilds an index by loading the base
-snapshot and re-executing every *committed* operation in sequence order
-— dangling and aborted entries are skipped.  Replay goes through the
-same core update algorithms as live execution, so the replayed index
-partitions the data identically to the journaled one (asserted by the
-maintenance test suite).  :func:`scan_journal` is the forgiving
-variant used by checkpoint recovery: instead of raising on a corrupt
-line it reports the replayable prefix and where the damage sits.
+snapshot and re-executing every committed operation in sequence order.
+Replay goes through the same core update algorithms as live execution,
+so the replayed index partitions the data identically to the journaled
+one (asserted by the maintenance test suite).  :func:`scan_journal` is
+the forgiving variant used by checkpoint recovery: instead of raising
+on a corrupt line it reports the replayable prefix and where the damage
+sits.  Both read lines through :func:`_read_lines` and pair records
+through :func:`_committed`.
 
 Journaled operation names and their argument schemas:
 
@@ -53,10 +69,11 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from io import FileIO
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Mapping, NoReturn
 
-from repro.exceptions import JournalError
+from repro.exceptions import InjectedFaultError, JournalError
 from repro.maintenance.faults import fault_point
 
 if TYPE_CHECKING:  # runtime import stays lazy: the facade imports the
@@ -84,8 +101,10 @@ class JournalEntry:
     seq: int
     op: str = ""
     args: dict[str, Any] = field(default_factory=dict)
-    reason: str = ""
 
+
+#: One committed operation as the readers hand it to replay.
+JournalOp = tuple[int, str, dict[str, Any]]
 
 #: Payload head of a version-2 base record as :func:`_encode_line`
 #: writes it (compact separators, keys in this order).  A CRC-valid
@@ -175,6 +194,7 @@ def _entry_from_record(record: dict[str, Any]) -> JournalEntry:
     seq = record.get("seq", -1)
     op = record.get("op", "")
     args = record.get("args", {})
+    # ``reason`` rides on the ``abort`` records of older journals.
     reason = record.get("reason", "")
     # ``type(seq) is int``: JSON true/false are bools, not sequence numbers.
     if not (
@@ -184,12 +204,15 @@ def _entry_from_record(record: dict[str, Any]) -> JournalEntry:
         and isinstance(reason, str)
     ):
         raise JournalError("journal entry has a field of the wrong type")
-    return JournalEntry(type=kind, seq=seq, op=op, args=dict(args), reason=reason)
+    return JournalEntry(type=kind, seq=seq, op=op, args=dict(args))
 
 
-def _parse_line(
-    line: str,
-) -> tuple[JournalEntry, str | dict[str, Any] | None] | None:
+#: What :func:`_parse_line` makes of an intact line: its entry, plus the
+#: base snapshot (unparsed text or decoded document) on the base line.
+_Parsed = tuple[JournalEntry, str | dict[str, Any] | None]
+
+
+def _parse_line(line: str) -> _Parsed | None:
     """One line's entry, plus the snapshot when it is the base.
 
     A version-2 base line is recognised by its frame and payload head:
@@ -220,26 +243,92 @@ def _parse_line(
     return entry, base if isinstance(base, dict) else None
 
 
+def _read_lines(handle: IO[bytes]) -> Iterator[tuple[int, int, bool, _Parsed | str]]:
+    """``(number, end, terminated, parsed)`` for each non-blank line.
+
+    ``end`` is the byte offset just past the line and ``terminated``
+    whether it ends in a newline.  ``parsed`` is :func:`_parse_line`'s
+    result, or the problem as text for a line that fails its checksum,
+    does not parse or holds a mistyped entry.  The one line reader of
+    :meth:`UpdateJournal.entries`, :func:`scan_journal` and the writer.
+    """
+    end = 0
+    for number, raw in enumerate(handle, start=1):
+        end += len(raw)
+        # errors="replace": an undecodable byte must surface as a
+        # checksum failure on its line, not an untyped UnicodeDecodeError.
+        line = raw.decode("utf-8", errors="replace")
+        if not line.strip():
+            continue
+        parsed: _Parsed | str | None
+        try:
+            parsed = _parse_line(line)
+        except JournalError as error:
+            parsed = str(error)
+        if parsed is None:
+            parsed = "malformed or checksum-failing journal line"
+        yield number, end, raw.endswith(b"\n"), parsed
+
+
+def _committed(entries: Iterable[JournalEntry]) -> tuple[list[JournalOp], list[int]]:
+    """The committed operations among ``entries`` in seq order, and the
+    committed seqs that cannot be replayed.
+
+    An ``op`` record commits itself.  In the older two-record
+    vocabulary a ``begin`` carries the operation and a ``commit`` of its
+    seq commits it; a ``begin`` without one is skipped.  Both writers
+    number operation records 1, 2, 3, … in file order, so a record
+    whose seq skips ahead follows a lost one (say, swallowed into a
+    corrupt base line).  A committed seq whose operation record is lost
+    or follows such a gap ends the replayable history: its successors
+    would be applied to a state that lacks it, so they are unreplayable
+    too.
+    """
+    operations: dict[int, tuple[str, dict[str, Any]]] = {}
+    committed: set[int] = set()
+    contiguous = True
+    for entry in entries:
+        if entry.type in ("op", "begin") and contiguous:
+            contiguous = entry.seq == len(operations) + 1
+            if contiguous:
+                operations[entry.seq] = (entry.op, entry.args)
+        if entry.type in ("op", "commit"):
+            committed.add(entry.seq)
+    replayable: list[JournalOp] = []
+    order = sorted(committed)
+    for position, seq in enumerate(order):
+        if seq not in operations:
+            return replayable, order[position:]
+        op, args = operations[seq]
+        replayable.append((seq, op, args))
+    return replayable, []
+
+
+def _write_all(handle: FileIO, data: bytes) -> None:
+    """Write all of ``data`` through an unbuffered handle, which may
+    take fewer bytes per call than it is given."""
+    view = memoryview(data)
+    while view:
+        view = view[handle.write(view):]
+
+
 class UpdateJournal:
     """Append-only write-ahead journal for one D(k)-index.
 
     Attach with :meth:`open` (writes the base snapshot when the file is
     new); or construct directly over an existing journal file for
-    read-only use (:meth:`entries`, :meth:`replay`).
+    read-only use (:meth:`entries`, :meth:`replay`).  The first
+    :meth:`commit` opens a file handle that later ones reuse; release
+    it with :meth:`close`.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self._handle: FileIO | None = None
         self._next_seq = 1
-        self._open_seqs: set[int] = set()
-        if self.path.exists():
-            for entry in self.entries():
-                if entry.seq >= self._next_seq:
-                    self._next_seq = entry.seq + 1
-                if entry.type == "begin":
-                    self._open_seqs.add(entry.seq)
-                elif entry.type in ("commit", "abort"):
-                    self._open_seqs.discard(entry.seq)
+        # Byte offset just past the last complete record: where a failed
+        # append cuts the file back to.
+        self._end = 0
 
     # ------------------------------------------------------------------
     # Writing
@@ -266,48 +355,115 @@ class UpdateJournal:
             raise JournalError(f"{self.path} already has entries; cannot re-base")
         atomic_write_text(self.path, encode_base_line(encode_index_document(dk)))
 
-    def begin(self, op: str, args: Mapping[str, Any]) -> int:
-        """Record intent to run ``op``; returns the sequence number.
+    def commit(self, op: str, args: Mapping[str, Any]) -> int:
+        """Append committed operation ``op`` durably; returns its seq.
+
+        The record is written and ``fsync``\\ ed before this returns.
 
         Raises:
-            JournalError: for an unknown operation name.
+            JournalError: for an unknown operation name, or when a
+                complete line of the file fails its checks (nothing is
+                appended behind damage; recover the store instead).
+            OSError: when the append fails; the file has been cut back
+                to the end of the last complete record.
         """
         if op not in JOURNALED_OPS:
             raise JournalError(f"unknown journal op {op!r}; use one of {JOURNALED_OPS}")
+        handle = self._handle if self._handle is not None else self._attach()
         seq = self._next_seq
-        self._next_seq += 1
-        self._append({"type": "begin", "seq": seq, "op": op, "args": dict(args)})
-        self._open_seqs.add(seq)
-        return seq
-
-    def commit(self, seq: int) -> None:
-        """Mark operation ``seq`` committed."""
-        self._close(seq, {"type": "commit", "seq": seq})
-
-    def abort(self, seq: int, reason: str = "") -> None:
-        """Mark operation ``seq`` aborted (rolled back)."""
-        self._close(seq, {"type": "abort", "seq": seq, "reason": reason})
-
-    def _close(self, seq: int, record: dict[str, Any]) -> None:
-        if seq not in self._open_seqs:
-            raise JournalError(f"seq {seq} is not an open operation")
-        self._append(record)
-        self._open_seqs.discard(seq)
-
-    def _append(self, record: dict[str, Any]) -> None:
-        line = _encode_line(record)
+        record = {"type": "op", "seq": seq, "op": op, "args": dict(args)}
+        line = _encode_line(record).encode("utf-8")
         half = len(line) // 2
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line[:half])
-            handle.flush()
+        try:
+            _write_all(handle, line[:half])
             # Crash here: a torn tail — the one thing a crashed append
             # may legitimately leave behind; readers stop before it.
             fault_point("journal.torn_append")
-            handle.write(line[half:])
-            handle.flush()
+            _write_all(handle, line[half:])
             os.fsync(handle.fileno())
-        # Bit-rot somewhere in the (now durable) journal.
-        fault_point("journal.bit_flip", path=self.path)
+            # Bit-rot somewhere in the (now durable) journal.
+            fault_point("journal.bit_flip", path=self.path)
+        except InjectedFaultError:
+            # A simulated crash leaves the torn tail, as a real one
+            # would; the next append re-reads the file and cuts it.
+            self.close()
+            raise
+        except BaseException:
+            self._cut_back()
+            raise
+        self._end += len(line)
+        self._next_seq = seq + 1
+        return seq
+
+    def begin(self, *args: object, **kwargs: object) -> NoReturn:
+        """Gone: an operation is journaled by one :meth:`commit` record.
+
+        Kept, with :meth:`abort`, only because ``perfbench/tracing.py``
+        wraps all three names; it deletes with the next benchmark change.
+
+        Raises:
+            JournalError: always.
+        """
+        raise JournalError(
+            "UpdateJournal.begin is gone; journal a committed operation "
+            "with commit(op, args)"
+        )
+
+    def abort(self, *args: object, **kwargs: object) -> NoReturn:
+        """Gone: a rolled-back operation writes no record (see :meth:`begin`).
+
+        Raises:
+            JournalError: always.
+        """
+        raise JournalError(
+            "UpdateJournal.abort is gone; a rolled-back operation is not journaled"
+        )
+
+    def close(self) -> None:
+        """Close the kept file handle; a later :meth:`commit` reopens it."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def _attach(self) -> FileIO:
+        """Open the kept handle behind the file's last complete record.
+
+        Reads the file for the next seq and the end of its last intact
+        line, and cuts anything behind that: the torn tail of a crashed
+        append.  A final record that lost only its newline is kept and
+        terminated.
+        """
+        scan = scan_journal(self.path)
+        if scan.damaged:
+            raise JournalError(
+                f"{self.path}: will not append behind corrupt line(s) "
+                f"{scan.corrupt_lines}; recover the store instead"
+            )
+        handle = open(self.path, "ab", buffering=0)
+        try:
+            os.ftruncate(handle.fileno(), scan.end)
+            if not scan.terminated:
+                _write_all(handle, b"\n")
+        except BaseException:
+            handle.close()
+            raise
+        self._handle = handle
+        self._next_seq = scan.next_seq
+        self._end = scan.end + (0 if scan.terminated else 1)
+        return handle
+
+    def _cut_back(self) -> None:
+        """After a failed append: cut the file back to the last complete
+        record, durably.  If even that fails, drop the handle, so that
+        the next append re-reads the file."""
+        handle = self._handle
+        if handle is None:
+            return
+        try:
+            os.ftruncate(handle.fileno(), self._end)
+            os.fsync(handle.fileno())
+        except OSError:
+            self.close()
 
     # ------------------------------------------------------------------
     # Reading
@@ -327,30 +483,17 @@ class UpdateJournal:
                 are tolerated and end the iteration instead).
         """
         yielded = 0
-        # errors="replace": an undecodable byte must surface as a
-        # checksum failure on its line, not an untyped UnicodeDecodeError.
-        with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                problem = "malformed or checksum-failing journal line"
-                try:
-                    parsed = _parse_line(line)
-                except JournalError as error:
-                    parsed, problem = None, str(error)
-                if parsed is None:
-                    if not line.endswith("\n"):
+        with open(self.path, "rb") as handle:
+            for number, _end, terminated, parsed in _read_lines(handle):
+                if isinstance(parsed, str):
+                    if not terminated:
                         return  # torn final write from a crash
                     raise JournalError(
-                        f"{self.path}:{number}: {problem} "
+                        f"{self.path}:{number}: {parsed} "
                         f"(replayable prefix: {yielded} entries)"
                     )
                 yielded += 1
                 yield parsed[0]
-
-    def dangling(self) -> list[int]:
-        """Sequence numbers with a ``begin`` but no ``commit``/``abort``."""
-        return sorted(self._open_seqs)
 
     # ------------------------------------------------------------------
     # Replay
@@ -371,31 +514,23 @@ class UpdateJournal:
         from repro.core.dindex import DKIndex
         from repro.indexes.serialize import index_from_dict
 
-        saw_base = False
-        begins: dict[int, JournalEntry] = {}
-        committed: list[int] = []
-        for entry in self.entries():
-            if entry.type == "base":
-                if saw_base:
-                    raise JournalError(f"{self.path}: duplicate base snapshot")
-                saw_base = True
-            elif entry.type == "begin":
-                begins[entry.seq] = entry
-            elif entry.type == "commit":
-                committed.append(entry.seq)
-        if not saw_base:
+        entries = list(self.entries())
+        bases = sum(entry.type == "base" for entry in entries)
+        if bases > 1:
+            raise JournalError(f"{self.path}: duplicate base snapshot")
+        if not bases:
             raise JournalError(f"{self.path}: journal has no base snapshot")
+        operations, lost = _committed(entries)
+        if lost:
+            raise JournalError(
+                f"{self.path}: committed seq {lost[0]} has no operation record "
+                "in sequence"
+            )
 
         index, requirements = index_from_dict(self.base_document())
         dk = DKIndex(index.graph, index, requirements or {})
-
-        for seq in sorted(committed):
-            entry = begins.get(seq)
-            if entry is None:
-                raise JournalError(f"{self.path}: commit for unknown seq {seq}")
-            apply_journal_op(
-                dk, entry.op, entry.args, source=f"{self.path} seq {seq}"
-            )
+        for seq, op, args in operations:
+            apply_journal_op(dk, op, args, source=f"{self.path} seq {seq}")
         return dk
 
     def base_document(self) -> dict[str, Any]:
@@ -483,13 +618,12 @@ class JournalScan:
 
     Attributes:
         path: the scanned file.
-        committed_ops: ``(seq, op, args)`` for every operation whose
-            ``begin`` *and* ``commit`` both survived, in seq order,
-            truncated at the first committed seq whose ``begin`` was
-            destroyed — replay must stop at the last consistent point
-            rather than skip a committed operation and apply its
-            successors to the wrong state.
-        dangling: ``begin`` seqs with no verdict (crash mid-operation).
+        committed_ops: ``(seq, op, args)`` for every committed operation
+            (see :func:`_committed`), in seq order, truncated at the
+            first committed seq whose operation record was destroyed —
+            replay must stop at the last consistent point rather than
+            skip a committed operation and apply its successors to the
+            wrong state.
         corrupt_lines: line numbers that failed their checksum, did
             not parse, or held an entry with a field of the wrong
             type.  Line framing resyncs at the next newline, so a
@@ -500,19 +634,23 @@ class JournalScan:
             *not* corruption; that is the normal signature of a
             crashed append.
         lost_ops: committed seqs that cannot be replayed (their
-            ``begin`` record was destroyed, or they follow one that
+            operation record was destroyed, or they follow one that
             was) — definite data loss, to be surfaced by recovery.
         notes: human-readable anomaly descriptions, localized by line.
+        next_seq: one past the highest seq read.
+        end: byte offset just past the last intact line read — where
+            the writer puts its next record.
+        terminated: whether that line ends in a newline.
     """
 
     path: Path
-    committed_ops: list[tuple[int, str, dict[str, Any]]] = field(
-        default_factory=list
-    )
-    dangling: list[int] = field(default_factory=list)
+    committed_ops: list[JournalOp] = field(default_factory=list)
     corrupt_lines: list[int] = field(default_factory=list)
     lost_ops: list[int] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    next_seq: int = 1
+    end: int = 0
+    terminated: bool = True
     # The base line's payload text until base_document parses it.
     _base: str | dict[str, Any] | None = field(
         default=None, init=False, repr=False
@@ -555,24 +693,16 @@ def scan_journal(path: str | Path) -> JournalScan:
     what was lost, not an exception.
     """
     scan = JournalScan(path=Path(path))
-    begins: dict[int, tuple[str, dict[str, Any]]] = {}
-    committed: list[int] = []
-    aborted: set[int] = set()
+    entries: list[JournalEntry] = []
     try:
-        handle = open(scan.path, "r", encoding="utf-8", errors="replace")
+        handle = open(scan.path, "rb")
     except OSError as error:
         scan.notes.append(f"{scan.path}: cannot read: {error}")
         return scan
     with handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                parsed = _parse_line(line)
-            except JournalError:  # a mistyped entry counts as corrupt
-                parsed = None
-            if parsed is None:
-                if not line.endswith("\n"):
+        for number, end, terminated, parsed in _read_lines(handle):
+            if isinstance(parsed, str):
+                if not terminated:
                     scan.notes.append(
                         f"{scan.path}:{number}: torn final line "
                         "(crashed append; entry never committed)"
@@ -594,30 +724,17 @@ def scan_journal(path: str | Path) -> JournalScan:
                 )
                 break
             entry, base = parsed
-            if entry.type == "base":
-                if base is not None and scan._base is None:
-                    scan._base = base
-            elif entry.type == "begin":
-                begins[entry.seq] = (entry.op, entry.args)
-            elif entry.type == "commit":
-                committed.append(entry.seq)
-            elif entry.type == "abort":
-                aborted.add(entry.seq)
-    for seq in sorted(committed):
-        if seq not in begins:
-            scan.notes.append(
-                f"{scan.path}: commit for seq {seq} has no surviving begin; "
-                "replay stops at the last consistent point before it"
-            )
-            break
-        op, args = begins.pop(seq)
-        scan.committed_ops.append((seq, op, args))
-    replayable = {seq for seq, _op, _args in scan.committed_ops}
-    committed_seqs = set(committed)
-    scan.lost_ops = sorted(committed_seqs - replayable)
-    scan.dangling = sorted(
-        seq
-        for seq in begins
-        if seq not in aborted and seq not in committed_seqs
-    )
+            scan.end, scan.terminated = end, terminated
+            scan.next_seq = max(scan.next_seq, entry.seq + 1)
+            if entry.type != "base":
+                entries.append(entry)
+            elif base is not None and scan._base is None:
+                scan._base = base
+    scan.committed_ops, scan.lost_ops = _committed(entries)
+    if scan.lost_ops:
+        scan.notes.append(
+            f"{scan.path}: committed seq {scan.lost_ops[0]} has no operation "
+            "record in sequence; replay stops at the last consistent point "
+            "before it"
+        )
     return scan

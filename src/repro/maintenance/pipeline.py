@@ -4,13 +4,15 @@ Every mutating operation on a :class:`~repro.core.dindex.DKIndex` runs
 through :class:`UpdatePipeline`, which wraps the core algorithms in four
 layers:
 
-1. **Journal** (optional): the operation and its arguments are appended
-   to the :class:`~repro.maintenance.journal.UpdateJournal` *before* the
-   first write, and marked ``commit``/``abort`` after.
-2. **Transaction**: the touched state is checkpointed
+1. **Transaction**: the touched state is checkpointed
    (:class:`~repro.maintenance.transaction.UpdateTransaction`); any
-   exception rolls the (graph, index) pair back bit-identically, the
-   journal records the abort, and the exception propagates.
+   exception rolls the (graph, index) pair back bit-identically and
+   propagates.
+2. **Journal** (optional): once the operation has run, still inside
+   the transaction, one record of the operation and its arguments is
+   appended to the :class:`~repro.maintenance.journal.UpdateJournal`
+   and ``fsync``\\ ed.  A failed append rolls the operation back like
+   any other exception; a rolled-back operation leaves no record.
 3. **Audit**: after a committed operation the index is audited at the
    configured tier (:data:`~repro.maintenance.audit.AUDIT_ENV_VAR`
    selects ``off``/``fast``/``deep``).
@@ -18,8 +20,8 @@ layers:
    :func:`~repro.maintenance.repair.repair_index`; a successful repair
    swaps the healed index in and lifts the quarantine, anything else
    raises :class:`~repro.exceptions.QuarantineError`.  The journal keeps
-   its ``commit`` either way — replay from the base snapshot is the
-   recovery path of last resort.
+   the operation's record either way — replay from the base snapshot
+   is the recovery path of last resort.
 
 The pipeline is the default update path of the facade: ``DKIndex`` with
 no arguments gets transactions and the environment-selected audit tier
@@ -245,17 +247,13 @@ class UpdatePipeline:
                 "index is quarantined (audit failed, repair did not converge); "
                 "replay the journal or rebuild before further updates"
             )
-        seq = self.journal.begin(op, args) if self.journal is not None else None
-        try:
-            with UpdateTransaction(self.dk.graph, self.dk.index, scope, edge):
-                result = action()
-                fault_point("pipeline.pre_audit", self.dk.index)
-        except Exception as error:
-            if seq is not None and self.journal is not None:
-                self.journal.abort(seq, reason=f"{type(error).__name__}: {error}")
-            raise
-        if seq is not None and self.journal is not None:
-            self.journal.commit(seq)
+        with UpdateTransaction(self.dk.graph, self.dk.index, scope, edge):
+            result = action()
+            fault_point("pipeline.pre_audit", self.dk.index)
+            if self.journal is not None:
+                # Durable before the call returns; a failed append
+                # rolls the operation back with the transaction.
+                self.journal.commit(op, args)
         return result
 
     @staticmethod

@@ -347,7 +347,7 @@ class RecoveryReport:
         artifacts: per-file verdicts (snapshots, journals, ``CURRENT``).
         rungs: ladder rungs attempted, in order, each deep-audited.
         issues: anomalies — corrupt lines localized by path and line
-            number, torn tails, dangling begins, swept temp files.
+            number, torn tails, swept temp files.
         replayed: committed operations re-executed by the winning rung.
         data_loss: True when committed journal entries were destroyed by
             mid-file corruption and could not be recovered from any
@@ -481,7 +481,7 @@ class CheckpointStore:
         snapshot first (redundant with the old journal until the next
         step), then the fresh journal with its base, then ``CURRENT``,
         then pruning.  When ``pipeline`` is given its journal is
-        repointed at the fresh file.
+        closed and repointed at the fresh file.
         """
         generation = self.current_generation() + 1
         info = self._write_generation(generation, dk)
@@ -489,6 +489,8 @@ class CheckpointStore:
         if pipeline is not None:
             from repro.maintenance.journal import UpdateJournal
 
+            if pipeline.journal is not None:
+                pipeline.journal.close()
             pipeline.journal = UpdateJournal(info.journal_path)
         return info
 

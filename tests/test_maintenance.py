@@ -6,6 +6,7 @@ ends in a repaired (re-audited) index — and with a journal attached, the
 whole history replays from the base snapshot to the same partition.
 """
 
+import errno
 import random
 
 import pytest
@@ -30,11 +31,13 @@ from repro.maintenance.audit import (
     scoped_fast_ok,
 )
 from repro.maintenance.faults import FAULT_POINTS, FaultInjector, inject_faults
+from repro.maintenance import journal as journal_module
 from repro.maintenance.journal import (
     JOURNAL_VERSION,
     JOURNALED_OPS,
     UpdateJournal,
     _decode_line,
+    _encode_line,
     scan_journal,
 )
 from repro.maintenance import pipeline as pipeline_module
@@ -202,19 +205,28 @@ def test_transaction_rejects_foreign_index():
 # ------------------------- journal -------------------------------------
 
 
-def test_journal_records_begin_commit_and_abort(tmp_path):
+def test_journal_records_one_record_per_committed_operation(tmp_path):
     path = tmp_path / "journal.jsonl"
     dk = make_store(journal_path=path)
     dk.add_edge(2, 9)
     with pytest.raises(UpdateError):
-        dk.add_edge(2, 9)  # duplicate: raises, rolls back, journals abort
+        dk.add_edge(2, 9)  # duplicate: raises and rolls back, no record
+    dk.add_edge(3, 5)
     entries = list(UpdateJournal(path).entries())
-    types = [entry.type for entry in entries]
-    assert types == ["base", "begin", "commit", "begin", "abort"]
-    assert entries[1].op == "add_edge"
-    assert entries[1].args == {"src": 2, "dst": 9}
-    assert "UpdateError" in entries[4].reason
-    assert UpdateJournal(path).dangling() == []
+    assert [(entry.type, entry.seq, entry.op, entry.args) for entry in entries] == [
+        ("base", 0, "", {}),
+        ("op", 1, "add_edge", {"src": 2, "dst": 9}),
+        ("op", 2, "add_edge", {"src": 3, "dst": 5}),
+    ]
+
+
+def test_begin_and_abort_are_stubs_that_raise(tmp_path):
+    journal = UpdateJournal.open(tmp_path / "j.jsonl", make_store())
+    with pytest.raises(JournalError, match="commit"):
+        journal.begin("add_edge", {"src": 2, "dst": 9})
+    with pytest.raises(JournalError):
+        journal.abort(1, reason="rolled back")
+    assert [entry.type for entry in journal.entries()] == ["base"]
 
 
 def test_journal_base_written_once(tmp_path):
@@ -233,7 +245,7 @@ def test_journal_rejects_unknown_op(tmp_path):
     dk = make_store()
     journal = UpdateJournal.open(tmp_path / "j.jsonl", dk)
     with pytest.raises(JournalError):
-        journal.begin("compact", {})
+        journal.commit("compact", {})
     assert "compact" not in JOURNALED_OPS
 
 
@@ -242,9 +254,9 @@ def test_journal_tolerates_torn_final_line(tmp_path):
     dk = make_store(journal_path=path)
     dk.add_edge(2, 9)
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"type": "begin", "seq": 99')  # crash mid-write
+        handle.write('{"type": "op", "seq": 99')  # crash mid-write
     journal = UpdateJournal(path)
-    assert [e.type for e in journal.entries()] == ["base", "begin", "commit"]
+    assert [e.type for e in journal.entries()] == ["base", "op"]
     replayed = journal.replay()
     assert replayed.graph.has_edge(2, 9)
 
@@ -277,12 +289,12 @@ def test_mid_file_corruption_names_path_line_and_prefix(tmp_path):
     dk.add_edge(2, 9)
     dk.add_edge(3, 5)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[3] = "deadbeef" + lines[3][8:]  # destroy the second begin
+    lines[2] = "deadbeef" + lines[2][8:]  # destroy the second record
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(JournalError) as error:
         list(UpdateJournal(path).entries())
-    assert f"{path}:4" in str(error.value)
-    assert "replayable prefix: 3 entries" in str(error.value)
+    assert f"{path}:3" in str(error.value)
+    assert "replayable prefix: 2 entries" in str(error.value)
 
 
 def test_scan_journal_stops_at_corrupt_operation_record(tmp_path):
@@ -291,10 +303,10 @@ def test_scan_journal_stops_at_corrupt_operation_record(tmp_path):
     dk.add_edge(2, 9)
     dk.add_edge(3, 5)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[3] = "deadbeef" + lines[3][8:]
+    lines[2] = "deadbeef" + lines[2][8:]
     path.write_text("".join(lines), encoding="utf-8")
     scan = scan_journal(path)  # forgiving twin of entries(): never raises
-    assert scan.damaged and scan.corrupt_lines == [4]
+    assert scan.damaged and scan.corrupt_lines == [3]
     assert scan.committed_ops == [(1, "add_edge", {"src": 2, "dst": 9})]
     assert any("unrecoverable" in note for note in scan.notes)
 
@@ -320,16 +332,126 @@ def test_replay_requires_base(tmp_path):
 
 
 def test_dangling_begin_is_skipped_by_replay(tmp_path):
+    # A begin record without its commit, as older journals hold after
+    # a crash mid-operation.
     path = tmp_path / "journal.jsonl"
     dk = make_store(journal_path=path)
     dk.add_edge(2, 9)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"type":"begin","seq":77,"op":"add_edge","args":{"src":3,"dst":8}}\n')
-    journal = UpdateJournal(path)
-    assert journal.dangling() == [77]
-    replayed = journal.replay()
+    replayed = UpdateJournal(path).replay()
     assert replayed.graph.has_edge(2, 9)
     assert not replayed.graph.has_edge(3, 8)
+
+
+def committed_edges(path):
+    """``(src, dst)`` of every committed ``add_edge`` in the journal."""
+    scan = scan_journal(path)
+    assert not scan.damaged, scan.notes
+    return [(args["src"], args["dst"]) for _seq, _op, args in scan.committed_ops]
+
+
+def test_reattached_journal_cuts_a_torn_tail_before_appending(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    dk = make_store(journal_path=path)
+    dk.add_edge(2, 9)
+    line = _encode_line(
+        {"type": "op", "seq": 2, "op": "add_edge", "args": {"src": 4, "dst": 8}}
+    )
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])  # a crash mid-append
+    reattached = UpdateJournal(path).replay()
+    reattached.maintenance = MaintenanceConfig(journal_path=path)
+    reattached.add_edge(3, 5)
+    reattached.add_edge(1, 10)
+    assert committed_edges(path) == [(2, 9), (3, 5), (1, 10)]
+    replayed = UpdateJournal(path).replay()
+    assert state_fingerprint(replayed.graph, replayed.index) == state_fingerprint(
+        reattached.graph, reattached.index
+    )
+
+
+@pytest.mark.parametrize("mode", ["enospc", "transient"])
+def test_failed_append_rolls_back_and_cuts_the_file_back(tmp_path, mode):
+    path = tmp_path / "journal.jsonl"
+    dk = make_store(journal_path=path)
+    dk.add_edge(2, 9)
+    before = state_fingerprint(dk.graph, dk.index)
+    durable = path.read_bytes()
+    with pytest.raises(OSError):
+        with FaultInjector("journal.torn_append", mode):
+            dk.add_edge(3, 5)  # half the record written, then the error
+    assert state_fingerprint(dk.graph, dk.index) == before
+    assert path.read_bytes() == durable
+    dk.add_edge(1, 10)
+    assert committed_edges(path) == [(2, 9), (1, 10)]
+
+
+def test_failed_fsync_rolls_back_and_cuts_the_record(tmp_path, monkeypatch):
+    path = tmp_path / "journal.jsonl"
+    dk = make_store(journal_path=path)
+    dk.add_edge(2, 9)
+    before = state_fingerprint(dk.graph, dk.index)
+    durable = path.read_bytes()
+    real_fsync = journal_module.os.fsync
+    calls = []
+
+    def fsync_failing_once(fd):
+        calls.append(fd)
+        if len(calls) == 1:
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(journal_module.os, "fsync", fsync_failing_once)
+    with pytest.raises(OSError, match="fsync"):
+        dk.add_edge(3, 5)  # the whole record written, its fsync fails
+    assert state_fingerprint(dk.graph, dk.index) == before
+    assert path.read_bytes() == durable
+    dk.add_edge(1, 10)
+    assert committed_edges(path) == [(2, 9), (1, 10)]
+
+
+def test_simulated_crash_mid_append_leaves_the_torn_tail(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    dk = make_store(journal_path=path)
+    dk.add_edge(2, 9)
+    durable = path.read_bytes()
+    with pytest.raises(InjectedFaultError):
+        with inject_faults("journal.torn_append"):
+            dk.add_edge(3, 5)
+    torn = path.read_bytes()
+    assert torn.startswith(durable) and len(torn) > len(durable)
+    assert not torn.endswith(b"\n")
+    assert [entry.type for entry in UpdateJournal(path).entries()] == ["base", "op"]
+    # The same process carries on: the next append cuts the tail first.
+    dk.add_edge(1, 10)
+    assert committed_edges(path) == [(2, 9), (1, 10)]
+
+
+def test_final_record_without_its_newline_is_kept_and_terminated(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    make_store(journal_path=path).add_edge(2, 9)
+    path.write_bytes(path.read_bytes()[:-1])  # the newline never landed
+    reattached = UpdateJournal(path).replay()
+    assert reattached.graph.has_edge(2, 9)
+    reattached.maintenance = MaintenanceConfig(journal_path=path)
+    reattached.add_edge(3, 5)
+    assert committed_edges(path) == [(2, 9), (3, 5)]
+
+
+def test_append_refuses_a_journal_with_a_corrupt_line(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    make_store(journal_path=path).add_edge(2, 9)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = "deadbeef" + lines[1][8:]
+    path.write_text("".join(lines), encoding="utf-8")
+    damaged = path.read_bytes()
+    dk = make_store(journal_path=path)
+    before = state_fingerprint(dk.graph, dk.index)
+    with pytest.raises(JournalError, match="corrupt"):
+        dk.add_edge(3, 5)
+    assert state_fingerprint(dk.graph, dk.index) == before
+    assert path.read_bytes() == damaged
 
 
 def test_replay_partition_identical_after_random_edge_sequence(tmp_path):
@@ -522,7 +644,7 @@ def test_pipeline_quarantines_without_auto_repair():
         dk.add_edge(3, 8)  # further updates refused while quarantined
 
 
-def test_pipeline_rolls_back_and_journals_raise_faults(tmp_path):
+def test_pipeline_rolls_back_raise_faults_and_journals_nothing(tmp_path):
     path = tmp_path / "journal.jsonl"
     dk = make_store(journal_path=path)
     before = state_fingerprint(dk.graph, dk.index)
@@ -531,7 +653,7 @@ def test_pipeline_rolls_back_and_journals_raise_faults(tmp_path):
             dk.add_edge(2, 9)
     assert state_fingerprint(dk.graph, dk.index) == before
     types = [entry.type for entry in UpdateJournal(path).entries()]
-    assert types == ["base", "begin", "abort"]
+    assert types == ["base"]
 
 
 def test_pipeline_batch_is_atomic():

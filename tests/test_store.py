@@ -10,6 +10,8 @@ it could not get back.
 """
 
 import json
+import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values
-from repro.bench.harness import ExperimentConfig, load_dataset
+from repro.bench.harness import (
+    ExperimentConfig,
+    load_dataset,
+    sample_reference_edges,
+)
 from repro.core.dindex import DKIndex
 from repro.exceptions import (
     CheckpointError,
@@ -27,16 +33,18 @@ from repro.exceptions import (
     RecoveryError,
     SerializationError,
 )
+from repro.datasets.nasa import generate_nasa
 from repro.graph.builder import graph_from_edges
 from repro.graph.serialize import load_graph, save_graph
 from repro.indexes.evaluation import evaluate_on_index
 from repro.indexes.serialize import index_to_dict, load_dk_index, save_dk_index
 from repro.maintenance.chaos import run_durability_suite
-from repro.maintenance.faults import inject_faults
+from repro.maintenance.faults import FaultInjector, inject_faults
 from repro.maintenance.journal import (
     UpdateJournal,
     _encode_line,
     _frame,
+    encode_base_line,
     scan_journal,
 )
 from repro.maintenance.pipeline import UpdatePipeline
@@ -53,6 +61,7 @@ from repro.maintenance.store import (
     unseal,
 )
 from repro.paths.query import make_query
+from repro.workload.generator import WorkloadConfig, generate_test_paths
 
 
 def small_dk():
@@ -223,8 +232,8 @@ def journal_fixture(tmp_path_factory):
     path = base / "ops.jsonl"
     journal = UpdateJournal.open(path, dk)
     for src, dst in ((2, 9), (3, 5), (6, 8)):
-        seq = journal.begin("add_edge", {"src": src, "dst": dst})
-        journal.commit(seq)
+        journal.commit("add_edge", {"src": src, "dst": dst})
+    journal.close()
     pristine = list(UpdateJournal(path).entries())
     committed = scan_journal(path).committed_ops
     return path, pristine, committed
@@ -290,8 +299,8 @@ def test_mixed_framing_v1_base_v2_appends(tmp_path):
         encoding="utf-8",
     )
     journal = UpdateJournal(path)  # a new release appending to an old file
-    seq = journal.begin("add_edge", {"src": 2, "dst": 9})
-    journal.commit(seq)
+    assert journal.commit("add_edge", {"src": 2, "dst": 9}) == 1
+    journal.close()
     scan = scan_journal(path)
     assert scan.committed_ops == [(1, "add_edge", {"src": 2, "dst": 9})]
     assert not scan.damaged
@@ -454,8 +463,8 @@ def test_destroyed_operation_record_recovers_point_in_time(tmp_path):
     store, dk_oracle = make_checkpointed_store(tmp_path, (3,))
     journal = store.directory / journal_name(1)
     lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
-    # Line 4 is the begin of seq 2; destroying it loses seq 2 and 3.
-    lines[3] = "deadbeef" + lines[3][8:]
+    # Line 3 is the record of seq 2; destroying it loses seq 2 and 3.
+    lines[2] = "deadbeef" + lines[2][8:]
     journal.write_text("".join(lines), encoding="utf-8")
     report = CheckpointStore(store.directory).recover()
     assert report.recovered
@@ -468,6 +477,121 @@ def test_destroyed_operation_record_recovers_point_in_time(tmp_path):
 
     dk_add_edge(dk.graph, dk.index, 2, 9)
     assert answers(report.dk) == answers(dk)
+
+
+def test_failed_append_on_a_paper_store_loses_nothing(tmp_path):
+    document = generate_nasa(scale=0.05, seed=0)
+    load = generate_test_paths(document.graph, WorkloadConfig(count=20), seed=0)
+    dk = DKIndex.from_query_load(document.graph, load)
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    dk.maintenance = store.maintenance_config()
+    edges = sample_reference_edges(
+        dk.graph, document.reference_pairs, 6, random.Random(0)
+    )
+    dk.add_edge(*edges[0])
+    # The second operation's record fails with ENOSPC halfway through.
+    with FaultInjector("journal.torn_append", "enospc"):
+        with pytest.raises(OSError):
+            dk.add_edge(*edges[1])
+    assert not dk.graph.has_edge(*edges[1])
+    for edge in edges[2:]:
+        dk.add_edge(*edge)
+    report = CheckpointStore(store.directory).recover()
+    assert report.recovered and not report.data_loss, report.format()
+    assert report.replayed == 5
+    assert sorted(report.dk.graph.edges()) == sorted(dk.graph.edges())
+    assert report.dk.index.node_of == dk.index.node_of
+    assert report.dk.index.k == dk.index.k
+
+
+def write_parent_format_store(directory, dk, records):
+    """A one-generation store as releases before one-record journals
+    wrote it: the graph document holds ``[src, dst]`` edge pairs
+    (version 1), and the journal holds ``records`` behind its base."""
+    graph = dk.graph
+    document = index_to_dict(
+        dk.index, embed_graph=True, requirements=dict(dk.requirements)
+    )
+    document["graph"] = {
+        "format": "repro-datagraph",
+        "version": 1,
+        "labels": list(graph.label_names()),
+        "nodes": list(graph.label_ids),
+        "edges": [[src, dst] for src, dst in graph.edges()],
+    }
+    body = json.dumps(document, separators=(",", ":"))
+    directory.mkdir()
+    atomic_write_text(directory / snapshot_name(1), seal(body))
+    journal = encode_base_line(body) + "".join(map(_encode_line, records))
+    atomic_write_text(directory / journal_name(1), journal)
+    atomic_write_document(
+        directory / CURRENT_NAME,
+        {"format": "repro-checkpoint-current", "version": 1, "generation": 1},
+    )
+
+
+def test_parent_format_store_recovers_and_continues(tmp_path):
+    def add(seq, src, dst):
+        return {"type": "begin", "seq": seq, "op": "add_edge",
+                "args": {"src": src, "dst": dst}}
+
+    directory = tmp_path / "store"
+    write_parent_format_store(directory, small_dk(), [
+        add(1, 2, 9), {"type": "commit", "seq": 1},
+        add(2, 2, 9), {"type": "abort", "seq": 2, "reason": "UpdateError: dup"},
+        add(3, 6, 8), {"type": "commit", "seq": 3},
+        add(4, 3, 5),  # dangling: the process crashed mid-operation
+    ])
+    torn = _encode_line(add(5, 9, 4))
+    with open(directory / journal_name(1), "a", encoding="utf-8") as handle:
+        handle.write(torn[: len(torn) // 2])
+    expected = small_dk()
+    from repro.core.updates import dk_add_edge
+
+    for src, dst in ((2, 9), (6, 8)):
+        dk_add_edge(expected.graph, expected.index, src, dst)
+
+    store = CheckpointStore(directory)
+    report = store.recover()
+    assert report.recovered and not report.data_loss, report.format()
+    assert report.strategy == "snapshot-1+replay"
+    assert report.replayed == 2
+    assert answers(report.dk) == answers(expected)
+    assert sorted(report.dk.graph.edges()) == sorted(expected.graph.edges())
+
+    # This release continues the old journal: the torn tail goes, and
+    # its records follow the old ones' sequence numbers.
+    dk = report.dk
+    dk.maintenance = store.maintenance_config()
+    dk.add_edge(10, 1)
+    assert scan_journal(store.journal_path).committed_ops[-1] == (
+        5, "add_edge", {"src": 10, "dst": 1},
+    )
+    again = CheckpointStore(directory).recover()
+    assert again.replayed == 3 and not again.data_loss, again.format()
+    assert answers(again.dk) == answers(dk)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/fd").is_dir(), reason="counts descriptors in /proc/self/fd"
+)
+def test_checkpoints_with_a_pipeline_leak_no_descriptors(tmp_path):
+    dk = small_dk()
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    pipeline = UpdatePipeline(dk, store.maintenance_config(audit="off"))
+    pipeline.add_edge(2, 9)  # the journal opens its kept handle
+    open_before = len(os.listdir("/proc/self/fd"))
+    replaced = []
+    for number in range(50):
+        # Still referenced, so only the checkpoint's close() frees it.
+        replaced.append(pipeline.journal)
+        store.checkpoint(dk, pipeline)
+        if number % 2:
+            pipeline.add_edge(2, 9)
+        else:
+            pipeline.remove_edge(2, 9)
+    assert len(os.listdir("/proc/self/fd")) == open_before
+    assert len({id(journal) for journal in replaced}) == 50
 
 
 def test_crash_mid_ladder_then_rerun_recovers(tmp_path):
@@ -532,7 +656,7 @@ def test_store_with_mistyped_live_journal_line_recovers(tmp_path, framed):
     assert report.recovered
     assert report.strategy == "snapshot-1+replay"
     assert report.replayed == 2
-    assert any(f"{journal}:6: corrupt journal line" in issue for issue in report.issues)
+    assert any(f"{journal}:4: corrupt journal line" in issue for issue in report.issues)
     statuses = {a.name: a.status for a in report.artifacts}
     assert statuses[journal_name(1)] == "corrupt"
     # A corrupt line past the base is loss by the existing rules.
@@ -591,7 +715,7 @@ def test_store_with_undecodable_live_journal_line_recovers(
     assert report.recovered
     assert report.strategy == "snapshot-1+replay"
     assert report.replayed == 2
-    assert any(f"{journal}:6: corrupt journal line" in issue for issue in report.issues)
+    assert any(f"{journal}:4: corrupt journal line" in issue for issue in report.issues)
     assert {a.name: a.status for a in report.artifacts}[journal_name(1)] == "corrupt"
     assert report.data_loss
     assert answers(report.dk) == answers(dk)
@@ -676,9 +800,7 @@ def test_checkpoint_with_pipeline_decodes_no_journal_base(tmp_path, base_decodes
     pipeline.add_edge(2, 9)
     store.checkpoint(dk, pipeline)
     pipeline.add_edge(3, 5)
-    assert [entry.type for entry in pipeline.journal.entries()] == [
-        "base", "begin", "commit",
-    ]
+    assert [entry.type for entry in pipeline.journal.entries()] == ["base", "op"]
     assert base_decodes == []
 
 
