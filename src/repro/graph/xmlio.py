@@ -109,7 +109,7 @@ def _element_to_graph(root_element: ET.Element, options: XmlOptions) -> DataGrap
     # its parent as it is created, so the tree edges, in order, are
     # parent_of[i] -> i + 1, added in one batch.
     parent_of: list[int] = []
-    _add_element(graph, graph.root, root_element, options, ids, pending, parent_of)
+    _add_elements(graph, root_element, options, ids, pending, parent_of)
     graph.add_edges(parent_of, range(1, graph.num_nodes))
     refs: dict[tuple[int, int], None] = {}
     for ref in pending:
@@ -124,6 +124,42 @@ def _element_to_graph(root_element: ET.Element, options: XmlOptions) -> DataGrap
     return graph
 
 
+def _add_elements(
+    graph: DataGraph,
+    root_element: ET.Element,
+    options: XmlOptions,
+    ids: dict[str, int],
+    pending: list[_PendingRef],
+    parent_of: list[int],
+) -> None:
+    """Add ``root_element`` and everything below it, in document order.
+
+    Depth-first with an explicit stack of open elements, so nesting
+    depth is not bounded by the interpreter's recursion limit.  An
+    element's node, its attributes and its text come before its
+    children; a child's tail text becomes a ``VALUE`` node of the parent
+    once the child's subtree is done.
+    """
+    root_node = _add_element(
+        graph, graph.root, root_element, options, ids, pending, parent_of
+    )
+    stack = [(root_element, root_node, iter(root_element))]
+    while stack:
+        element, node, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            child_node = _add_element(
+                graph, node, child, options, ids, pending, parent_of
+            )
+            stack.append((child, child_node, iter(child)))
+            continue
+        stack.pop()
+        tail = element.tail
+        if stack and options.keep_values and tail and tail.strip():
+            graph.add_node(VALUE_LABEL)
+            parent_of.append(stack[-1][1])
+
+
 def _add_element(
     graph: DataGraph,
     parent: int,
@@ -133,6 +169,8 @@ def _add_element(
     pending: list[_PendingRef],
     parent_of: list[int],
 ) -> int:
+    """Add ``element``'s node with its attributes and text below
+    ``parent``; returns the node.  Its children are the caller's."""
     node = graph.add_node(_local_name(element.tag))
     parent_of.append(parent)
     for attr_name, attr_value in element.attrib.items():
@@ -153,11 +191,6 @@ def _add_element(
     if options.keep_values and element.text and element.text.strip():
         graph.add_node(VALUE_LABEL)
         parent_of.append(node)
-    for child in element:
-        _add_element(graph, node, child, options, ids, pending, parent_of)
-        if options.keep_values and child.tail and child.tail.strip():
-            graph.add_node(VALUE_LABEL)
-            parent_of.append(node)
     return node
 
 

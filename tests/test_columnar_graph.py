@@ -7,14 +7,12 @@ Covers the tentpole invariants of ``repro.graph.columnar``:
 - the freeze/invalidation contract — ``mode="refresh"`` drops the
   cached view on mutation, ``mode="seal"`` forbids mutation until
   ``thaw()``, and the mutation version counts every structural change;
-- the frozen persistence format round-trips through the atomic sealed
-  writer *without rebuilding offsets* (the loaded graph's ``freeze()``
-  is the deserialized snapshot itself).
+- a paged snapshot written on a host of the other endianness loads
+  byte-swapped.
 """
 
-import io
-import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +26,6 @@ from repro.graph.columnar import (
     flatten_adjacency,
 )
 from repro.graph.datagraph import DataGraph
-from repro.graph.serialize import (
-    FROZEN_FORMAT_NAME,
-    frozen_from_dict,
-    frozen_to_dict,
-    load_frozen_graph,
-    save_frozen_graph,
-)
 from repro.indexes.base import IndexGraph
 from repro.partition.refinement import bisim_partition
 from test_engine_equivalence import cyclic_idref_graph
@@ -239,104 +230,22 @@ def test_index_graph_freeze_carries_extents_and_k():
 # ----------------------------------------------------------------------
 
 
-def test_frozen_round_trip_preserves_buffers(tmp_path):
-    g = cyclic_idref_graph(1, size=80)
+def test_frozen_loader_swaps_foreign_endianness(tmp_path, monkeypatch):
+    # A paged store created on a host of the other endianness: its
+    # pages hold foreign-order bytes under a foreign byteorder stamp.
+    from repro.storage import paged
+
+    foreign = "big" if sys.byteorder == "little" else "little"
+    g = movie_like_graph()
     view = g.freeze()
-    path = tmp_path / "frozen.json"
-    save_frozen_graph(g, path)
-    loaded = load_frozen_graph(path)
-    assert sorted(loaded.edges()) == sorted(g.edges())
-    assert list(loaded.label_names()) == list(g.label_names())
-    restored = loaded.freeze()
-    # The loader adopts the stored buffers: freeze() does not rebuild.
-    assert loaded.freeze() is restored
-    assert restored.child_offsets == view.child_offsets
-    assert restored.child_targets == view.child_targets
-    assert restored.parent_offsets == view.parent_offsets
-    assert restored.parent_targets == view.parent_targets
-    assert restored.label_ids == view.label_ids
-
-
-def test_frozen_round_trip_through_file_object():
-    g = movie_like_graph()
-    buffer = io.StringIO()
-    save_frozen_graph(g, buffer)
-    loaded = load_frozen_graph(io.StringIO(buffer.getvalue()))
-    assert sorted(loaded.edges()) == sorted(g.edges())
-
-
-def test_frozen_document_is_versioned_and_endian_stamped():
-    document = frozen_to_dict(movie_like_graph())
-    assert document["format"] == FROZEN_FORMAT_NAME
-    assert document["version"] == 1
-    assert document["byteorder"] == sys.byteorder
-    assert set(document["buffers"]) == {
-        "label_ids",
-        "child_offsets",
-        "child_targets",
-        "parent_offsets",
-        "parent_targets",
-    }
-
-
-def test_frozen_loader_swaps_foreign_endianness():
-    g = movie_like_graph()
-    document = frozen_to_dict(g)
-    import base64
-    from array import array
-
-    foreign = dict(document)
-    foreign["byteorder"] = "big" if sys.byteorder == "little" else "little"
-    swapped = {}
-    for name, text in document["buffers"].items():
-        buf = array(BUFFER_TYPECODE)
-        buf.frombytes(base64.b64decode(text))
-        buf.byteswap()
-        swapped[name] = base64.b64encode(buf.tobytes()).decode("ascii")
-    foreign["buffers"] = swapped
-    loaded = frozen_from_dict(foreign)
-    assert sorted(loaded.edges()) == sorted(g.edges())
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.update(format="repro-datagraph"),
-        lambda d: d.update(version=99),
-        lambda d: d.update(byteorder="middle"),
-        lambda d: d.update(labels="ROOT"),
-        lambda d: d.update(buffers={}),
-        lambda d: d["buffers"].update(label_ids="!!!not-base64!!!"),
-        lambda d: d["buffers"].update(label_ids="AAA="),  # 2 bytes
-        lambda d: d.update(num_nodes=999),
-        lambda d: d.update(num_edges=999),
-    ],
-)
-def test_frozen_loader_rejects_malformed_documents(mutate):
-    document = json.loads(json.dumps(frozen_to_dict(movie_like_graph())))
-    mutate(document)
-    with pytest.raises(SerializationError):
-        frozen_from_dict(document)
-
-
-def test_frozen_loader_rejects_inconsistent_buffers():
-    document = frozen_to_dict(movie_like_graph())
-    # Swap child and parent targets: per-direction shapes stay valid but
-    # the two views no longer describe the same edge multiset.
-    buffers = dict(document["buffers"])
-    buffers["child_targets"], buffers["parent_targets"] = (
-        buffers["parent_targets"],
-        buffers["child_targets"],
-    )
-    document = dict(document, buffers=buffers)
-    with pytest.raises(SerializationError):
-        frozen_from_dict(document)
-
-
-def test_frozen_file_corruption_is_detected(tmp_path):
-    path = tmp_path / "frozen.json"
-    save_frozen_graph(movie_like_graph(), path)
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(b'"byteorder"', b'"byteoRder"', 1))
-    with pytest.raises(SerializationError):
-        load_frozen_graph(path)
+    monkeypatch.setattr(paged, "sys", SimpleNamespace(byteorder=foreign))
+    paged.PagedCSRGraph.create(tmp_path / "csr", g).close()
+    monkeypatch.undo()
+    loaded = paged.PagedCSRGraph.open(tmp_path / "csr")
+    assert loaded.store.byteorder == foreign
+    restored = loaded.to_csr()
+    for name in ("label_ids", "child_offsets", "child_targets",
+                 "parent_offsets", "parent_targets"):
+        assert getattr(restored, name) == getattr(view, name)
+    assert sorted(loaded.to_datagraph().edges()) == sorted(g.edges())
+    loaded.close()

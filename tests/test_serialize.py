@@ -1,6 +1,5 @@
 """Unit tests for :mod:`repro.graph.serialize`."""
 
-import base64
 import io
 import json
 import sys
@@ -10,26 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import json_values, small_graphs
 from repro.core.dindex import DKIndex
-from repro.exceptions import (
-    FrozenGraphError,
-    GraphError,
-    ReproError,
-    SerializationError,
-)
+from repro.exceptions import GraphError, ReproError, SerializationError
 from repro.graph.builder import graph_from_edges
 from repro.graph.datagraph import DataGraph
+from repro.graph.columnar import BUFFER_TYPECODE
 from repro.graph.serialize import (
+    buffer_from_bytes,
+    buffer_to_bytes,
     dumps,
-    frozen_from_dict,
-    frozen_to_dict,
     graph_from_dict,
     graph_to_dict,
-    load_frozen_graph,
     load_graph,
     loads,
-    save_frozen_graph,
     save_graph,
 )
 from repro.graph.xmlio import parse_xml, parse_xml_file
@@ -42,6 +35,17 @@ from repro.workload.serialize import load_query_load, load_to_dict
 
 def sample():
     return graph_from_edges(["a", "b", "a"], [(0, 1), (1, 2), (0, 3), (3, 2)])
+
+
+def version_1(graph):
+    """``graph`` as a version-1 document: one ``[src, dst]`` per edge."""
+    return {
+        "format": "repro-datagraph",
+        "version": 1,
+        "labels": list(graph.label_names()),
+        "nodes": list(graph.label_ids),
+        "edges": [[src, dst] for src, dst in graph.edges()],
+    }
 
 
 def test_roundtrip_string():
@@ -65,8 +69,9 @@ def test_roundtrip_file(tmp_path):
 def test_dict_shape():
     data = graph_to_dict(sample())
     assert data["format"] == "repro-datagraph"
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert data["labels"][data["nodes"][0]] == "ROOT"
+    assert list(zip(data["sources"], data["targets"])) == list(sample().edges())
 
 
 def test_rejects_wrong_format():
@@ -98,21 +103,21 @@ def test_rejects_out_of_range_label():
 
 
 def test_rejects_malformed_edge():
-    data = graph_to_dict(sample())
+    data = version_1(sample())
     data["edges"].append([1])
     with pytest.raises(SerializationError):
         graph_from_dict(data)
 
 
 def test_rejects_edge_to_unknown_node():
-    data = graph_to_dict(sample())
+    data = version_1(sample())
     data["edges"].append([0, 999])
     with pytest.raises(SerializationError):
         graph_from_dict(data)
 
 
 def test_rejects_duplicate_edge():
-    data = graph_to_dict(sample())
+    data = version_1(sample())
     data["edges"].append(data["edges"][0])
     with pytest.raises(SerializationError):
         graph_from_dict(data)
@@ -137,113 +142,71 @@ def test_json_is_plain():
 
 
 # ----------------------------------------------------------------------
-# Frozen documents: endianness and seal state
+# Graph documents: version 2 against version 1
 # ----------------------------------------------------------------------
 
 
-def _forge_opposite_endian(data):
-    """Rewrite a frozen document as a foreign-endian producer would.
+def test_version_1_document_loads_to_the_same_graph():
+    for graph in (sample(), graph_from_edges(["x"], [(0, 1)])):
+        from_v1 = graph_from_dict(json.loads(json.dumps(version_1(graph))))
+        from_v2 = graph_from_dict(json.loads(json.dumps(graph_to_dict(graph))))
+        assert_same_graph(from_v1, graph)
+        assert_same_graph(from_v2, graph)
 
-    Every buffer's base64 payload is byte-swapped and the byteorder
-    stamp flipped — exactly the document a host of the other endianness
-    writes for the same graph.
-    """
-    forged = dict(data)
-    forged["byteorder"] = "big" if sys.byteorder == "little" else "little"
-    swapped_buffers = {}
-    for name, text in data["buffers"].items():
-        values = array("q")
-        values.frombytes(base64.b64decode(text))
-        values.byteswap()
-        swapped_buffers[name] = base64.b64encode(values.tobytes()).decode(
-            "ascii"
-        )
-    forged["buffers"] = swapped_buffers
-    return forged
+
+def with_arrays(sources, targets):
+    data = graph_to_dict(sample())
+    data["sources"], data["targets"] = sources, targets
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (with_arrays([0, 0, 1, 3], [1, 3, 2]), "differ in length"),
+        (with_arrays([0, 0, 1, 3, 0], [1, 3, 2, 2, 1]), "corrupt graph document"),
+        (with_arrays([0, 0, 1, 3, 0], [1, 3, 2, 2, 999]), "unknown node"),
+        (with_arrays([0, 0, 1, -1], [1, 3, 2, 2]), "unknown node"),
+        (with_arrays([0, 0, True, 3], [1, 3, 2, 2]), "node ids"),
+        (with_arrays([0, 0, 1, 3], [1, 3, 2.0, 2]), "node ids"),
+        (with_arrays([[0, 1]], [1]), "node ids"),
+        (with_arrays(None, [1, 3, 2, 2]), "node ids"),
+        ({**graph_to_dict(sample()), "version": True}, "version"),
+        ({**version_1(sample()), "edges": None}, "'edges' must be a list"),
+    ],
+)
+def test_rejects_bad_edge_arrays(data, message):
+    with pytest.raises(SerializationError, match=message):
+        graph_from_dict(json.loads(json.dumps(data)))
+
+
+# ----------------------------------------------------------------------
+# Frozen buffers: the byte-order doors of the paged store
+# ----------------------------------------------------------------------
 
 
 def test_opposite_endian_payload_round_trips_bit_identically():
-    # Regression: a frozen file written on a foreign-endian host must
-    # load byte-swapped, not be rejected or (worse) misread.  Loading
-    # the forged document and re-serializing natively must reproduce
-    # the original native document exactly.
-    graph = sample()
-    native = frozen_to_dict(graph)
-    forged = _forge_opposite_endian(native)
-    assert forged["buffers"] != native["buffers"]  # the forgery is real
-
-    restored = frozen_from_dict(forged)
-    assert sorted(restored.edges()) == sorted(graph.edges())
-    view, original = restored.freeze(), graph.freeze()
+    # Regression: a page written on a foreign-endian host must load
+    # byte-swapped, not be rejected or (worse) misread, and encoding a
+    # native buffer for that host must produce exactly its bytes.
+    view = sample().freeze()
+    foreign = "big" if sys.byteorder == "little" else "little"
     for name in ("label_ids", "child_offsets", "child_targets",
                  "parent_offsets", "parent_targets"):
-        assert getattr(view, name) == getattr(original, name)
-    assert frozen_to_dict(restored)["buffers"] == native["buffers"]
-
-
-def test_frozen_round_trip_random_graphs_survive_forged_endianness():
-    for seed_edges in ([(0, 1)], [(0, 1), (1, 2), (0, 2)]):
-        graph = graph_from_edges(["x", "y"], seed_edges)
-        restored = frozen_from_dict(
-            _forge_opposite_endian(frozen_to_dict(graph))
-        )
-        assert sorted(restored.edges()) == sorted(graph.edges())
-
-
-def test_frozen_round_trip_preserves_seal(tmp_path):
-    graph = sample()
-    graph.freeze(mode="seal")
-    path = tmp_path / "frozen.json"
-    save_frozen_graph(graph, path)
-
-    loaded = load_frozen_graph(path)
-    assert loaded.sealed
-    with pytest.raises(FrozenGraphError):
-        loaded.add_node("z")
-    loaded.thaw()
-    loaded.add_node("z")  # mutable again after the explicit thaw
-    assert loaded.num_nodes == graph.num_nodes + 1
-
-
-def test_frozen_round_trip_unsealed_stays_mutable(tmp_path):
-    graph = sample()
-    graph.freeze()  # snapshot without sealing
-    path = tmp_path / "frozen.json"
-    save_frozen_graph(graph, path)
-    loaded = load_frozen_graph(path)
-    assert not loaded.sealed
-    loaded.add_node("z")
-
-
-def test_frozen_sealed_flag_defaults_to_unsealed():
-    # Version-1 documents written before the flag existed load mutable.
-    data = frozen_to_dict(sample())
-    del data["sealed"]
-    assert not frozen_from_dict(data).sealed
-
-
-def test_paged_manifest_rejected_by_inline_loader():
-    data = frozen_to_dict(sample())
-    data["version"] = 2  # a paged manifest: buffers live in page files
-    with pytest.raises(SerializationError, match="PagedCSRGraph.open"):
-        frozen_from_dict(data)
-
-
-def test_frozen_rejects_invalid_byteorder():
-    data = frozen_to_dict(sample())
-    data["byteorder"] = "middle"
-    with pytest.raises(SerializationError, match="byteorder"):
-        frozen_from_dict(data)
+        native = getattr(view, name)
+        swapped = array(BUFFER_TYPECODE, native)
+        swapped.byteswap()
+        raw = buffer_to_bytes(native, foreign)
+        assert raw == swapped.tobytes() != native.tobytes()  # forgery is real
+        assert buffer_from_bytes(name, raw, foreign) == native
+        assert buffer_to_bytes(native, sys.byteorder) == native.tobytes()
+        assert buffer_from_bytes(name, native.tobytes(), sys.byteorder) == native
 
 
 def test_frozen_rejects_ragged_buffer():
-    data = frozen_to_dict(sample())
-    raw = base64.b64decode(data["buffers"]["child_targets"])
-    data["buffers"]["child_targets"] = base64.b64encode(raw[:-3]).decode(
-        "ascii"
-    )
+    raw = buffer_to_bytes(sample().freeze().child_targets, sys.byteorder)
     with pytest.raises(SerializationError, match="64-bit"):
-        frozen_from_dict(data)
+        buffer_from_bytes("child_targets", raw[:-3], sys.byteorder)
 
 
 @given(small_graphs())
@@ -292,7 +255,7 @@ def test_rejects_boolean_label_ids(position):
 
 @pytest.mark.parametrize("endpoint", [0, 1])
 def test_rejects_boolean_edge_endpoints(endpoint):
-    data = graph_to_dict(sample())
+    data = version_1(sample())
     data["edges"].append([1, 3])
     data["edges"][-1][endpoint] = True
     with pytest.raises(SerializationError, match="malformed edge"):
@@ -312,28 +275,39 @@ def reference_build(data):
         graph.intern_label(name)
     for label_id in data["nodes"][1:]:
         graph.add_node(data["labels"][label_id])
-    for src, dst in data["edges"]:
+    for src, dst in document_edges(data):
         graph.add_edge(src, dst)
     return graph
 
 
 @st.composite
 def graph_documents(draw):
-    """Well-formed documents: labels in any order (ROOT anywhere, names
-    possibly repeated or unused) and edges in any order."""
+    """Well-formed documents of either version: labels in any order
+    (ROOT anywhere, names possibly repeated or unused) and edges in any
+    order."""
     labels = draw(st.lists(st.sampled_from("abcd"), max_size=5))
     labels.insert(draw(st.integers(min_value=0, max_value=len(labels))), "ROOT")
     label_ids = st.integers(min_value=0, max_value=len(labels) - 1)
     nodes = [labels.index("ROOT")] + draw(st.lists(label_ids, max_size=12))
     node_ids = st.integers(min_value=0, max_value=len(nodes) - 1)
     edges = draw(st.lists(st.tuples(node_ids, node_ids), unique=True, max_size=30))
-    return {
-        "format": "repro-datagraph",
-        "version": 1,
-        "labels": labels,
-        "nodes": nodes,
-        "edges": [list(edge) for edge in edges],
-    }
+    data = {"format": "repro-datagraph", "labels": labels, "nodes": nodes}
+    if draw(st.booleans()):
+        data.update(version=1, edges=[list(edge) for edge in edges])
+    else:
+        data.update(
+            version=2,
+            sources=[src for src, _ in edges],
+            targets=[dst for _, dst in edges],
+        )
+    return data
+
+
+def document_edges(data):
+    """``(src, dst)`` of every edge of a document of either version."""
+    if data["version"] == 1:
+        return [tuple(edge) for edge in data["edges"]]
+    return list(zip(data["sources"], data["targets"]))
 
 
 def assert_same_graph(loaded, expected):
@@ -362,7 +336,7 @@ def test_bulk_decode_matches_a_per_element_build(data):
 def test_bulk_decoded_graph_mutates_like_any_other(data):
     loaded = graph_from_dict(data)
     expected = reference_build(data)
-    for src, dst in data["edges"][:3]:
+    for src, dst in document_edges(data)[:3]:
         with pytest.raises(GraphError):
             loaded.add_edge(src, dst)
     view = loaded.freeze()
@@ -376,6 +350,18 @@ def test_bulk_decoded_graph_mutates_like_any_other(data):
     assert rebuilt.num_nodes == view.num_nodes + 1
     assert rebuilt.num_edges == view.num_edges + 1
     assert_same_graph(loaded, expected)
+
+
+@given(graph_documents(), st.data())
+def test_mutated_documents_of_either_version_raise_only_typed_errors(data, draw):
+    # One field of a valid document replaced by an arbitrary JSON value:
+    # the loader returns a graph or raises SerializationError.
+    key = draw.draw(st.sampled_from(sorted(data) + ["edges", "sources"]))
+    data[key] = draw.draw(json_values)
+    try:
+        graph_from_dict(json.loads(json.dumps(data)))
+    except SerializationError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -414,11 +400,18 @@ TEXT_ENTRY_POINTS = {
 
 @st.composite
 def loader_texts(draw):
-    """Arbitrary text, or a valid document cut short anywhere."""
-    if draw(st.booleans()):
+    """Arbitrary text, or a valid document or an XML document nested
+    thousands of elements deep, cut short anywhere."""
+    kind = draw(st.sampled_from(["text", "valid", "deep"]))
+    if kind == "text":
         return draw(st.text())
-    document = draw(st.sampled_from(VALID_TEXTS))
-    return document[: draw(st.integers(0, len(document)))]
+    if kind == "deep":
+        depth = draw(st.integers(1_000, 5_000))
+        document = "<a>" * depth + "</a>" * depth
+    else:
+        document = draw(st.sampled_from(VALID_TEXTS))
+    cut = st.integers(0, len(document))
+    return document[: draw(st.one_of(st.just(len(document)), cut))]
 
 
 @given(loader_texts())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph.xmlio import XmlOptions, graph_to_xml, parse_xml
+from repro.graph.xmlio import XmlOptions, graph_to_xml, parse_xml, parse_xml_file
 
 
 NO_VALUES = XmlOptions(keep_values=False)
@@ -156,3 +156,27 @@ def test_graph_to_xml_rejects_unreachable():
     g.add_node("orphan")  # never connected
     with pytest.raises(GraphError):
         graph_to_xml(g)
+
+
+DEPTH = 5000
+
+
+def nested_document(depth):
+    """``depth`` nested ``<a>`` elements: the innermost holds text, and
+    every closing tag but the document's is followed by tail text."""
+    return "<a>" * depth + "x" + "</a>t" * (depth - 1) + "</a>"
+
+
+def test_deeply_nested_document_parses(tmp_path):
+    text = nested_document(DEPTH)
+    path = tmp_path / "deep.xml"
+    path.write_text(text, encoding="utf-8")
+    for graph in (parse_xml(text), parse_xml_file(str(path))):
+        # Nodes 1..DEPTH are the elements, level by level; then the
+        # text's VALUE, then one VALUE per tail, innermost first, each
+        # below the parent of the element it follows.
+        assert graph.num_nodes == 2 * DEPTH + 1
+        assert [graph.label(node) for node in range(1, DEPTH + 1)] == ["a"] * DEPTH
+        assert graph.children[DEPTH] == (DEPTH + 1,)
+        for level in range(1, DEPTH):
+            assert graph.children[level] == (level + 1, 2 * DEPTH + 1 - level)
