@@ -9,8 +9,9 @@ runs through four layers:
    the touched state and rolls back to a bit-identical pre-update state
    on any exception;
 2. :class:`~repro.maintenance.journal.UpdateJournal` — a JSONL
-   write-ahead journal recording every operation before it runs and its
-   commit/abort afterwards, replayable from a base snapshot;
+   write-ahead journal holding one durable record per committed
+   operation, appended before the operation returns and replayable
+   from a base snapshot;
 3. the post-commit audit tiers of :mod:`repro.maintenance.audit`
    (``DKINDEX_AUDIT`` = ``off`` / ``fast`` / ``deep``) with graceful
    degradation: an audit failure quarantines the index and triggers

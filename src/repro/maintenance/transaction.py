@@ -215,7 +215,7 @@ class UpdateTransaction:
     exception the captured state is restored bit-identically and the
     exception propagates — callers decide whether rollback is the end of
     the story (it is for :class:`~repro.maintenance.pipeline.UpdatePipeline`,
-    which journals the abort).
+    whose journal then holds no record of the operation).
 
     Args:
         graph: the data graph.
