@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from repro.exceptions import FrozenGraphError, GraphError, SerializationError
+from repro.exceptions import FrozenGraphError, GraphError
 from repro.graph.columnar import (
     BUFFER_TYPECODE,
     CSRGraph,
