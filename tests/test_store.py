@@ -267,6 +267,25 @@ def test_journal_byte_flip_never_silently_changes_replay(journal_fixture, data):
             assert scan.damaged or scan.notes
 
 
+def test_record_swallowed_into_a_corrupt_base_line_stops_replay(
+    journal_fixture, tmp_path
+):
+    # The newline after the base rots: the first record joins the base
+    # line, which fails its CRC, and the scan reads on behind it.  The
+    # next record's seq skips ahead, so replay stops there with the loss
+    # reported instead of applying seqs 2 and 3 without seq 1.
+    source, _pristine_entries, _pristine_ops = journal_fixture
+    raw = bytearray(source.read_bytes())
+    raw[raw.index(b"\n")] ^= 0x01
+    path = tmp_path / "ops.jsonl"
+    path.write_bytes(bytes(raw))
+    scan = scan_journal(path)
+    assert scan.corrupt_lines == [1]
+    assert scan.committed_ops == []
+    assert scan.lost_ops == [2, 3]
+    assert any("no operation record in sequence" in note for note in scan.notes)
+
+
 def test_legacy_v1_journal_replays(tmp_path):
     dk = small_dk()
     document = index_to_dict(
