@@ -63,7 +63,7 @@ from repro.paths.query import make_query
 
 def _non_negative_int(text: str) -> int:
     """argparse ``type=`` for similarity bounds and size limits; both
-    end up in int64 buffers."""
+    must fit a signed 64-bit integer (:data:`MAX_LEVEL`)."""
     try:
         value = int(text)
     except ValueError:

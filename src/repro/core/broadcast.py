@@ -20,8 +20,9 @@ from __future__ import annotations
 import heapq
 from typing import Mapping, Protocol, Sequence
 
-#: Largest requirement a level may hold: index ``k`` values are stored
-#: in int64 buffers (frozen views, paged snapshots).
+#: Largest requirement a level may hold, so that every index ``k`` fits
+#: a signed 64-bit integer; the loaders and the CLI reject larger ones
+#: with a typed error.
 MAX_LEVEL = 2**63 - 1
 
 

@@ -239,6 +239,14 @@ class DKIndex:
         """
         return self.pipeline.demote(requirements)
 
+    def close(self) -> None:
+        """Release the update pipeline's journal handle, if a pipeline exists.
+
+        Safe to call twice; a later update reopens the handle.
+        """
+        if self._pipeline is not None:
+            self._pipeline.close()
+
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------

@@ -242,6 +242,13 @@ class Database:
             database._tuner = AdaptiveTuner(dk, database._tuner.config)
         return database
 
+    def close(self) -> None:
+        """Release the journal handle of the index's update pipeline.
+
+        Safe to call twice; a later update reopens the handle.
+        """
+        self._dk.close()
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

@@ -17,17 +17,6 @@ class GraphError(ReproError):
     """Invalid operation on a :class:`~repro.graph.datagraph.DataGraph`."""
 
 
-class FrozenGraphError(GraphError):
-    """Mutation attempted on a graph sealed by ``freeze(mode="seal")``.
-
-    The columnar CSR view (:mod:`repro.graph.columnar`) snapshots the
-    adjacency into flat buffers; a sealed graph guarantees the snapshot
-    stays valid.  Call ``thaw()`` before mutating, or freeze with the
-    default ``mode="refresh"`` which invalidates (rather than forbids)
-    the view on mutation.
-    """
-
-
 class UnknownNodeError(GraphError):
     """A node identifier does not exist in the graph."""
 

@@ -16,37 +16,34 @@ Summaries"), this module provides a *frozen* compressed-sparse-row view:
   ``child_targets[child_offsets[u] : child_offsets[u + 1]]``;
 - ``parent_offsets``/``parent_targets`` — the same for backward
   adjacency (refinement looks *up* the graph);
-- ``label_ids`` — flat per-node label-id buffer;
-- for index graphs additionally ``extent_offsets``/``extent_targets``
-  (flat extents, in index-node order) and ``k`` (assigned similarity).
+- ``label_ids`` — flat per-node label-id buffer.
+
+That is all refinement reads: Algorithm 2 and the index-graph re-index
+behind subgraph addition and demote look only at labels and parent and
+child adjacency, so extents and local similarities stay on the mutable
+index graph.
 
 Contiguous ``array('q')`` buffers cost 8 bytes per entry, admit
 zero-copy ``memoryview`` slicing and are `numpy`-wrappable via
 ``numpy.frombuffer`` without copying when the optional ``fast`` extra
 is installed.
 
-Freezing follows an explicit invalidation contract against the mutable
-owner (see :meth:`DataGraph.freeze`): a view records the owner's
-mutation version; mutating the owner either *refreshes* (the cached
-view is dropped and rebuilt on next ``freeze()``) or *raises*
-(``mode="seal"``), never silently serves stale buffers.
+``freeze()`` caches the view on its owner (see
+:meth:`DataGraph.freeze`), stamped with the owner's mutation version;
+any mutation drops it, and the next ``freeze()`` rebuilds it.  A view
+never changes, so one read before a mutation describes the graph as it
+was.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from repro.exceptions import GraphError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.graph.datagraph import DataGraph
-
 #: ``array`` typecode of every CSR buffer: signed 64-bit ("q").
 BUFFER_TYPECODE = "q"
-
-#: Freeze modes accepted by ``DataGraph.freeze`` / ``IndexGraph.freeze``.
-FREEZE_MODES = ("refresh", "seal")
 
 
 class CSRBuffers(Protocol):
@@ -101,9 +98,9 @@ class CSRGraph:
     """An immutable columnar snapshot of a labeled graph.
 
     Instances are produced by ``DataGraph.freeze()`` and
-    ``IndexGraph.freeze()`` (or :func:`csr_from_parent_adjacency` for
-    anything satisfying the ``LabeledAdjacency`` protocol) and consumed
-    by the columnar refinement engine and the frozen persistence format.
+    ``IndexGraph.freeze()``, and by
+    :meth:`~repro.storage.paged.PagedCSRGraph.to_csr`; the columnar
+    refinement engine and the paged store's page-out consume them.
     All buffers are ``array('q')``; treat them as read-only — the owning
     graph's mutation version is the single source of truth for staleness.
     """
@@ -116,9 +113,6 @@ class CSRGraph:
         "parent_targets",
         "num_labels",
         "source_version",
-        "extent_offsets",
-        "extent_targets",
-        "k",
     )
 
     def __init__(
@@ -131,9 +125,6 @@ class CSRGraph:
         *,
         num_labels: int,
         source_version: int = 0,
-        extent_offsets: array | None = None,
-        extent_targets: array | None = None,
-        k: array | None = None,
     ) -> None:
         n = len(label_ids)
         if len(child_offsets) != n + 1 or len(parent_offsets) != n + 1:
@@ -151,9 +142,6 @@ class CSRGraph:
         self.parent_targets = parent_targets
         self.num_labels = num_labels
         self.source_version = source_version
-        self.extent_offsets = extent_offsets
-        self.extent_targets = extent_targets
-        self.k = k
 
     # ------------------------------------------------------------------
     # Size and access
@@ -173,9 +161,8 @@ class CSRGraph:
         return self.num_nodes
 
     def __repr__(self) -> str:
-        kind = "index" if self.extent_offsets is not None else "data"
         return (
-            f"CSRGraph({kind}, nodes={self.num_nodes}, "
+            f"CSRGraph(nodes={self.num_nodes}, "
             f"edges={self.num_edges}, labels={self.num_labels})"
         )
 
@@ -199,24 +186,17 @@ class CSRGraph:
         """Number of parents of ``node``."""
         return self.parent_offsets[node + 1] - self.parent_offsets[node]
 
-    def extent(self, node: int) -> array:
-        """The extent of index node ``node`` (index snapshots only)."""
-        if self.extent_offsets is None or self.extent_targets is None:
-            raise GraphError("this CSR snapshot carries no extents")
-        return self.extent_targets[
-            self.extent_offsets[node] : self.extent_offsets[node + 1]
-        ]
-
     # ------------------------------------------------------------------
-    # Validation (used by the frozen persistence loader)
+    # Validation
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Verify offset monotonicity and target ranges; raise on error.
 
-        Cheap linear checks so that a deserialized snapshot (whose
-        buffers were *not* rebuilt from adjacency) fails loudly instead
-        of indexing out of bounds deep inside a refinement round.
+        Linear checks that the buffers describe one consistent graph:
+        offsets span their targets, every id is in range, and both
+        directions hold the same edges.  The tests run it on frozen
+        views and on paged snapshots read back with ``to_csr()``.
         """
         n = self.num_nodes
         for name, offsets, targets in (
@@ -254,29 +234,6 @@ class CSRGraph:
         if forward != backward:
             raise GraphError("child and parent CSR views disagree on edges")
 
-    # ------------------------------------------------------------------
-    # Conversion
-    # ------------------------------------------------------------------
-
-    def to_datagraph(self, label_names: Sequence[str]) -> "DataGraph":
-        """Materialise a mutable :class:`DataGraph` from this snapshot.
-
-        The produced graph adopts this snapshot as its cached frozen
-        view, so ``graph.freeze()`` returns it without rebuilding the
-        offsets (the frozen-persistence round-trip guarantee).
-        """
-        from repro.graph.datagraph import DataGraph
-
-        co = self.child_offsets
-        sources = [
-            src for src in range(self.num_nodes) for _ in range(co[src + 1] - co[src])
-        ]
-        graph = DataGraph.from_arrays(
-            label_names, self.label_ids, sources, self.child_targets
-        )
-        graph.adopt_frozen_view(self)
-        return graph
-
 
 def csr_from_lists(
     label_ids: Sequence[int],
@@ -285,11 +242,10 @@ def csr_from_lists(
     *,
     num_labels: int,
     source_version: int = 0,
-    sort: bool = False,
 ) -> CSRGraph:
-    """Build a CSR snapshot from list/set-shaped adjacency."""
-    child_offsets, child_targets = flatten_adjacency(children, sort=sort)
-    parent_offsets, parent_targets = flatten_adjacency(parents, sort=sort)
+    """Build a CSR snapshot from ordered per-node adjacency rows."""
+    child_offsets, child_targets = flatten_adjacency(children)
+    parent_offsets, parent_targets = flatten_adjacency(parents)
     return CSRGraph(
         array(BUFFER_TYPECODE, label_ids),
         child_offsets,
@@ -297,50 +253,5 @@ def csr_from_lists(
         parent_offsets,
         parent_targets,
         num_labels=num_labels,
-        source_version=source_version,
-    )
-
-
-def csr_from_parent_adjacency(
-    label_ids: Sequence[int],
-    parents: Sequence[Iterable[int]],
-    *,
-    num_labels: int | None = None,
-    source_version: int = 0,
-) -> CSRGraph:
-    """CSR snapshot from backward adjacency only (children transposed).
-
-    This is the generic fallback for any ``LabeledAdjacency`` object
-    that does not implement ``freeze()`` itself: refinement needs
-    parents for signatures and children for dirt propagation, and the
-    latter is exactly the transpose of the former.
-    """
-    n = len(label_ids)
-    parent_offsets, parent_targets = flatten_adjacency(parents, sort=True)
-    out_degree = [0] * n
-    for target in parent_targets:
-        out_degree[target] += 1
-    child_offsets = array(BUFFER_TYPECODE, [0])
-    total = 0
-    for degree in out_degree:
-        total += degree
-        child_offsets.append(total)
-    cursor = list(child_offsets[:n])
-    child_targets = array(BUFFER_TYPECODE, bytes(8 * total))
-    for child in range(n):
-        for position in range(parent_offsets[child], parent_offsets[child + 1]):
-            parent = parent_targets[position]
-            child_targets[cursor[parent]] = child
-            cursor[parent] += 1
-    labels = (
-        (max(label_ids, default=-1) + 1) if num_labels is None else num_labels
-    )
-    return CSRGraph(
-        array(BUFFER_TYPECODE, label_ids),
-        child_offsets,
-        child_targets,
-        parent_offsets,
-        parent_targets,
-        num_labels=labels,
         source_version=source_version,
     )

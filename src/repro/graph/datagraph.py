@@ -24,12 +24,7 @@ from itertools import groupby, islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from repro.exceptions import (
-    FrozenGraphError,
-    GraphError,
-    UnknownLabelError,
-    UnknownNodeError,
-)
+from repro.exceptions import GraphError, UnknownLabelError, UnknownNodeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.graph.columnar import CSRGraph
@@ -83,7 +78,6 @@ class DataGraph:
         "_num_edges",
         "_version",
         "_frozen",
-        "_sealed",
     )
 
     def __init__(self) -> None:
@@ -101,10 +95,9 @@ class DataGraph:
         self._child_sets: list[set[int] | None] = []
         self._num_edges = 0
         # Frozen-view bookkeeping: the mutation version stamps every
-        # columnar snapshot; mutating drops (or, sealed, refuses) it.
+        # columnar snapshot; mutating drops it.
         self._version = 0
         self._frozen: "CSRGraph | None" = None
-        self._sealed = False
         self.add_node(ROOT_LABEL)
 
     @classmethod
@@ -122,9 +115,8 @@ class DataGraph:
         graph an :meth:`add_node` / :meth:`add_edge` loop over the same
         arrays would build: labels are interned in ``label_names`` order
         after ``ROOT``, and ``children`` / ``parents`` hold neighbours in
-        edge order.  It is the bulk path of the loaders
-        (:func:`~repro.graph.serialize.graph_from_dict` and
-        :meth:`~repro.graph.columnar.CSRGraph.to_datagraph`).
+        edge order.  It is the bulk path of the loader,
+        :func:`~repro.graph.serialize.graph_from_dict`.
 
         Raises:
             GraphError: when node 0 is not ROOT, a label id or endpoint
@@ -168,7 +160,6 @@ class DataGraph:
         graph._num_edges = 0
         graph._version = 0
         graph._frozen = None
-        graph._sealed = False
         graph._extend_rows(sources, targets)
         return graph
 
@@ -423,11 +414,6 @@ class DataGraph:
         return self._version
 
     @property
-    def sealed(self) -> bool:
-        """True while mutations are forbidden (``freeze(mode="seal")``)."""
-        return self._sealed
-
-    @property
     def frozen_view(self) -> "CSRGraph | None":
         """The cached columnar snapshot while it is current, else ``None``.
 
@@ -436,32 +422,18 @@ class DataGraph:
         """
         return self._frozen
 
-    def freeze(self, mode: str = "refresh") -> "CSRGraph":
+    def freeze(self) -> "CSRGraph":
         """Return the columnar CSR snapshot of this graph.
 
         The snapshot is cached: repeated calls without intervening
-        mutation return the same object.  The *invalidation contract*
-        against the additive-update model is chosen by ``mode``:
-
-        - ``"refresh"`` (default) — a later mutation silently drops the
-          cached snapshot; the next ``freeze()`` rebuilds it.  Existing
-          snapshot references stay readable but describe the pre-update
-          graph (check ``snapshot.source_version`` against
-          :attr:`mutation_version` to detect this).
-        - ``"seal"`` — additionally forbid mutation: ``add_node`` /
-          ``add_edge`` / ``remove_edge`` raise
-          :class:`~repro.exceptions.FrozenGraphError` until
-          :meth:`thaw` is called.
-
-        Raises:
-            GraphError: for an unknown mode.
+        mutation return the same object.  A mutation drops the cached
+        snapshot, and the next ``freeze()`` rebuilds it.  A snapshot
+        already handed out stays readable but describes the graph
+        before the mutation: its ``source_version`` no longer equals
+        :attr:`mutation_version`.
         """
-        from repro.graph.columnar import FREEZE_MODES, csr_from_lists
+        from repro.graph.columnar import csr_from_lists
 
-        if mode not in FREEZE_MODES:
-            raise GraphError(
-                f"unknown freeze mode {mode!r}; choose from {FREEZE_MODES}"
-            )
         if self._frozen is None:
             self._frozen = csr_from_lists(
                 self.label_ids,
@@ -470,42 +442,10 @@ class DataGraph:
                 num_labels=self.num_labels,
                 source_version=self._version,
             )
-        if mode == "seal":
-            self._sealed = True
         return self._frozen
 
-    def thaw(self) -> None:
-        """Allow mutation again after ``freeze(mode="seal")``."""
-        self._sealed = False
-
-    def adopt_frozen_view(self, view: "CSRGraph") -> None:
-        """Install ``view`` as this graph's cached frozen snapshot.
-
-        Used by the frozen persistence loader, which materialises the
-        adjacency rows *from* a deserialized snapshot — the snapshot is
-        current by construction, so rebuilding the offsets on the next
-        ``freeze()`` would be pure waste.
-
-        Raises:
-            GraphError: if the view's shape does not match this graph.
-        """
-        if (
-            view.num_nodes != self.num_nodes
-            or view.num_edges != self.num_edges
-        ):
-            raise GraphError(
-                "frozen view does not match this graph's node/edge counts"
-            )
-        view.source_version = self._version
-        self._frozen = view
-
     def _mutated(self) -> None:
-        """Record a structural mutation (or refuse it while sealed)."""
-        if self._sealed:
-            raise FrozenGraphError(
-                "graph is sealed by freeze(mode='seal'); call thaw() "
-                "before mutating"
-            )
+        """Record a structural mutation: bump the version, drop the view."""
         self._version += 1
         self._frozen = None
 
@@ -518,8 +458,7 @@ class DataGraph:
 
         Rows are immutable, so the copy shares them and copies only the
         outer lists: mutating either graph replaces its own rows.  The
-        copy is mutable (never sealed) and does not share the original's
-        cached frozen view.
+        copy does not share the original's cached frozen view.
         """
         clone = DataGraph.__new__(DataGraph)
         clone._label_names = list(self._label_names)
@@ -532,7 +471,6 @@ class DataGraph:
         clone._num_edges = self._num_edges
         clone._version = self._version
         clone._frozen = None
-        clone._sealed = False
         return clone
 
     def graft(self, other: "DataGraph") -> list[int]:

@@ -22,11 +22,7 @@ from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.exceptions import (
-    FrozenGraphError,
-    IndexInvariantError,
-    UnknownNodeError,
-)
+from repro.exceptions import IndexInvariantError, UnknownNodeError
 from repro.graph.datagraph import DataGraph
 from repro.partition import columnar
 from repro.partition.blocks import Partition
@@ -64,7 +60,6 @@ class IndexGraph:
         "_label_index",
         "_version",
         "_frozen",
-        "_sealed",
     )
 
     def __init__(self, graph: DataGraph) -> None:
@@ -79,7 +74,6 @@ class IndexGraph:
         # Frozen-view bookkeeping (mirrors DataGraph.freeze).
         self._version = 0
         self._frozen: "CSRGraph | None" = None
-        self._sealed = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -434,42 +428,25 @@ class IndexGraph:
         Bumped by :meth:`add_index_edge`, :meth:`remove_index_edge`,
         :meth:`split_node` and node creation.  Non-structural attribute
         writes (adjusting ``k[node]`` during promote/demote) do *not*
-        bump it — the snapshot's ``k`` buffer is a copy taken at freeze
-        time.
+        bump it: the snapshot carries no ``k``.
         """
         return self._version
 
-    @property
-    def sealed(self) -> bool:
-        """True while mutations are forbidden (``freeze(mode="seal")``)."""
-        return self._sealed
-
-    def freeze(self, mode: str = "refresh") -> "CSRGraph":
+    def freeze(self) -> "CSRGraph":
         """Return the columnar CSR snapshot of this index graph.
 
         Same caching and invalidation contract as
-        :meth:`repro.graph.datagraph.DataGraph.freeze`; index snapshots
-        additionally carry flat extents (``extent_offsets`` /
-        ``extent_targets``) and the assigned-``k`` buffer.  Adjacency
-        sets are flattened in sorted order so the snapshot is
+        :meth:`repro.graph.datagraph.DataGraph.freeze`.  The snapshot
+        holds labels and adjacency only, which is all refinement reads;
+        adjacency sets are flattened in sorted order so the snapshot is
         deterministic.
-
-        Raises:
-            GraphError: for an unknown mode, matching the data-graph
-                contract.
         """
         from repro.graph.columnar import (
             BUFFER_TYPECODE,
-            FREEZE_MODES,
             CSRGraph,
             flatten_adjacency,
         )
-        from repro.exceptions import GraphError
 
-        if mode not in FREEZE_MODES:
-            raise GraphError(
-                f"unknown freeze mode {mode!r}; choose from {FREEZE_MODES}"
-            )
         if self._frozen is None:
             child_offsets, child_targets = flatten_adjacency(
                 self.children, sort=True
@@ -477,7 +454,6 @@ class IndexGraph:
             parent_offsets, parent_targets = flatten_adjacency(
                 self.parents, sort=True
             )
-            extent_offsets, extent_targets = flatten_adjacency(self.extents)
             self._frozen = CSRGraph(
                 array(BUFFER_TYPECODE, self.label_ids),
                 child_offsets,
@@ -486,25 +462,11 @@ class IndexGraph:
                 parent_targets,
                 num_labels=self.graph.num_labels,
                 source_version=self._version,
-                extent_offsets=extent_offsets,
-                extent_targets=extent_targets,
-                k=array(BUFFER_TYPECODE, self.k),
             )
-        if mode == "seal":
-            self._sealed = True
         return self._frozen
 
-    def thaw(self) -> None:
-        """Allow mutation again after ``freeze(mode="seal")``."""
-        self._sealed = False
-
     def _mutated(self) -> None:
-        """Record a structural mutation (or refuse it while sealed)."""
-        if self._sealed:
-            raise FrozenGraphError(
-                "index graph is sealed by freeze(mode='seal'); call "
-                "thaw() before mutating"
-            )
+        """Record a structural mutation: bump the version, drop the view."""
         self._version += 1
         self._frozen = None
 

@@ -109,8 +109,8 @@ def index_from_dict(
     if not isinstance(node_of, list) or len(node_of) != graph.num_nodes:
         raise SerializationError("'node_of' must map every data node")
     # Exact type tests: JSON true/false are bools, which ``isinstance``
-    # would let through as the ints 1 and 0.  Levels past int64 would
-    # fail later, when ``k`` is copied into an int64 buffer.
+    # would let through as the ints 1 and 0.  Levels obey the bound of
+    # every requirement, MAX_LEVEL.
     if not isinstance(k_values, list) or not all(
         type(k) is int and 0 <= k <= MAX_LEVEL for k in k_values
     ):

@@ -371,8 +371,8 @@ def run_chaos_suite(
 #: which hit of the point (the atomic writes of a checkpoint are hit 1 =
 #: snapshot, hit 2 = journal base, hit 3 = ``CURRENT``; the append phase
 #: runs two operations, one record each, so hit 1 lands on the first
-#: record and hit 2 on the second), and a label for what that hit lands
-#: on.
+#: record and hit 2 on the second; ``journal.bit_flip`` rots a byte of
+#: the record it follows), and a label for what that hit lands on.
 DURABILITY_SCENARIOS: tuple[tuple[str, str, str, int, str], ...] = (
     ("checkpoint", "store.torn_write", "raise", 1, "snapshot"),
     ("checkpoint", "store.torn_write", "raise", 2, "journal base"),
@@ -388,8 +388,8 @@ DURABILITY_SCENARIOS: tuple[tuple[str, str, str, int, str], ...] = (
     ("checkpoint", "store.bit_flip", "corrupt", 3, "CURRENT"),
     ("append", "journal.torn_append", "raise", 1, "first record"),
     ("append", "journal.torn_append", "raise", 2, "second record"),
-    ("append", "journal.bit_flip", "corrupt", 1, "journal file"),
-    ("append", "journal.bit_flip", "corrupt", 2, "journal file"),
+    ("append", "journal.bit_flip", "corrupt", 1, "first record"),
+    ("append", "journal.bit_flip", "corrupt", 2, "second record"),
     ("recover", "recover.mid_ladder", "raise", 1, "first rung"),
 )
 

@@ -51,7 +51,7 @@ DURABILITY_FAULT_POINTS: dict[str, str] = {
     "store.missing_fsync": "atomic write: renamed without fsync; pages lost",
     "store.bit_flip": "atomic write: destination durable, then one byte rots",
     "journal.torn_append": "journal append: the entry line tears mid-write",
-    "journal.bit_flip": "journal append: one byte of the file rots afterwards",
+    "journal.bit_flip": "journal append: one byte of the new record rots afterwards",
     "recover.mid_ladder": "recovery: crash between two rungs of the ladder",
 }
 
@@ -176,6 +176,7 @@ class FaultInjector:
         point: str,
         index: "IndexGraph | None",
         path: "Path | None" = None,
+        start: int = 0,
     ) -> None:
         """Called by :func:`fault_point` when this injector is armed."""
         if point != self.point:
@@ -203,7 +204,7 @@ class FaultInjector:
                 None if path is None else str(path),
             )
         if path is not None:
-            self._corrupt_file(path)
+            self._corrupt_file(path, start)
         elif index is not None:
             self._corrupt(index)
 
@@ -226,23 +227,27 @@ class FaultInjector:
         victim = candidates[self.seed % len(candidates)]
         index.k[victim] = index.k[victim] + 10
 
-    def _corrupt_file(self, path: "Path") -> None:
+    def _corrupt_file(self, path: "Path", start: int = 0) -> None:
         """Flip one bit of ``path`` (bit-rot), at the seed-chosen offset.
 
-        The flip may land anywhere — a checksum prefix, a JSON digit, a
+        The flip lands at ``start + seed % (len - start)``: somewhere in
+        the bytes from ``start`` on, which lets the journal aim it at
+        the record it has just appended rather than the base line.  It
+        may land anywhere there — a checksum prefix, a JSON digit, a
         line separator — which is exactly the point: the durability
         chaos suite must show that *every* landing spot is detected by
         the integrity layer, never silently absorbed into a different
-        index.  Missing or empty files are left alone (the fault still
-        counts as fired; there is nothing to rot).
+        index.  Missing files, and files with nothing from ``start`` on,
+        are left alone (the fault still counts as fired; there is
+        nothing to rot).
         """
         try:
             data = bytearray(path.read_bytes())
         except OSError:
             return
-        if not data:
+        if len(data) <= start:
             return
-        data[self.seed % len(data)] ^= 0x01
+        data[start + self.seed % (len(data) - start)] ^= 0x01
         path.write_bytes(bytes(data))
 
 
@@ -283,16 +288,18 @@ def fault_point(
     name: str,
     index: "IndexGraph | None" = None,
     path: "Path | None" = None,
+    start: int = 0,
 ) -> None:
     """Mark an injection point in production code.
 
     ``name`` must be registered in :data:`FAULT_POINTS` (checked only
     when an injector is armed, keeping the disarmed path free).  Pass
     the index being mutated — or, for durability points, the file just
-    written — so corrupting faults have a target.
+    written, and the offset ``start`` where its new bytes begin — so
+    corrupting faults have a target.
     """
     armed = _ARMED
     if armed is not None:
         if name not in FAULT_POINTS:
             raise MaintenanceError(f"unregistered fault point {name!r}")
-        armed.hit(name, index, path)
+        armed.hit(name, index, path, start)

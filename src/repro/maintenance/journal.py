@@ -381,8 +381,8 @@ class UpdateJournal:
             fault_point("journal.torn_append")
             _write_all(handle, line[half:])
             os.fsync(handle.fileno())
-            # Bit-rot somewhere in the (now durable) journal.
-            fault_point("journal.bit_flip", path=self.path)
+            # Bit-rot in the record just made durable.
+            fault_point("journal.bit_flip", path=self.path, start=self._end)
         except InjectedFaultError:
             # A simulated crash leaves the torn tail, as a real one
             # would; the next append re-reads the file and cuts it.

@@ -230,6 +230,14 @@ class UpdatePipeline:
         self._audit(set())
         return before - demoted.num_nodes
 
+    def close(self) -> None:
+        """Release the journal's kept file handle, if there is a journal.
+
+        Safe to call twice; a later operation reopens the handle.
+        """
+        if self.journal is not None:
+            self.journal.close()
+
     # ------------------------------------------------------------------
     # Machinery
     # ------------------------------------------------------------------

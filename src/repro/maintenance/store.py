@@ -140,46 +140,25 @@ def _crash_leaving(name: str, damage: Callable[[], None] | None = None) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` so a crash never leaves a hybrid file.
+    """Write ``text`` to ``path`` as UTF-8 through :func:`atomic_write_bytes`.
+
+    Every document the stores write is ASCII JSON (``json.dumps``
+    escapes the rest), so each character is one byte and a fault that
+    tears the file leaves the same half either way.
+    """
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so a crash never leaves a hybrid file.
 
     The sequence is temp write + flush + ``fsync`` + rename +
     directory ``fsync``; readers see either the previous content or the
     complete new content.  Durability fault points are threaded through
-    every step for the chaos suite.
-    """
-    target = Path(path)
-    temp = target.with_name(target.name + TMP_SUFFIX)
-    half = len(text) // 2
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text[:half])
-        handle.flush()
-        # Crash here: a torn temp file, the destination untouched.
-        fault_point("store.torn_write")
-        handle.write(text[half:])
-        handle.flush()
-        os.fsync(handle.fileno())
-    # Crash here: a complete, durable temp file, the destination untouched.
-    fault_point("store.partial_rename")
-    os.replace(temp, target)
-    # The rename happened but the data pages were never flushed: the
-    # post-crash destination holds only what made it to disk.
-    _crash_leaving(
-        "store.missing_fsync",
-        damage=lambda: target.write_text(text[:half], encoding="utf-8"),
-    )
-    fsync_directory(target.parent)
-    # Bit-rot after a perfectly durable write.
-    fault_point("store.bit_flip", path=target)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Binary twin of :func:`atomic_write_text` (same crash discipline).
-
-    Used by the out-of-core paged store (:mod:`repro.storage.paged`)
-    for page files, whose integrity is sealed by per-page digests in
-    the store manifest rather than an inline footer.  The same
-    durability fault points are threaded through the sequence so the
-    chaos suite exercises page writes exactly like document writes.
+    every step for the chaos suite, so page files of the out-of-core
+    paged store (:mod:`repro.storage.paged`), whose integrity is pinned
+    by per-page digests in the store manifest, and sealed documents
+    take the same faults.
     """
     target = Path(path)
     temp = target.with_name(target.name + TMP_SUFFIX)
@@ -195,7 +174,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     # Crash here: a complete, durable temp file, the destination untouched.
     fault_point("store.partial_rename")
     os.replace(temp, target)
-    # The rename happened but the data pages were never flushed.
+    # The rename happened but the data pages were never flushed: the
+    # post-crash destination holds only what made it to disk.
     _crash_leaving(
         "store.missing_fsync",
         damage=lambda: target.write_bytes(data[:half]),

@@ -59,12 +59,7 @@ import importlib
 from array import array
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.graph.columnar import (
-    BUFFER_TYPECODE,
-    CSRBuffers,
-    CSRGraph,
-    csr_from_parent_adjacency,
-)
+from repro.graph.columnar import BUFFER_TYPECODE, CSRBuffers, CSRGraph
 from repro.partition.blocks import Partition
 from repro.partition.engine import LabeledAdjacency, check_levels
 
@@ -164,24 +159,12 @@ class ColumnarEngine:
     serve several runs.
 
     Args:
-        graph: a :class:`CSRGraph` snapshot, or any labeled-adjacency
-            graph — ``DataGraph``/``IndexGraph`` are frozen via their
-            ``freeze()`` (cached, refresh-on-mutate), anything else gets
-            a one-off snapshot via :func:`csr_from_parent_adjacency`.
+        graph: a :class:`CSRGraph` snapshot, or a ``DataGraph`` or
+            ``IndexGraph``, whose cached ``freeze()`` view is used.
     """
 
     def __init__(self, graph: "LabeledAdjacency | CSRGraph") -> None:
-        if isinstance(graph, CSRGraph):
-            csr: CSRBuffers = graph
-        else:
-            freeze = getattr(graph, "freeze", None)
-            if callable(freeze):
-                csr = freeze()
-            else:
-                csr = csr_from_parent_adjacency(
-                    list(graph.label_ids), list(graph.parents)
-                )
-        self._bind(csr)
+        self._bind(graph if isinstance(graph, CSRGraph) else graph.freeze())
 
     def _bind(self, csr: CSRBuffers) -> None:
         """Attach a snapshot and reset all engine state.

@@ -17,19 +17,25 @@ validation of per-node levels.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
 from repro.partition.blocks import Partition
 
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.graph.columnar import CSRGraph
+
 
 class LabeledAdjacency(Protocol):
-    """Anything with labels and parent adjacency (data or index graph)."""
+    """A data or index graph: labels, parent adjacency and the frozen
+    CSR view the columnar engines refine over."""
 
     label_ids: Sequence[int]
     parents: Sequence[Sequence[int]]
 
     @property
     def num_nodes(self) -> int: ...
+
+    def freeze(self) -> "CSRGraph": ...
 
 
 def resolve_jobs(jobs: int | None) -> int:

@@ -101,7 +101,9 @@ PAGE_SUFFIX = ".bin"
 CURRENT_FORMAT = "repro-paged-current"
 CURRENT_VERSION = 1
 
-#: Buffers every paged CSR snapshot must carry.
+#: The buffers a paged CSR snapshot holds, and the only ones it reads:
+#: a store with more (older releases paged index extents and ``k``)
+#: still opens.
 CORE_CSR_BUFFERS = (
     "label_ids",
     "child_offsets",
@@ -109,9 +111,6 @@ CORE_CSR_BUFFERS = (
     "parent_offsets",
     "parent_targets",
 )
-
-#: Optional index-snapshot buffers (flat extents and per-node k).
-EXTENT_CSR_BUFFERS = ("extent_offsets", "extent_targets", "k")
 
 
 def _env_int(env_var: str, what: str) -> int | None:
@@ -1448,8 +1447,10 @@ class PagedCSRGraph:
     ``num_nodes``), so any engine written against that protocol — in
     particular :class:`~repro.partition.columnar.ColumnarEngine` and
     its external subclass — runs unmodified with a bounded resident
-    set.  Index snapshots (extents, per-node ``k``) page those buffers
-    too.
+    set.  It holds :data:`CORE_CSR_BUFFERS` and the label table, which
+    is what refinement reads, whether the source was a data or an
+    index graph; other buffers and meta keys in the store (extents,
+    ``k`` and ``"sealed"``, which older releases wrote) are ignored.
     """
 
     def __init__(self, store: PagedStore) -> None:
@@ -1484,20 +1485,11 @@ class PagedCSRGraph:
         self._store = store
         self._labels = list(labels)
         self._num_nodes = num_nodes
-        self._sealed = bool(meta.get("sealed", False))
         self.label_ids = store.buffer("label_ids")
         self.child_offsets = store.buffer("child_offsets")
         self.child_targets = store.buffer("child_targets")
         self.parent_offsets = store.buffer("parent_offsets")
         self.parent_targets = store.buffer("parent_targets")
-        self._has_extents = "extent_offsets" in names
-        self.extent_offsets = (
-            store.buffer("extent_offsets") if self._has_extents else None
-        )
-        self.extent_targets = (
-            store.buffer("extent_targets") if self._has_extents else None
-        )
-        self.k = store.buffer("k") if "k" in names else None
 
     # -- construction --------------------------------------------------
 
@@ -1515,17 +1507,13 @@ class PagedCSRGraph:
     ) -> "PagedCSRGraph":
         """Page a graph's frozen CSR view out to ``directory``.
 
-        ``graph`` may be a mutable graph with ``freeze()`` (its label
-        table and seal state are captured) or a bare
+        ``graph`` may be a ``DataGraph`` or ``IndexGraph`` (its
+        ``freeze()`` view is paged, with its label table) or a bare
         :class:`~repro.graph.columnar.CSRGraph` — pass ``labels`` then,
-        or synthetic names are generated.
+        or synthetic names are generated.  The store holds exactly
+        :data:`CORE_CSR_BUFFERS`.
         """
-        if isinstance(graph, CSRGraph):
-            view = graph
-            sealed = False
-        else:
-            view = graph.freeze()
-            sealed = bool(getattr(graph, "sealed", False))
+        view = graph if isinstance(graph, CSRGraph) else graph.freeze()
         if labels is None:
             names_of = getattr(graph, "label_names", None)
             if callable(names_of):
@@ -1541,16 +1529,11 @@ class PagedCSRGraph:
         buffers: dict[str, Iterable[int]] = {
             name: getattr(view, name) for name in CORE_CSR_BUFFERS
         }
-        for name in EXTENT_CSR_BUFFERS:
-            extra = getattr(view, name)
-            if extra is not None:
-                buffers[name] = extra
         meta = {
             "labels": labels,
             "num_nodes": view.num_nodes,
             "num_edges": view.num_edges,
             "num_labels": view.num_labels,
-            "sealed": sealed,
         }
         store = PagedStore.create(
             directory,
@@ -1607,11 +1590,6 @@ class PagedCSRGraph:
         return len(self._labels)
 
     @property
-    def sealed(self) -> bool:
-        """Whether the source graph was sealed when paged out."""
-        return self._sealed
-
-    @property
     def stats(self) -> PoolStats:
         """Pool counters for this snapshot's store."""
         return self._store.stats
@@ -1637,14 +1615,6 @@ class PagedCSRGraph:
         hi = self._store.read_element("parent_offsets", node + 1)
         return self._store.read_slice("parent_targets", lo, hi)
 
-    def extent(self, node: int) -> "array[int]":
-        """The extent of index node ``node`` (index snapshots only)."""
-        if not self._has_extents:
-            raise PagedStoreError("this paged snapshot carries no extents")
-        lo = self._store.read_element("extent_offsets", node)
-        hi = self._store.read_element("extent_offsets", node + 1)
-        return self._store.read_slice("extent_targets", lo, hi)
-
     # -- materialisation -----------------------------------------------
 
     def to_csr(self) -> CSRGraph:
@@ -1659,17 +1629,7 @@ class PagedCSRGraph:
             whole("parent_offsets"),
             whole("parent_targets"),
             num_labels=self.num_labels,
-            extent_offsets=whole("extent_offsets") if self._has_extents else None,
-            extent_targets=whole("extent_targets") if self._has_extents else None,
-            k=whole("k") if self.k is not None else None,
         )
-
-    def to_datagraph(self) -> Any:
-        """Materialise a mutable :class:`DataGraph`, restoring the seal."""
-        graph = self.to_csr().to_datagraph(self._labels)
-        if self._sealed:
-            graph.freeze(mode="seal")
-        return graph
 
     # -- lifecycle -----------------------------------------------------
 
@@ -1697,8 +1657,7 @@ class PagedCSRGraph:
         self._store.__exit__(exc_type, exc, tb)
 
     def __repr__(self) -> str:
-        kind = "index" if self._has_extents else "data"
         return (
-            f"PagedCSRGraph({kind}, nodes={self.num_nodes}, "
+            f"PagedCSRGraph(nodes={self.num_nodes}, "
             f"edges={self.num_edges}, generation={self._store.generation})"
         )

@@ -170,7 +170,7 @@ def test_huge_requirement_returns_at_once():
     with deadline(20):
         huge, _ = build_dk_index(graph, {label: 2**63 - 1})
     expected, _ = build_dk_index(graph, {label: enough})
-    assert huge.freeze().k[huge.node_of[graph.num_nodes - 1]] == 2**63 - 1
+    assert huge.k[huge.node_of[graph.num_nodes - 1]] == 2**63 - 1
     assert sorted(map(sorted, huge.extents)) == sorted(
         map(sorted, expected.extents)
     )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from conftest import small_graphs
 import repro.partition.columnar as columnar_module
-from repro.graph.columnar import csr_from_parent_adjacency
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.refinement import (
     bisim_partition,
@@ -151,23 +150,6 @@ def test_engine_accepts_a_raw_csr_snapshot():
     from_graph, rounds_graph = ColumnarEngine(graph).run_fixpoint()
     assert from_csr == from_graph
     assert rounds_csr == rounds_graph
-
-
-def test_engine_accepts_freezeless_adjacency_objects():
-    graph = cyclic_idref_graph(2, size=60)
-
-    class Plain:
-        """LabeledAdjacency without freeze(): exercises the fallback."""
-
-        label_ids = list(graph.label_ids)
-        parents = [list(p) for p in graph.parents]
-        children = [list(c) for c in graph.children]
-        num_nodes = graph.num_nodes
-
-    partition, rounds = ColumnarEngine(Plain()).run_fixpoint()
-    reference, reference_rounds = bisim_partition(graph, engine="legacy")
-    assert partition == reference
-    assert rounds == reference_rounds
 
 
 def test_engine_reuses_cached_frozen_view():

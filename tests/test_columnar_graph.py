@@ -2,11 +2,11 @@
 
 Covers the tentpole invariants of ``repro.graph.columnar``:
 
-- CSR buffers agree with the mutable adjacency (both directions, plus
-  extents and assigned k on index graphs);
-- the freeze/invalidation contract — ``mode="refresh"`` drops the
-  cached view on mutation, ``mode="seal"`` forbids mutation until
-  ``thaw()``, and the mutation version counts every structural change;
+- CSR buffers agree with the mutable adjacency in both directions, and
+  an index graph's view holds its adjacency sorted;
+- the freeze/invalidation contract — ``freeze()`` caches the view, any
+  structural mutation drops it, and the mutation version counts every
+  structural change;
 - a paged snapshot written on a host of the other endianness loads
   byte-swapped.
 """
@@ -18,13 +18,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from repro.exceptions import FrozenGraphError, GraphError
-from repro.graph.columnar import (
-    BUFFER_TYPECODE,
-    CSRGraph,
-    csr_from_parent_adjacency,
-    flatten_adjacency,
-)
+from repro.exceptions import GraphError
+from repro.graph.columnar import BUFFER_TYPECODE, CSRGraph, flatten_adjacency
 from repro.graph.datagraph import DataGraph
 from repro.indexes.base import IndexGraph
 from repro.partition.refinement import bisim_partition
@@ -76,9 +71,10 @@ def test_freeze_matches_mutable_adjacency():
         assert view.label_ids[node] == g.label_ids[node]
     view.check_invariants()
     assert len(view) == g.num_nodes
-    assert "data" in repr(view)
-    with pytest.raises(GraphError):
-        view.extent(0)  # data snapshots carry no extents
+    assert repr(view) == (
+        f"CSRGraph(nodes={g.num_nodes}, edges={g.num_edges}, "
+        f"labels={g.num_labels})"
+    )
 
 
 @given(small_graphs(max_nodes=12))
@@ -93,17 +89,6 @@ def test_freeze_invariants_hold_on_random_graphs(graph):
         for dst in view.children(src)
     )
     assert csr_edges == edges
-
-
-def test_csr_from_parent_adjacency_transposes():
-    g = movie_like_graph()
-    view = csr_from_parent_adjacency(
-        list(g.label_ids), [list(p) for p in g.parents]
-    )
-    view.check_invariants()
-    for node in g.nodes():
-        assert sorted(view.children(node)) == sorted(g.children[node])
-        assert sorted(view.parents(node)) == sorted(g.parents[node])
 
 
 def test_csr_constructor_validates_shapes():
@@ -129,7 +114,7 @@ def test_check_invariants_catches_corruption():
 
 
 # ----------------------------------------------------------------------
-# Freeze contract: refresh, seal, versions
+# Freeze contract: caching, invalidation, versions
 # ----------------------------------------------------------------------
 
 
@@ -138,8 +123,10 @@ def test_freeze_is_cached_until_mutation():
     version = g.mutation_version
     first = g.freeze()
     assert g.freeze() is first  # cached
+    assert g.frozen_view is first
     assert first.source_version == version
-    g.add_node("x")  # refresh mode: invalidates, does not raise
+    g.add_node("x")  # invalidates the view
+    assert g.frozen_view is None
     assert g.mutation_version == version + 1
     second = g.freeze()
     assert second is not first
@@ -159,65 +146,53 @@ def test_every_mutator_bumps_the_version():
     assert g.mutation_version == v + 3
     g.remove_edge(a, g.root)
     assert g.mutation_version == v + 4
-
-
-def test_seal_blocks_mutation_until_thaw():
-    g = movie_like_graph()
-    view = g.freeze(mode="seal")
-    assert g.sealed
-    with pytest.raises(FrozenGraphError):
-        g.add_node("x")
-    with pytest.raises(FrozenGraphError):
-        g.add_edge(2, 5)  # not a duplicate: seal check must fire
-    with pytest.raises(FrozenGraphError):
-        g.remove_edge(g.root, 1)
-    assert g.freeze() is view  # re-freezing a sealed graph is a no-op
-    g.thaw()
-    assert not g.sealed
-    g.add_node("x")  # allowed again
-    assert g.freeze() is not view
+    view = g.freeze()
+    g.add_edges([a], [g.root])
+    assert g.mutation_version == v + 5
+    assert g.frozen_view is None and g.freeze() is not view
 
 
 def test_unknown_freeze_mode_rejected():
+    # freeze() takes no mode: there is one contract, and no seal.
     g = DataGraph()
-    with pytest.raises(GraphError):
-        g.freeze(mode="deep")
+    with pytest.raises(TypeError):
+        g.freeze(mode="seal")
     index = IndexGraph.from_partition(
         g, bisim_partition(g, engine="legacy")[0], [0]
     )
-    with pytest.raises(GraphError):
-        index.freeze(mode="deep")
+    with pytest.raises(TypeError):
+        index.freeze(mode="seal")
 
 
-def test_copy_is_unsealed_and_uncached():
+def test_copy_is_uncached():
     g = movie_like_graph()
-    g.freeze(mode="seal")
+    view = g.freeze()
     clone = g.copy()
-    assert not clone.sealed
-    clone.add_node("x")  # the copy is free to mutate
-    with pytest.raises(FrozenGraphError):
-        g.add_node("x")  # the original stays sealed
+    assert clone.frozen_view is None
+    assert clone.freeze() is not view
+    clone.add_node("x")  # the copy's mutation leaves the original's view
+    assert g.freeze() is view
 
 
-def test_index_graph_freeze_carries_extents_and_k():
+def test_index_graph_freeze_carries_sorted_adjacency():
     g = cyclic_idref_graph(3, size=60)
     partition, _rounds = bisim_partition(g, engine="legacy")
     k_values = [2] * partition.num_blocks
     index = IndexGraph.from_partition(g, partition, k_values)
     view = index.freeze()
     view.check_invariants()
-    assert "index" in repr(view)
+    assert view.num_nodes == index.num_nodes
+    assert view.num_labels == g.num_labels
     for node in range(index.num_nodes):
-        assert sorted(view.children(node)) == sorted(index.children[node])
-        assert sorted(view.parents(node)) == sorted(index.parents[node])
-        assert list(view.extent(node)) == list(index.extents[node])
-        assert view.k[node] == index.k[node]
-    # Seal/thaw work on index graphs too, and mutation invalidates.
-    index.freeze(mode="seal")
-    with pytest.raises(FrozenGraphError):
-        index.add_index_edge(0, 0)
-    index.thaw()
+        assert list(view.children(node)) == sorted(index.children[node])
+        assert list(view.parents(node)) == sorted(index.parents[node])
+        assert view.label_ids[node] == index.label_ids[node]
+    # Local similarities are not in the view: changing one keeps it.
     version = index.mutation_version
+    index.k[0] += 1
+    assert index.mutation_version == version
+    assert index.freeze() is view
+    # A structural mutation drops it.
     index.add_index_edge(0, 0)
     assert index.mutation_version == version + 1
     assert index.freeze() is not view
@@ -247,5 +222,4 @@ def test_frozen_loader_swaps_foreign_endianness(tmp_path, monkeypatch):
     for name in ("label_ids", "child_offsets", "child_targets",
                  "parent_offsets", "parent_targets"):
         assert getattr(restored, name) == getattr(view, name)
-    assert sorted(loaded.to_datagraph().edges()) == sorted(g.edges())
     loaded.close()

@@ -15,7 +15,6 @@ from repro.datasets.dtd import (
     parse_dtd,
 )
 from repro.exceptions import (
-    FrozenGraphError,
     GraphError,
     UnknownLabelError,
     UnknownNodeError,
@@ -405,11 +404,9 @@ def test_from_arrays_rows_equal_the_add_edge_rows():
         + [("remove", i, i) for i in range(0, 40, 3)]
     )
     loaded = graph_from_dict(graph_to_dict(graph))
-    thawed = graph.freeze().to_datagraph(graph.label_names())
-    for other in (loaded, thawed):
-        assert other.children == graph.children
-        assert other.parents == graph.parents
-        assert all(type(row) is tuple for row in other.children + other.parents)
+    assert loaded.children == graph.children
+    assert loaded.parents == graph.parents
+    assert all(type(row) is tuple for row in loaded.children + loaded.parents)
 
 
 def tracked_containers_added_by(action):
@@ -478,18 +475,6 @@ def test_add_edges_rejects_a_bad_batch_and_leaves_the_graph(
     assert graph.parents == [(), (), (1,), ()]
     assert graph.num_edges == 1
     assert graph.frozen_view is view
-
-
-def test_add_edges_respects_a_sealed_graph():
-    graph = DataGraph()
-    graph.add_node("a")
-    graph.freeze(mode="seal")
-    with pytest.raises(FrozenGraphError):
-        graph.add_edges([0], [1])
-    graph.thaw()
-    graph.add_edges([0], [1])
-    assert graph.children[0] == (1,)
-    assert graph.frozen_view is None
 
 
 WIDE = 200_000

@@ -159,13 +159,12 @@ def test_graph_to_xml_multiple_top_elements():
 
 def test_index_graph_duck_typing_for_traversal():
     # IndexGraph satisfies the Adjacency protocol used by traversal.
-    from repro.graph.traversal import bfs_order, reachable_from
+    from repro.graph.traversal import reachable_from
 
     g = graph_from_edges(["a", "b"], [(0, 1), (1, 2)])
     index = build_labelsplit_index(g)
-    order = bfs_order(index, index.root_index_node)
-    assert set(order) == set(range(index.num_nodes))
-    assert reachable_from(index, [index.root_index_node]) == set(order)
+    reached = reachable_from(index, [index.root_index_node])
+    assert reached == set(range(index.num_nodes))
 
 
 # ------------------------- misuse handling -----------------------------

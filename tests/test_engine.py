@@ -1,10 +1,13 @@
 """Tests for the :class:`repro.engine.Database` facade."""
 
+import gc
 import io
+import warnings
 
 import pytest
 
 from repro.engine import Database
+from repro.maintenance.journal import UpdateJournal
 from repro.paths.evaluator import evaluate_on_data_graph
 from repro.paths.query import make_query
 from repro.paths.twig import evaluate_twig, parse_twig
@@ -141,3 +144,21 @@ def test_empty_database():
     assert db.query("anything") == set()
     db.insert_document("<doc><a/></doc>")
     assert db.query("a") != set()
+
+
+def test_close_releases_the_journal_handle(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    db = Database.from_xml(LIBRARY_XML, journal_path=path)
+    books = db.graph.nodes_with_label("book")
+    db.add_reference(books[0], books[1])
+    db.close()
+    db.close()  # a second close is harmless
+    db.remove_reference(books[0], books[1])  # reopens the handle
+    db.close()
+    del db
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    ops = [entry.op for entry in UpdateJournal(path).entries()]
+    assert ops == ["", "add_edge", "remove_edge"]

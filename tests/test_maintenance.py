@@ -7,7 +7,9 @@ whole history replays from the base snapshot to the same partition.
 """
 
 import errno
+import gc
 import random
+import warnings
 
 import pytest
 
@@ -30,7 +32,12 @@ from repro.maintenance.audit import (
     run_audit,
     scoped_fast_ok,
 )
-from repro.maintenance.faults import FAULT_POINTS, FaultInjector, inject_faults
+from repro.maintenance.faults import (
+    FAULT_POINTS,
+    FaultInjector,
+    fault_point,
+    inject_faults,
+)
 from repro.maintenance import journal as journal_module
 from repro.maintenance.journal import (
     JOURNAL_VERSION,
@@ -615,6 +622,48 @@ def test_fault_points_registry_documents_every_point():
     assert all(description for description in FAULT_POINTS.values())
 
 
+def flipped_offsets(path, pristine, start, seeds):
+    """Where one armed ``journal.bit_flip`` lands, per seed."""
+    offsets = []
+    for seed in seeds:
+        path.write_bytes(pristine)
+        with FaultInjector("journal.bit_flip", "corrupt", seed=seed):
+            fault_point("journal.bit_flip", path=path, start=start)
+        damaged = path.read_bytes()
+        changed = [
+            i for i in range(len(pristine)) if damaged[i] != pristine[i]
+        ]
+        assert len(changed) == 1
+        assert damaged[changed[0]] ^ pristine[changed[0]] == 0x01
+        offsets.append(changed[0])
+    return offsets
+
+
+def test_file_bit_flip_lands_at_or_after_start(tmp_path):
+    path = tmp_path / "rot.bin"
+    pristine = bytes(range(256)) * 3
+    start = 500
+    offsets = flipped_offsets(path, pristine, start, range(1000))
+    assert all(start <= offset < len(pristine) for offset in offsets)
+    assert len(set(offsets)) == len(pristine) - start  # every byte reachable
+    # Without a start the flip lands where it always did: seed % len.
+    assert flipped_offsets(path, pristine, 0, range(0, 1000, 7)) == [
+        seed % len(pristine) for seed in range(0, 1000, 7)
+    ]
+
+
+def test_journal_bit_flip_rots_the_record_just_appended(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    dk = make_store(journal_path=path)
+    dk.add_edge(2, 9)
+    with FaultInjector("journal.bit_flip", "corrupt", seed=0):
+        dk.add_edge(3, 5)
+    scan = scan_journal(path)
+    assert scan.corrupt_lines == [3]  # the base and the first record hold
+    assert [op for _seq, op, _args in scan.committed_ops] == ["add_edge"]
+    dk.close()
+
+
 # ------------------------- pipeline ------------------------------------
 
 
@@ -684,6 +733,30 @@ def test_facade_lazy_pipeline_reuse():
     dk = make_store()
     assert dk.pipeline is dk.pipeline
     assert isinstance(dk.pipeline, UpdatePipeline)
+
+
+def test_close_releases_the_journal_handle(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    dk = make_store(journal_path=path)
+    dk.add_edge(2, 9)
+    dk.close()
+    dk.close()  # a second close is harmless
+    dk.add_edge(3, 5)  # and a later operation reopens the handle
+    assert [entry.seq for entry in UpdateJournal(path).entries()] == [0, 1, 2]
+    dk.close()
+    del dk
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_close_without_a_pipeline_or_journal_is_harmless():
+    dk = make_store()
+    dk.close()  # no pipeline yet
+    dk.add_edge(2, 9)
+    dk.close()  # a pipeline without a journal
+    assert dk.graph.has_edge(2, 9)
 
 
 # ------------------------- repair ladder -------------------------------

@@ -24,10 +24,15 @@ from hypothesis import strategies as st
 
 from conftest import json_values
 from repro.exceptions import InjectedFaultError, PagedStoreError, SerializationError
+from repro.graph.columnar import flatten_adjacency
 from repro.graph.datagraph import DataGraph
+from repro.indexes.akindex import build_ak_index
 from repro.maintenance.faults import FaultInjector
 from repro.maintenance.store import seal, unseal
+from repro.partition.columnar import ColumnarEngine
+from repro.partition.external import ExternalEngine
 from repro.storage.paged import (
+    CORE_CSR_BUFFERS,
     PageCursor,
     PagedBufferPool,
     PagedCSRGraph,
@@ -437,26 +442,69 @@ def test_paged_csr_matches_frozen_view(tmp_path):
     paged.close()
 
 
-def test_paged_csr_reopen_and_to_datagraph(tmp_path):
+def test_paged_csr_reopen_and_to_csr(tmp_path):
     graph = seeded_graph(seed=3, size=60)
+    view = graph.freeze()
     PagedCSRGraph.create(tmp_path / "csr", graph, page_bytes=128).close()
     reopened = PagedCSRGraph.open(tmp_path / "csr", budget_bytes=256)
-    back = reopened.to_datagraph()
+    back = reopened.to_csr()
+    back.check_invariants()
     assert back.num_nodes == graph.num_nodes
     assert back.num_edges == graph.num_edges
-    assert sorted(back.edges()) == sorted(graph.edges())
+    for name in CORE_CSR_BUFFERS:
+        assert getattr(back, name) == getattr(view, name)
+    assert reopened.label_names() == graph.label_names()
     reopened.close()
 
 
-def test_paged_csr_preserves_seal(tmp_path):
-    graph = seeded_graph(seed=5, size=30)
-    graph.freeze(mode="seal")
-    PagedCSRGraph.create(tmp_path / "csr", graph).close()
-    reopened = PagedCSRGraph.open(tmp_path / "csr")
-    assert reopened.sealed
-    back = reopened.to_datagraph()
-    assert back.sealed
-    reopened.close()
+def test_paged_csr_of_an_index_graph_pages_only_the_core_buffers(tmp_path):
+    index = build_ak_index(seeded_graph(seed=5, size=80), 2)
+    view = index.freeze()
+    paged = PagedCSRGraph.create(tmp_path / "csr", index, page_bytes=128)
+    assert paged.store.buffer_names() == CORE_CSR_BUFFERS
+    assert "sealed" not in paged.store.meta
+    assert paged.num_nodes == index.num_nodes
+    for name in CORE_CSR_BUFFERS:
+        assert getattr(paged.to_csr(), name) == getattr(view, name)
+    paged.close()
+
+
+def test_paged_csr_written_by_an_older_release_opens(tmp_path):
+    # Older releases paged an index graph's flat extents and k as well,
+    # and stamped a "sealed" meta key; the reader ignores all four.
+    graph = seeded_graph(seed=7, size=120)
+    index = build_ak_index(graph, 2)
+    view = index.freeze()
+    extent_offsets, extent_targets = flatten_adjacency(index.extents)
+    buffers = {name: getattr(view, name) for name in CORE_CSR_BUFFERS}
+    buffers.update(
+        extent_offsets=extent_offsets,
+        extent_targets=extent_targets,
+        k=array("q", index.k),
+    )
+    meta = {
+        "labels": list(graph.label_names()),
+        "num_nodes": view.num_nodes,
+        "num_edges": view.num_edges,
+        "num_labels": view.num_labels,
+        "sealed": True,
+    }
+    PagedStore.create(
+        tmp_path / "old", buffers, page_bytes=128, meta=meta
+    ).close()
+
+    paged = PagedCSRGraph.open(tmp_path / "old", budget_bytes=512)
+    assert "extent_offsets" in paged.store.buffer_names()
+    assert paged.store.meta["sealed"] is True
+    restored = paged.to_csr()
+    restored.check_invariants()
+    for name in CORE_CSR_BUFFERS:
+        assert getattr(restored, name) == getattr(view, name)
+    assert restored.num_labels == view.num_labels
+    with ExternalEngine(paged) as external:
+        external_result = external.run_fixpoint()
+    assert external_result == ColumnarEngine(index).run_fixpoint()
+    paged.close()
 
 
 def test_paged_csr_rejects_non_csr_store(tmp_path):

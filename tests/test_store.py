@@ -626,6 +626,20 @@ def test_durability_suite_is_clean(tmp_path):
     report = run_durability_suite(seed=0, work_dir=tmp_path / "chaos")
     assert report.ok, report.format()
     assert "durability crash matrix" in report.format()
+    # Journal bit-rot lands in the record just appended, so both rows
+    # lose operations and must say so; every other row loses nothing.
+    rotted = [
+        outcome for outcome in report.outcomes
+        if outcome.point == "journal.bit_flip"
+    ]
+    assert [outcome.outcome for outcome in rotted] == ["point-in-time"] * 2
+    assert "2 op(s) rotted away" in rotted[0].detail
+    assert "1 op(s) rotted away" in rotted[1].detail
+    assert all(
+        outcome.outcome == "recovered"
+        for outcome in report.outcomes
+        if outcome.point != "journal.bit_flip"
+    )
 
 
 # ------------------------- mistyped journal records --------------------
