@@ -16,8 +16,8 @@ Commands:
   the paged out-of-core stack (``--storage`` runs only the last);
   exits 1 if any scenario breaks.
 - ``dkindex scrub DIR [--no-repair]`` — digest-verify every live page
-  of a paged store, quarantine corrupt page files and restore them
-  from older generations; exits 1 when a rebuild is required.
+  of a paged store, copy corrupt pages to quarantine and repair them
+  in place from older generations; exits 1 when a rebuild is required.
 - ``dkindex checkpoint DIR [--init FILE] [--retain N]`` — create a
   checkpoint store around a saved index, or roll an existing store
   forward to a fresh generation (recover, snapshot, rotate).

@@ -52,8 +52,9 @@ _READABLE_VERSIONS = (1, FORMAT_VERSION)
 FROZEN_FORMAT_NAME = "repro-datagraph-frozen"
 
 #: Version stamp of the paged manifest: the CSR buffers live in
-#: fixed-size page files referenced by a page-table header.
-FROZEN_PAGED_VERSION = 2
+#: fixed-size pages inside segment files, referenced by a page-table
+#: header.  Version 2, one file per page, still loads.
+FROZEN_PAGED_VERSION = 3
 
 
 def graph_to_dict(graph: DataGraph) -> dict[str, Any]:
@@ -217,7 +218,7 @@ def load_graph(source: str | Path | IO[str]) -> DataGraph:
 def buffer_from_bytes(name: str, raw: bytes, byteorder: str) -> "array[int]":
     """Raw int64 bytes in ``byteorder`` -> a *native* ``array('q')``.
 
-    The decode door of the binary page files of
+    The decode door of the binary pages of
     :mod:`repro.storage.paged`: a payload stamped with the opposite
     endianness is byteswapped, never rejected and never misread.
 

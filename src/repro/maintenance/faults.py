@@ -65,10 +65,10 @@ DURABILITY_FAULT_POINTS: dict[str, str] = {
 #: on *every* hit instead of latching on the Nth — a flaky disk, not a
 #: single landmine.
 STORAGE_FAULT_POINTS: dict[str, str] = {
-    "storage.page_torn_write": "page emit: page file half-written at the crash",
-    "storage.page_bit_flip": "page emit: page durable, then one byte rots",
-    "storage.page_read_eio_transient": "page load: the read fails with EIO",
-    "storage.page_enospc": "page emit: the filesystem is out of space",
+    "storage.page_torn_write": "page append: the page is half-written at the crash",
+    "storage.page_bit_flip": "page append: one byte of the new page rots afterwards",
+    "storage.page_read_eio_transient": "page load: the ranged read fails with EIO",
+    "storage.page_enospc": "page append: the filesystem is out of space",
     "storage.manifest_corrupt": "checkpoint: manifest durable, then rots",
     "storage.pool_evict_writeback_fail": "pool evict: dirty write-back fails",
 }

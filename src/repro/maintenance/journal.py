@@ -75,6 +75,7 @@ from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Mapping, NoReturn
 
 from repro.exceptions import InjectedFaultError, JournalError
 from repro.maintenance.faults import fault_point
+from repro.maintenance.store import write_all
 
 if TYPE_CHECKING:  # runtime import stays lazy: the facade imports the
     from repro.core.dindex import DKIndex  # update code, which imports us
@@ -304,14 +305,6 @@ def _committed(entries: Iterable[JournalEntry]) -> tuple[list[JournalOp], list[i
     return replayable, []
 
 
-def _write_all(handle: FileIO, data: bytes) -> None:
-    """Write all of ``data`` through an unbuffered handle, which may
-    take fewer bytes per call than it is given."""
-    view = memoryview(data)
-    while view:
-        view = view[handle.write(view):]
-
-
 class UpdateJournal:
     """Append-only write-ahead journal for one D(k)-index.
 
@@ -375,11 +368,11 @@ class UpdateJournal:
         line = _encode_line(record).encode("utf-8")
         half = len(line) // 2
         try:
-            _write_all(handle, line[:half])
+            write_all(handle, line[:half])
             # Crash here: a torn tail — the one thing a crashed append
             # may legitimately leave behind; readers stop before it.
             fault_point("journal.torn_append")
-            _write_all(handle, line[half:])
+            write_all(handle, line[half:])
             os.fsync(handle.fileno())
             # Bit-rot in the record just made durable.
             fault_point("journal.bit_flip", path=self.path, start=self._end)
@@ -443,7 +436,7 @@ class UpdateJournal:
         try:
             os.ftruncate(handle.fileno(), scan.end)
             if not scan.terminated:
-                _write_all(handle, b"\n")
+                write_all(handle, b"\n")
         except BaseException:
             handle.close()
             raise

@@ -22,8 +22,8 @@ not audit clean, the index stays quarantined and the pipeline raises
 :class:`~repro.exceptions.QuarantineError`.
 
 For indexes served out of *paged storage* there is a rung below all
-three: :func:`scrub_store` digest-verifies and repairs the page files
-themselves (quarantining what it cannot repair), because when the
+three: :func:`scrub_store` digest-verifies and repairs the pages
+themselves (quarantining a copy of what is corrupt), because when the
 backing pages are rotten no index-level strategy can even read the
 state it would fix.
 """
@@ -169,14 +169,14 @@ def scrub_store(
     """Rung 0 of the ladder, for paged storage: page scrub & repair.
 
     Opens the paged store at ``directory``, digest-verifies every page
-    its live manifest references, quarantines corrupt page files and
+    its live manifest references, copies corrupt pages to quarantine and
     restores each from the newest older generation holding a
     byte-identical twin (see
     :meth:`repro.storage.paged.PagedStore.scrub`).  Runs *below* the
     index-level strategies of :func:`repair_index`: when the report
     flags ``rebuild_required``, escalate to the ``rebuild`` strategy —
-    the unrepairable pages stay quarantined and unreadable, never
-    silently served.
+    the unrepairable pages stay unreadable, never silently served, and
+    a copy of their bytes stays in quarantine.
     """
     from repro.storage.paged import PagedStore
 

@@ -66,6 +66,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from io import FileIO
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable
 
@@ -128,6 +129,15 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def write_all(handle: FileIO, data: bytes) -> None:
+    """Write all of ``data`` through an unbuffered handle, which may
+    take fewer bytes per call than it is given.  The appends of the
+    journal and of the paged store's segments go through here."""
+    view = memoryview(data)
+    while view:
+        view = view[handle.write(view):]
+
+
 def _crash_leaving(name: str, damage: Callable[[], None] | None = None) -> None:
     """A fault point that, when it fires, first arranges the filesystem
     state a real crash at this instant could leave behind."""
@@ -155,10 +165,9 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     The sequence is temp write + flush + ``fsync`` + rename +
     directory ``fsync``; readers see either the previous content or the
     complete new content.  Durability fault points are threaded through
-    every step for the chaos suite, so page files of the out-of-core
-    paged store (:mod:`repro.storage.paged`), whose integrity is pinned
-    by per-page digests in the store manifest, and sealed documents
-    take the same faults.
+    every step for the chaos suite, so every sealed document — the
+    checkpoint store's and the paged store's manifests and ``CURRENT``
+    pointers alike — takes the same faults.
     """
     target = Path(path)
     temp = target.with_name(target.name + TMP_SUFFIX)

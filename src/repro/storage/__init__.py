@@ -6,15 +6,18 @@ ceiling with the block-structured discipline of I/O-efficient
 bisimulation construction (Luo et al., Hellings et al. — see PAPERS.md):
 
 - :class:`~repro.storage.paged.PagedStore` — named ``int64`` buffers
-  split into fixed-size pages on disk, each page written through the
-  atomic writer of :mod:`repro.maintenance.store` and pinned by a
-  sha256 digest in a sealed, generation-numbered manifest.  Mutations
-  are copy-on-write: :meth:`~repro.storage.paged.PagedStore.checkpoint`
-  publishes a new *manifest* referencing fresh pages for dirty blocks
-  and the existing files for everything else — never a full rewrite.
+  split into fixed-size pages on disk.  Each generation appends the
+  pages it writes to one segment file and ``fsync``\\ s it once; a
+  sealed, generation-numbered manifest pins every page by segment,
+  offset and sha256 digest.  Mutations are copy-on-write:
+  :meth:`~repro.storage.paged.PagedStore.checkpoint` publishes a new
+  *manifest* referencing fresh pages for dirty blocks, appended to the
+  new generation's segment, and the existing pages for everything
+  else — never a full rewrite.
 - :class:`~repro.storage.paged.PagedBufferPool` — the LRU buffer pool
-  in front of the page files: a byte budget, dirty-page write-back on
-  eviction, and hit/miss/eviction counters.
+  in front of the segments: a byte budget, dirty-page write-back on
+  eviction, and hit/miss/eviction counters; a miss reads one page's
+  byte range.
 - :class:`~repro.storage.paged.PageCursor` — the forward,
   page-at-a-time reader under the external engine's node-ordered
   sweeps: one pool lookup per page it crosses.

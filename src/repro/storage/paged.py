@@ -1,36 +1,48 @@
 """Block-structured on-disk buffers behind an LRU pool.
 
 A *paged store* keeps named ``int64`` buffers (the flat CSR columns of
-:mod:`repro.graph.columnar`) as fixed-size page files under a
-directory, described by a sealed, generation-numbered manifest:
+:mod:`repro.graph.columnar`) as fixed-size pages under a directory.
+Each generation appends the pages it writes, back to back, to one
+*segment* file, and a sealed, generation-numbered manifest says where
+every page lives:
 
 .. code-block:: text
 
     store/
-      CURRENT                 # hint: newest readable generation
-      manifest-0000001.json   # sealed page table (format v2 of
-      manifest-0000002.json   #   ``repro-datagraph-frozen``)
+      CURRENT                  # hint: newest readable generation
+      manifest-0000001.json    # sealed page table (format v3 of
+      manifest-0000002.json    #   ``repro-datagraph-frozen``)
       pages/
-        page-0000000.bin      # raw int64 entries, creation byteorder
-        page-0000001.bin
+        segment-0000000.bin    # generation 1's pages: raw int64
+        segment-0000001.bin    #   entries, creation byteorder
 
-Every page file is written once through
-:func:`repro.maintenance.store.atomic_write_bytes` and pinned by a
-sha256 digest in the manifest's page table; a flipped bit or truncated
-page fails loudly on load.  Mutation is copy-on-write: a dirty page is
-written back to a *fresh* physical file (on eviction from the pool or
-at :meth:`PagedStore.checkpoint`), and the checkpoint publishes a new
+A page-table entry is ``[segment, offset, digest]``: the segment id,
+the page's byte offset inside it, and the page's sha256 digest, so a
+flipped bit or a truncated segment fails loudly on load.  A
+generation's segment is written through one append-mode handle and
+``fsync``\\ ed once, with its directory, before the manifest that
+references it is published: creating or checkpointing a store costs
+the same few ``fsync`` calls whatever the number of pages.
+
+Mutation is copy-on-write: a dirty page is appended to the next
+generation's segment (on eviction from the pool or at
+:meth:`PagedStore.checkpoint`), and the checkpoint publishes a new
 manifest referencing the fresh pages plus the untouched old ones — the
 generation step never rewrites unchanged data, mirroring the
 manifest-of-immutable-artifacts discipline of
 :class:`repro.maintenance.store.CheckpointStore`.  Consecutive
-retained generations share page files, so
-``PagedStore.open(..., generation=g)`` gives a point-in-time view.
+retained generations share segments, so
+``PagedStore.open(..., generation=g)`` gives a point-in-time view, and
+pruning deletes a segment once no retained manifest references it.
+A version-2 manifest, whose pages are one file each
+(``pages/page-0000000.bin``, listed as ``[physical, digest]``), reads
+as a store of one-page segments: ``[physical, 0, digest]``.
 
 Reads go through :class:`PagedBufferPool` — a byte-budgeted LRU with
 dirty-page write-back and hit/miss/eviction counters — so
 the resident working set stays bounded no matter how large the graph
-is.  Sequential reads go a page at a time: :meth:`PagedStore.read_page`
+is.  A pool miss reads one page's byte range from its segment.
+Sequential reads go a page at a time: :meth:`PagedStore.read_page`
 is one pool lookup for a whole page, and :class:`PageCursor` keeps
 that page while a forward sweep reads inside it.
 :class:`PagedCSRGraph` glues a store to the
@@ -47,6 +59,8 @@ from array import array
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
+from io import FileIO
+from itertools import islice
 from pathlib import Path
 from types import TracebackType
 from typing import Any, Callable
@@ -71,6 +85,7 @@ from repro.maintenance.store import (
     atomic_write_document,
     fsync_directory,
     read_document,
+    write_all,
 )
 from repro.storage.retry import RetryPolicy, io_retry, resolve_retry_policy
 
@@ -95,8 +110,17 @@ PAGES_DIRNAME = "pages"
 QUARANTINE_DIRNAME = "quarantine"
 MANIFEST_PREFIX = "manifest-"
 MANIFEST_SUFFIX = ".json"
+SEGMENT_PREFIX = "segment-"
+#: A version-2 store's page file: a one-page segment under the same id.
 PAGE_PREFIX = "page-"
-PAGE_SUFFIX = ".bin"
+DATA_SUFFIX = ".bin"
+
+#: Manifest versions :meth:`PagedStore.open` reads; version 2 lists
+#: each page as ``[physical, digest]`` of its own file.
+_READABLE_VERSIONS = (2, FROZEN_PAGED_VERSION)
+
+#: Largest byte offset a page entry may name (a 64-bit ``off_t``).
+_MAX_OFFSET = 2**63 - 1
 
 CURRENT_FORMAT = "repro-paged-current"
 CURRENT_VERSION = 1
@@ -392,55 +416,99 @@ class PagedBufferPool:
 # ----------------------------------------------------------------------
 
 
-def _page_path(pages_dir: Path, physical: int) -> Path:
-    return pages_dir / f"{PAGE_PREFIX}{physical:07d}{PAGE_SUFFIX}"
+def _segment_path(pages_dir: Path, segment: int) -> Path:
+    return pages_dir / f"{SEGMENT_PREFIX}{segment:07d}{DATA_SUFFIX}"
+
+
+def _page_file_path(pages_dir: Path, segment: int) -> Path:
+    return pages_dir / f"{PAGE_PREFIX}{segment:07d}{DATA_SUFFIX}"
 
 
 def _manifest_path(directory: Path, generation: int) -> Path:
     return directory / f"{MANIFEST_PREFIX}{generation:07d}{MANIFEST_SUFFIX}"
 
 
-def _emit_page(
-    pages_dir: Path,
-    physical: int,
-    page: "array[int]",
-    byteorder: str,
-    *,
-    retry: RetryPolicy | None = None,
-    stats: PoolStats | None = None,
-) -> str:
-    """Atomically write one page file; return its sha256 hex digest.
+def _cut_pages(
+    values: Iterable[int], entries_per_page: int
+) -> Iterator["array[int]"]:
+    """``values`` as consecutive pages of ``entries_per_page`` entries.
 
-    Transient write failures are retried under ``retry``; the
-    ``storage.page_torn_write`` raise mode leaves the destination
-    half-written (a torn page, exactly what a crash mid-write produces)
-    before re-raising, so the digest check on the next load must catch
-    it.
+    An ``array('q')`` is cut into slices; any other iterable is read a
+    page at a time, so it is never held whole.
     """
-    raw = buffer_to_bytes(page, byteorder)
-    digest = hashlib.sha256(raw).hexdigest()
-    path = _page_path(pages_dir, physical)
+    if isinstance(values, array) and values.typecode == BUFFER_TYPECODE:
+        for start in range(0, len(values), entries_per_page):
+            yield values[start : start + entries_per_page]
+        return
+    iterator = iter(values)
+    while page := array(BUFFER_TYPECODE, islice(iterator, entries_per_page)):
+        yield page
 
-    def persist() -> None:
-        fault_point("storage.page_enospc", path=path)
-        try:
-            fault_point("storage.page_torn_write", path=path)
-        except InjectedFaultError:
-            path.write_bytes(raw[: len(raw) // 2])
-            raise
-        atomic_write_bytes(path, raw)
 
-    if retry is not None:
+class _SegmentWriter:
+    """Appends pages to one new segment file through a kept handle.
+
+    The handle is in append mode, so each page lands at the end of the
+    file, and :attr:`end` is the offset just past the last complete
+    page.  An append that fails leaves the file *torn*; the next
+    attempt first cuts it back to that offset, as the journal does
+    after a failed record.
+    """
+
+    def __init__(self, path: Path, segment: int) -> None:
+        self.path = path
+        self.segment = segment
+        self.end = 0
+        self._torn = False
+        self._handle: FileIO = open(path, "ab", buffering=0)
+
+    def append(
+        self, raw: bytes, retry: RetryPolicy, stats: PoolStats
+    ) -> int:
+        """Append one page's bytes; return the offset they start at.
+
+        Transient write failures are retried under ``retry``.  The
+        ``storage.page_torn_write`` raise mode leaves the page
+        half-written (a torn page, exactly what a crash mid-append
+        produces) before re-raising; ``storage.page_bit_flip`` then
+        rots a bit inside the page just appended.
+        """
+        offset = self.end
+        handle = self._handle
+
+        def persist() -> None:
+            if self._torn:
+                os.ftruncate(handle.fileno(), offset)
+            self._torn = True
+            fault_point("storage.page_enospc", path=self.path)
+            try:
+                fault_point("storage.page_torn_write", path=self.path)
+            except InjectedFaultError:
+                write_all(handle, raw[: len(raw) // 2])
+                raise
+            write_all(handle, raw)
+            self._torn = False
+
         io_retry(
             persist,
-            what=f"write page file {path.name}",
+            what=f"append a page to {self.path.name}",
             policy=retry,
             stats=stats,
         )
-    else:
-        persist()
-    fault_point("storage.page_bit_flip", path=path)
-    return digest
+        self.end = offset + len(raw)
+        fault_point("storage.page_bit_flip", path=self.path, start=offset)
+        return offset
+
+    def seal(self) -> None:
+        """Make every appended page durable, then close the handle."""
+        try:
+            os.fsync(self._handle.fileno())
+        finally:
+            self._handle.close()
+
+    def close(self) -> None:
+        """Close the handle; pages not sealed may be lost in a crash."""
+        self._handle.close()
 
 
 def _scan_generations(directory: Path) -> list[int]:
@@ -456,18 +524,20 @@ def _scan_generations(directory: Path) -> list[int]:
     return generations
 
 
-def _scan_page_ids(pages_dir: Path) -> list[int]:
-    """Physical page ids present on disk (orphans included)."""
-    ids = []
+def _scan_segments(pages_dir: Path) -> dict[int, Path]:
+    """Segment files on disk by id, orphans included, with a version-2
+    store's page files as one-page segments."""
+    found: dict[int, Path] = {}
     if not pages_dir.is_dir():
-        return ids
+        return found
     for entry in pages_dir.iterdir():
         name = entry.name
-        if name.startswith(PAGE_PREFIX) and name.endswith(PAGE_SUFFIX):
-            stem = name[len(PAGE_PREFIX) : -len(PAGE_SUFFIX)]
-            if stem.isdigit():
-                ids.append(int(stem))
-    return ids
+        for prefix in (SEGMENT_PREFIX, PAGE_PREFIX):
+            if name.startswith(prefix) and name.endswith(DATA_SUFFIX):
+                stem = name[len(prefix) : -len(DATA_SUFFIX)]
+                if stem.isdigit():
+                    found[int(stem)] = entry
+    return found
 
 
 def _sweep_temp_files(directory: Path) -> None:
@@ -486,11 +556,13 @@ def _is_int(value: Any) -> bool:
 def _validate_manifest(
     doc: dict[str, Any], source: str
 ) -> tuple[str, int, int, int, dict[str, Any], dict[str, dict[str, Any]]]:
-    """Structurally validate a v2 manifest document.
+    """Structurally validate a v3 (or v2) manifest document.
 
-    Returns ``(byteorder, page_bytes, generation, next_page, meta,
+    Returns ``(byteorder, page_bytes, generation, next_segment, meta,
     page_table)`` with the page table normalised to
-    ``{name: {"entries": int, "pages": [[physical, digest], ...]}}``.
+    ``{name: {"entries": int, "pages": [[segment, offset, digest],
+    ...]}}``; a v2 entry ``[physical, digest]`` becomes
+    ``[physical, 0, digest]`` and its ``next_page`` the next segment.
 
     Raises:
         PagedStoreError: on any structural problem.
@@ -499,9 +571,10 @@ def _validate_manifest(
         raise PagedStoreError(
             f"{source}: unexpected format marker {doc.get('format')!r}"
         )
-    if doc.get("version") != FROZEN_PAGED_VERSION:
+    version = doc.get("version")
+    if not _is_int(version) or version not in _READABLE_VERSIONS:
         raise PagedStoreError(
-            f"{source}: unsupported manifest version {doc.get('version')!r}"
+            f"{source}: unsupported manifest version {version!r}"
         )
     byteorder = doc.get("byteorder")
     if byteorder not in ("little", "big"):
@@ -516,9 +589,10 @@ def _validate_manifest(
     generation = doc.get("generation")
     if not _is_int(generation) or generation < 1:
         raise PagedStoreError(f"{source}: invalid generation {generation!r}")
-    next_page = doc.get("next_page")
-    if not _is_int(next_page) or next_page < 0:
-        raise PagedStoreError(f"{source}: invalid next_page {next_page!r}")
+    counter = "next_page" if version == 2 else "next_segment"
+    next_segment = doc.get(counter)
+    if not _is_int(next_segment) or next_segment < 0:
+        raise PagedStoreError(f"{source}: invalid {counter} {next_segment!r}")
     meta = doc.get("meta")
     if not isinstance(meta, dict):
         raise PagedStoreError(f"{source}: 'meta' must be an object")
@@ -526,6 +600,7 @@ def _validate_manifest(
     if not isinstance(raw_table, dict) or not raw_table:
         raise PagedStoreError(f"{source}: 'page_table' must be a non-empty object")
     entries_per_page = page_bytes // ENTRY_BYTES
+    width = 2 if version == 2 else 3
     table: dict[str, dict[str, Any]] = {}
     for name, spec in raw_table.items():
         if not isinstance(name, str) or not name:
@@ -550,19 +625,27 @@ def _validate_manifest(
             )
         normalised = []
         for item in pages:
+            if not isinstance(item, (list, tuple)) or len(item) != width:
+                raise PagedStoreError(
+                    f"{source}: buffer {name!r} has a malformed page entry"
+                )
+            segment, offset, digest = (
+                (item[0], 0, item[1]) if width == 2 else item
+            )
             if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or not _is_int(item[0])
-                or item[0] < 0
-                or not isinstance(item[1], str)
+                not _is_int(segment)
+                or segment < 0
+                or not _is_int(offset)
+                or not 0 <= offset <= _MAX_OFFSET
+                or offset % ENTRY_BYTES
+                or not isinstance(digest, str)
             ):
                 raise PagedStoreError(
                     f"{source}: buffer {name!r} has a malformed page entry"
                 )
-            normalised.append([item[0], item[1]])
+            normalised.append([segment, offset, digest])
         table[name] = {"entries": entries, "pages": normalised}
-    return byteorder, page_bytes, generation, next_page, meta, table
+    return byteorder, page_bytes, generation, next_segment, meta, table
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +660,8 @@ class ScrubPage:
     Attributes:
         buffer: the buffer the page belongs to.
         page_index: logical page index within that buffer.
-        physical: the physical page-file id the manifest references.
+        segment: the segment the manifest places the page in.
+        offset: the page's byte offset inside that segment.
         status: ``"repaired"`` or ``"unrepairable"``.
         detail: what was wrong, and (if repaired) where the replacement
             came from.
@@ -585,7 +669,8 @@ class ScrubPage:
 
     buffer: str
     page_index: int
-    physical: int
+    segment: int
+    offset: int
     status: str
     detail: str
 
@@ -596,10 +681,11 @@ class ScrubReport:
 
     ``ok`` means every live page is digest-verified *now* — clean from
     the start or repaired from an older generation.  ``not ok`` means
-    at least one page is unrepairable: its file sits in quarantine, the
-    manifest still references it so every read stays loudly broken, and
-    the caller must rebuild from the source graph.  There is no third
-    state; scrub never leaves corruption silently readable.
+    at least one page is unrepairable: a copy of its bytes sits in
+    quarantine, the bad bytes stay where the manifest points so every
+    read stays loudly broken, and the caller must rebuild from the
+    source graph.  There is no third state; scrub never leaves
+    corruption silently readable.
     """
 
     generation: int
@@ -628,7 +714,8 @@ class ScrubReport:
                 {
                     "buffer": page.buffer,
                     "page_index": page.page_index,
-                    "physical": page.physical,
+                    "segment": page.segment,
+                    "offset": page.offset,
                     "detail": page.detail,
                 }
                 for page in self.repaired
@@ -637,7 +724,8 @@ class ScrubReport:
                 {
                     "buffer": page.buffer,
                     "page_index": page.page_index,
-                    "physical": page.physical,
+                    "segment": page.segment,
+                    "offset": page.offset,
                     "detail": page.detail,
                 }
                 for page in self.unrepairable
@@ -656,16 +744,16 @@ class ScrubReport:
         for page in self.repaired:
             lines.append(
                 f"  repaired   {page.buffer}[{page.page_index}] "
-                f"(page {page.physical}): {page.detail}"
+                f"(segment {page.segment} @ {page.offset}): {page.detail}"
             )
         for page in self.unrepairable:
             lines.append(
                 f"  UNREPAIRED {page.buffer}[{page.page_index}] "
-                f"(page {page.physical}): {page.detail}"
+                f"(segment {page.segment} @ {page.offset}): {page.detail}"
             )
         if self.rebuild_required:
             lines.append(
-                "  corrupt files quarantined; rebuild from the source "
+                "  corrupt pages quarantined; rebuild from the source "
                 "graph is required"
             )
         return "\n".join(lines)
@@ -674,12 +762,12 @@ class ScrubReport:
 class PagedStore:
     """Named ``int64`` buffers paged to disk under a manifest.
 
-    Construct with :meth:`create` (stream values in, constant memory)
-    or :meth:`open` (attach to an existing directory).  Reads and
-    writes go through the LRU :attr:`pool`; mutations become durable
-    only at :meth:`checkpoint`, which publishes a new manifest
-    generation by reference — unchanged pages are shared with prior
-    generations, not rewritten.
+    Construct with :meth:`create` (pages cut from the buffers and
+    appended to one segment) or :meth:`open` (attach to an existing
+    directory).  Reads and writes go through the LRU :attr:`pool`;
+    mutations become durable only at :meth:`checkpoint`, which
+    publishes a new manifest generation by reference — unchanged pages
+    are shared with prior generations, not rewritten.
     """
 
     def __init__(
@@ -689,7 +777,7 @@ class PagedStore:
         byteorder: str,
         page_bytes: int,
         generation: int,
-        next_page: int,
+        next_segment: int,
         meta: dict[str, Any],
         table: dict[str, dict[str, Any]],
         budget_bytes: int,
@@ -703,7 +791,18 @@ class PagedStore:
         self.page_bytes = page_bytes
         self._entries_per_page = page_bytes // ENTRY_BYTES
         self._generation = generation
-        self._next_page = next_page
+        on_disk = _scan_segments(self._pages_dir)
+        # Fresh segment ids clear every file on disk, orphans of a
+        # crashed create or checkpoint included, so none is reused.
+        self._next_segment = max(next_segment, max(on_disk, default=-1) + 1)
+        self._page_files = frozenset(
+            segment
+            for segment, path in on_disk.items()
+            if path.name.startswith(PAGE_PREFIX)
+        )
+        # The segment this generation's new pages are appended to,
+        # opened by the first append and sealed by the checkpoint.
+        self._pending: _SegmentWriter | None = None
         self._meta = meta
         self._table = table
         self._retain = retain
@@ -727,70 +826,56 @@ class PagedStore:
         retain: int = DEFAULT_RETAIN,
         retry: RetryPolicy | None = None,
     ) -> "PagedStore":
-        """Create a store by streaming ``buffers`` into page files.
+        """Create a store: cut ``buffers`` into pages, append them to one
+        segment and publish generation 1.
 
-        Values are consumed strictly in order one page at a time, so
-        building a store never materialises a whole buffer in memory —
-        creation itself is out-of-core.  Publishes generation 1.
+        An ``array('q')`` buffer is cut into slices; any other iterable
+        is read a page at a time, so creation never holds a buffer it
+        was not given whole.  The segment and its directory are
+        ``fsync``\\ ed once, before the manifest and ``CURRENT``.
 
         Raises:
-            PagedStoreError: empty buffer map, or the directory already
-                holds a paged store.
+            PagedStoreError: empty buffer map, an invalid buffer name,
+                or the directory already holds a paged store.
         """
         page_bytes = resolve_page_bytes(page_bytes)
         budget = resolve_pool_budget(budget_bytes)
-        retry = retry if retry is not None else resolve_retry_policy()
         if not buffers:
             raise PagedStoreError("a paged store needs at least one buffer")
+        for name in buffers:
+            if not isinstance(name, str) or not name:
+                raise PagedStoreError(f"invalid buffer name: {name!r}")
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         if _scan_generations(base):
             raise PagedStoreError(
                 f"{base} already holds a paged store; open() it instead"
             )
-        pages_dir = base / PAGES_DIRNAME
-        pages_dir.mkdir(exist_ok=True)
-        byteorder = sys.byteorder
-        entries_per_page = page_bytes // ENTRY_BYTES
-        next_page = 0
-        table: dict[str, dict[str, Any]] = {}
-        for name, values in buffers.items():
-            if not isinstance(name, str) or not name:
-                raise PagedStoreError(f"invalid buffer name: {name!r}")
-            entries = 0
-            pages: list[list[Any]] = []
-            chunk = array(BUFFER_TYPECODE)
-            for value in values:
-                chunk.append(value)
-                if len(chunk) == entries_per_page:
-                    digest = _emit_page(
-                        pages_dir, next_page, chunk, byteorder, retry=retry
-                    )
-                    pages.append([next_page, digest])
-                    next_page += 1
-                    entries += len(chunk)
-                    chunk = array(BUFFER_TYPECODE)
-            if chunk:
-                digest = _emit_page(
-                    pages_dir, next_page, chunk, byteorder, retry=retry
-                )
-                pages.append([next_page, digest])
-                next_page += 1
-                entries += len(chunk)
-            table[name] = {"entries": entries, "pages": pages}
-        store = cls(
+        (base / PAGES_DIRNAME).mkdir(exist_ok=True)
+        store = PagedStore(
             base,
-            byteorder=byteorder,
+            byteorder=sys.byteorder,
             page_bytes=page_bytes,
             generation=0,
-            next_page=next_page,
+            next_segment=0,
             meta=dict(meta or {}),
-            table=table,
+            table={},
             budget_bytes=budget,
             retain=retain,
             retry=retry,
         )
-        store.checkpoint()
+        try:
+            for name, values in buffers.items():
+                entries = 0
+                pages = []
+                for page in _cut_pages(values, store.entries_per_page):
+                    pages.append(store._append_page(page))
+                    entries += len(page)
+                store._table[name] = {"entries": entries, "pages": pages}
+            store.checkpoint()
+        except BaseException:
+            store.close(discard_dirty=True)
+            raise
         return store
 
     @classmethod
@@ -811,6 +896,8 @@ class PagedStore:
         :class:`~repro.maintenance.store.CheckpointStore`).  Pass
         ``generation`` for a point-in-time view of a retained older
         manifest; opening a pinned generation does not fall back.
+        Segments no manifest references (left by a crashed create or
+        checkpoint) are ignored.
 
         Raises:
             PagedStoreError: missing directory, no readable manifest,
@@ -845,7 +932,7 @@ class PagedStore:
             path = _manifest_path(base, candidate)
             try:
                 doc = read_document(path)
-                byteorder, page_bytes, gen, next_page, meta, table = (
+                byteorder, page_bytes, gen, next_segment, meta, table = (
                     _validate_manifest(doc, path.name)
                 )
             except SerializationError as error:
@@ -856,15 +943,12 @@ class PagedStore:
                     f"{path.name}: generation stamp {gen} disagrees with name"
                 )
                 continue
-            # Fresh physical ids must clear every file on disk, even
-            # orphans from a crashed write-back, or COW would collide.
-            highest = max(_scan_page_ids(pages_dir), default=-1)
             return cls(
                 base,
                 byteorder=byteorder,
                 page_bytes=page_bytes,
                 generation=gen,
-                next_page=max(next_page, highest + 1),
+                next_segment=next_segment,
                 meta=meta,
                 table=table,
                 budget_bytes=budget,
@@ -948,10 +1032,40 @@ class PagedStore:
         if self._closed:
             raise PagedStoreError(f"paged store {self.directory} is closed")
 
-    # -- page I/O (pool callbacks) -------------------------------------
+    # -- page I/O ------------------------------------------------------
+
+    def _segment_file(self, segment: int) -> Path:
+        """The file holding ``segment``: a segment file, or the page
+        file a version-2 store wrote under the same id."""
+        if segment in self._page_files:
+            return _page_file_path(self._pages_dir, segment)
+        return _segment_path(self._pages_dir, segment)
+
+    def _page_size(self, spec: dict[str, Any], index: int) -> int:
+        """Bytes page ``index`` of a buffer holds (the last may be short)."""
+        entries = int(spec["entries"]) - index * self._entries_per_page
+        return min(self._entries_per_page, entries) * ENTRY_BYTES
+
+    def _read_range(self, segment: int, offset: int, size: int) -> bytes:
+        """The ``size`` bytes at ``offset`` of ``segment`` (fewer past
+        its end), read under the retry policy."""
+        path = self._segment_file(segment)
+
+        def fetch() -> bytes:
+            fault_point("storage.page_read_eio_transient", path=path)
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                return handle.read(size)
+
+        return io_retry(
+            fetch,
+            what=f"cannot read {path.name} at offset {offset}",
+            policy=self.retry,
+            stats=self.pool.stats,
+        )
 
     def _load_page(self, key: PageKey) -> "array[int]":
-        """Pool loader: read, digest-verify and decode one page file."""
+        """Pool loader: read, digest-verify and decode one page."""
         name, index = key
         spec = self._spec(name)
         pages = spec["pages"]
@@ -959,50 +1073,39 @@ class PagedStore:
             raise PagedStoreError(
                 f"page index {index} out of range for buffer {name!r}"
             )
-        physical, digest = pages[index]
-        path = _page_path(self._pages_dir, physical)
-
-        def fetch() -> bytes:
-            fault_point("storage.page_read_eio_transient", path=path)
-            return path.read_bytes()
-
-        raw = io_retry(
-            fetch,
-            what=f"cannot read page file {path.name}",
-            policy=self.retry,
-            stats=self.pool.stats,
-        )
+        segment, offset, digest = pages[index]
+        size = self._page_size(spec, index)
+        raw = self._read_range(segment, offset, size)
+        where = f"page {name}[{index}] (segment {segment} @ {offset})"
+        if len(raw) != size:
+            raise PagedStoreError(
+                f"{where} holds {len(raw)} bytes; manifest expects {size}"
+            )
         if hashlib.sha256(raw).hexdigest() != digest:
-            raise PagedStoreError(
-                f"page file {path.name} fails its manifest digest "
-                f"(buffer {name!r}, page {index})"
-            )
-        entries = int(spec["entries"])
-        expected = min(
-            self._entries_per_page, entries - index * self._entries_per_page
-        )
-        if len(raw) != expected * ENTRY_BYTES:
-            raise PagedStoreError(
-                f"page file {path.name} holds {len(raw)} bytes; manifest "
-                f"expects {expected * ENTRY_BYTES}"
-            )
+            raise PagedStoreError(f"{where} fails its manifest digest")
         return buffer_from_bytes(f"{name}[{index}]", raw, self._byteorder)
 
+    def _append_page(self, page: "array[int]") -> list[Any]:
+        """Append ``page`` to this generation's segment; its table entry."""
+        raw = buffer_to_bytes(page, self._byteorder)
+        writer = self._pending
+        if writer is None:
+            segment = self._next_segment
+            self._next_segment += 1
+            path = _segment_path(self._pages_dir, segment)
+            writer = self._pending = io_retry(
+                lambda: _SegmentWriter(path, segment),
+                what=f"cannot start segment {path.name}",
+                policy=self.retry,
+                stats=self.pool.stats,
+            )
+        offset = writer.append(raw, self.retry, self.pool.stats)
+        return [writer.segment, offset, hashlib.sha256(raw).hexdigest()]
+
     def _store_page(self, key: PageKey, page: "array[int]") -> None:
-        """Pool writer: copy-on-write a dirty page to a fresh file."""
+        """Pool writer: copy-on-write a dirty page to the pending segment."""
         name, index = key
-        spec = self._spec(name)
-        physical = self._next_page
-        self._next_page += 1
-        digest = _emit_page(
-            self._pages_dir,
-            physical,
-            page,
-            self._byteorder,
-            retry=self.retry,
-            stats=self.pool.stats,
-        )
-        spec["pages"][index] = [physical, digest]
+        self._spec(name)["pages"][index] = self._append_page(page)
 
     # -- element access ------------------------------------------------
 
@@ -1078,14 +1181,19 @@ class PagedStore:
     def checkpoint(self) -> int:
         """Publish the current state as a new manifest generation.
 
-        Flushes dirty pages (each to a fresh physical file), writes a
-        sealed manifest and the ``CURRENT`` hint, then prunes
-        generations older than the retention window and deletes page
-        files no retained manifest references.  Cost is proportional to
-        the *dirty* set, not the store size.
+        Appends the dirty pages to this generation's segment, ``fsync``\\ s
+        the segment and its directory once, writes a sealed manifest and
+        the ``CURRENT`` hint, then prunes generations older than the
+        retention window and deletes segments no retained manifest
+        references.  Cost is proportional to the *dirty* set, not the
+        store size.
         """
         self._check_open()
         self.pool.flush()
+        writer, self._pending = self._pending, None
+        if writer is not None:
+            writer.seal()
+            fsync_directory(self._pages_dir)
         self._generation += 1
         document = {
             "format": FROZEN_FORMAT_NAME,
@@ -1093,7 +1201,7 @@ class PagedStore:
             "byteorder": self._byteorder,
             "page_bytes": self.page_bytes,
             "generation": self._generation,
-            "next_page": self._next_page,
+            "next_segment": self._next_segment,
             "meta": self._meta,
             "page_table": self._table,
         }
@@ -1112,8 +1220,9 @@ class PagedStore:
         return self._generation
 
     def _prune(self) -> None:
-        """Drop manifests beyond retention and any unreferenced pages."""
-        keep = _scan_generations(self.directory)[: self._retain + 1]
+        """Drop manifests beyond retention and unreferenced segments."""
+        generations = _scan_generations(self.directory)
+        keep = generations[: self._retain + 1]
         referenced: set[int] = set()
         for generation in keep:
             path = _manifest_path(self.directory, generation)
@@ -1123,63 +1232,58 @@ class PagedStore:
             except SerializationError:
                 continue  # unreadable but retained: GC nothing of it
             for spec in table.values():
-                for physical, _digest in spec["pages"]:
-                    referenced.add(physical)
-        for generation in _scan_generations(self.directory):
-            if generation not in keep:
-                _manifest_path(self.directory, generation).unlink(
-                    missing_ok=True
-                )
-        for physical in _scan_page_ids(self._pages_dir):
-            if physical not in referenced:
-                _page_path(self._pages_dir, physical).unlink(missing_ok=True)
-        fsync_directory(self._pages_dir)
-        fsync_directory(self.directory)
+                for segment, _offset, _digest in spec["pages"]:
+                    referenced.add(segment)
+        dropped = generations[self._retain + 1 :]
+        for generation in dropped:
+            _manifest_path(self.directory, generation).unlink(missing_ok=True)
+        orphans = [
+            path
+            for segment, path in _scan_segments(self._pages_dir).items()
+            if segment not in referenced
+        ]
+        for path in orphans:
+            path.unlink(missing_ok=True)
+        if orphans:
+            fsync_directory(self._pages_dir)
+        if dropped:
+            fsync_directory(self.directory)
 
     # -- scrub & repair ------------------------------------------------
 
-    def _verify_page_file(
-        self, physical: int, digest: str, expected_bytes: int
-    ) -> str | None:
-        """Why the page file fails verification, or ``None`` if clean."""
-        path = _page_path(self._pages_dir, physical)
-
-        def fetch() -> bytes:
-            fault_point("storage.page_read_eio_transient", path=path)
-            return path.read_bytes()
-
+    def _verify_range(
+        self, segment: int, offset: int, digest: str, size: int
+    ) -> tuple[bytes, str | None]:
+        """A page's bytes, and why they fail verification (``None``
+        when they are clean)."""
         try:
-            raw = io_retry(
-                fetch,
-                what=f"cannot read page file {path.name}",
-                policy=self.retry,
-                stats=self.pool.stats,
-            )
+            raw = self._read_range(segment, offset, size)
         except PagedStoreError as error:
-            return str(error)
+            return b"", str(error)
+        if len(raw) != size:
+            return raw, f"holds {len(raw)} bytes; manifest expects {size}"
         if hashlib.sha256(raw).hexdigest() != digest:
-            return "sha256 digest mismatch against the manifest"
-        if len(raw) != expected_bytes:
-            return f"holds {len(raw)} bytes; manifest expects {expected_bytes}"
-        return None
+            return raw, "sha256 digest mismatch against the manifest"
+        return raw, None
 
     def _repair_page(
-        self, name: str, page_index: int, physical: int, digest: str,
-        expected_bytes: int,
+        self, name: str, page_index: int, segment: int, offset: int,
+        digest: str, size: int,
     ) -> str | None:
-        """Restore a quarantined page from an older retained generation.
+        """Restore a damaged page in place from an older generation.
 
-        Copy-on-write means a same-value write-back allocates a *fresh*
-        physical file with the *same* digest, so older manifests often
-        reference an intact byte-identical twin of the damaged page.
-        Scans retained generations newest-first for one whose entry at
-        the same logical position carries the same digest under a
-        different physical id, verifies the candidate bytes, and writes
-        them back to the damaged page's path (the live manifest keeps
-        referencing ``physical``, which now verifies again).
+        Copy-on-write means a same-value write-back appends a
+        byte-identical twin (same digest) to a *later* segment, so older
+        manifests often place an intact copy of the damaged page
+        elsewhere.  Scans retained generations newest-first for one
+        whose entry at the same logical position carries the same
+        digest at a different place, verifies the candidate bytes, and
+        writes them over the damaged range (the live manifest keeps
+        pointing there, and the range verifies again).
 
         Returns a description of the donor, or ``None`` when no
-        generation holds a verified twin.
+        generation holds a verified twin or the range cannot be
+        written.
         """
         for generation in _scan_generations(self.directory):
             if generation >= self._generation:
@@ -1193,37 +1297,42 @@ class PagedStore:
             spec = table.get(name)
             if spec is None or page_index >= len(spec["pages"]):
                 continue
-            donor_physical, donor_digest = spec["pages"][page_index]
-            if donor_digest != digest or donor_physical == physical:
-                continue
-            donor_path = _page_path(self._pages_dir, donor_physical)
-            try:
-                raw = donor_path.read_bytes()
-            except OSError:
-                continue
-            if (
-                hashlib.sha256(raw).hexdigest() != digest
-                or len(raw) != expected_bytes
+            donor_segment, donor_offset, donor_digest = spec["pages"][page_index]
+            if donor_digest != digest or (donor_segment, donor_offset) == (
+                segment, offset
             ):
                 continue
-            atomic_write_bytes(_page_path(self._pages_dir, physical), raw)
+            raw, problem = self._verify_range(
+                donor_segment, donor_offset, digest, size
+            )
+            if problem is not None:
+                continue
+            try:
+                with open(self._segment_file(segment), "r+b") as handle:
+                    handle.seek(offset)
+                    handle.write(raw)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            except OSError:
+                return None
             return (
-                f"restored from generation {generation} "
-                f"(donor page {donor_physical})"
+                f"restored from generation {generation} (donor segment "
+                f"{donor_segment} @ {donor_offset})"
             )
         return None
 
     def scrub(self, repair: bool = True) -> ScrubReport:
-        """Digest-verify every live page; quarantine and repair corrupt ones.
+        """Digest-verify every live page; quarantine and repair bad ones.
 
-        Each page the current manifest references is read back and
-        checked against its sha256 digest and expected length.  A
-        failing page file is moved to ``quarantine/`` (evidence is
-        never destroyed) and, when ``repair`` is set, restored from the
+        Each page the current manifest references is read back from its
+        segment range and checked against its sha256 digest and
+        expected length.  The bytes of a failing page are copied to
+        ``quarantine/`` (evidence is never destroyed) and, when
+        ``repair`` is set, the range is rewritten in place from the
         newest older generation holding a byte-identical twin (see
-        :meth:`_repair_page`).  Pages with no donor stay quarantined
-        and the report flags a rebuild — the manifest still references
-        them, so subsequent reads fail loudly rather than serving
+        :meth:`_repair_page`).  A page with no donor keeps its bad
+        bytes and the report flags a rebuild — the manifest still
+        points at them, so later reads fail loudly rather than serving
         corrupt data.
 
         The pool is emptied first so verification reads disk, not
@@ -1248,37 +1357,38 @@ class PagedStore:
         repaired: list[ScrubPage] = []
         unrepairable: list[ScrubPage] = []
         for name, spec in self._table.items():
-            entries = int(spec["entries"])
-            for page_index, (physical, digest) in enumerate(spec["pages"]):
+            for page_index, (segment, offset, digest) in enumerate(
+                spec["pages"]
+            ):
                 checked += 1
-                expected_entries = min(
-                    self._entries_per_page,
-                    entries - page_index * self._entries_per_page,
-                )
-                expected_bytes = expected_entries * ENTRY_BYTES
-                problem = self._verify_page_file(
-                    physical, digest, expected_bytes
-                )
+                size = self._page_size(spec, page_index)
+                raw, problem = self._verify_range(segment, offset, digest, size)
                 if problem is None:
                     clean += 1
                     continue
-                path = _page_path(self._pages_dir, physical)
-                if path.exists():
+                if raw:
                     quarantine_dir.mkdir(exist_ok=True)
-                    path.replace(quarantine_dir / path.name)
+                    stem = self._segment_file(segment).stem
+                    atomic_write_bytes(
+                        quarantine_dir / f"{stem}-at-{offset}{DATA_SUFFIX}", raw
+                    )
                 detail: str | None = None
                 if repair:
                     detail = self._repair_page(
-                        name, page_index, physical, digest, expected_bytes
+                        name, page_index, segment, offset, digest, size
                     )
                 if detail is not None:
                     repaired.append(
-                        ScrubPage(name, page_index, physical, "repaired", detail)
+                        ScrubPage(
+                            name, page_index, segment, offset, "repaired",
+                            detail,
+                        )
                     )
                 else:
                     unrepairable.append(
                         ScrubPage(
-                            name, page_index, physical, "unrepairable", problem
+                            name, page_index, segment, offset,
+                            "unrepairable", problem,
                         )
                     )
         self.pool.drop()
@@ -1291,7 +1401,8 @@ class PagedStore:
         )
 
     def close(self, discard_dirty: bool = False) -> None:
-        """Detach: drop the pool.  Un-checkpointed mutations are lost.
+        """Detach: drop the pool and close the pending segment.
+        Un-checkpointed mutations are lost.
 
         Raises:
             PagedStoreError: if dirty pages are resident and
@@ -1301,6 +1412,9 @@ class PagedStore:
         if self._closed:
             return
         self.pool.drop(discard_dirty=discard_dirty)
+        writer, self._pending = self._pending, None
+        if writer is not None:
+            writer.close()
         self._closed = True
 
     def __enter__(self) -> "PagedStore":
@@ -1508,20 +1622,24 @@ class PagedCSRGraph:
         """Page a graph's frozen CSR view out to ``directory``.
 
         ``graph`` may be a ``DataGraph`` or ``IndexGraph`` (its
-        ``freeze()`` view is paged, with its label table) or a bare
-        :class:`~repro.graph.columnar.CSRGraph` — pass ``labels`` then,
-        or synthetic names are generated.  The store holds exactly
-        :data:`CORE_CSR_BUFFERS`.
+        ``freeze()`` view is paged, with the label table of the data
+        graph) or a bare :class:`~repro.graph.columnar.CSRGraph` — pass
+        ``labels`` then, or synthetic names are generated.  The store
+        holds exactly :data:`CORE_CSR_BUFFERS`.
         """
-        view = graph if isinstance(graph, CSRGraph) else graph.freeze()
-        if labels is None:
-            names_of = getattr(graph, "label_names", None)
-            if callable(names_of):
-                labels = list(names_of())
-            else:
+        from repro.indexes.base import IndexGraph
+
+        if isinstance(graph, CSRGraph):
+            view = graph
+            if labels is None:
                 labels = [f"label_{i}" for i in range(view.num_labels)]
         else:
-            labels = list(labels)
+            view = graph.freeze()
+            if labels is None:
+                # An index graph's nodes carry its data graph's label ids.
+                data = graph.graph if isinstance(graph, IndexGraph) else graph
+                labels = data.label_names()
+        labels = list(labels)
         if len(labels) < view.num_labels:
             raise PagedStoreError(
                 f"{len(labels)} label names for {view.num_labels} label ids"

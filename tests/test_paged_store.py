@@ -12,8 +12,11 @@ Covers the three layers of ``repro.storage``:
 """
 
 import copy
+import hashlib
 import json
+import os
 import random
+import sys
 import tempfile
 from array import array
 from pathlib import Path
@@ -28,7 +31,12 @@ from repro.graph.columnar import flatten_adjacency
 from repro.graph.datagraph import DataGraph
 from repro.indexes.akindex import build_ak_index
 from repro.maintenance.faults import FaultInjector
-from repro.maintenance.store import seal, unseal
+from repro.maintenance.store import (
+    atomic_write_document,
+    read_document,
+    seal,
+    unseal,
+)
 from repro.partition.columnar import ColumnarEngine
 from repro.partition.external import ExternalEngine
 from repro.storage.paged import (
@@ -215,19 +223,28 @@ def test_store_rejects_double_create_and_unknown_buffer(tmp_path):
     store.close()
 
 
+def _segments(directory):
+    """Byte size of each file in the store's ``pages/``, by name."""
+    return {path.name: path.stat().st_size for path in (directory / "pages").iterdir()}
+
+
 def test_checkpoint_is_copy_on_write(tmp_path):
     store = PagedStore.create(
         tmp_path / "s", {"v": range(100)}, page_bytes=64
     )
-    files_before = sorted(p.name for p in (tmp_path / "s" / "pages").iterdir())
+    before = _segments(tmp_path / "s")
+    assert list(before.values()) == [800]  # generation 1: one segment
     store.write_element("v", 3, -3)
     generation = store.checkpoint()
     assert generation == 2
-    files_after = sorted(p.name for p in (tmp_path / "s" / "pages").iterdir())
-    # Exactly one fresh page: the dirty one.  Unchanged pages are shared
-    # with generation 1, not rewritten.
-    assert len(files_after) == len(files_before) + 1
-    assert set(files_before) < set(files_after)
+    after = _segments(tmp_path / "s")
+    # Exactly one fresh page, the dirty one, appended to exactly one new
+    # segment.  Unchanged pages are shared with generation 1, not
+    # rewritten, and generation 1's segment is untouched.
+    fresh = set(after) - set(before)
+    assert len(fresh) == 1 and after[fresh.pop()] == 64
+    assert {name: after[name] for name in before} == before
+    assert store.read_element("v", 3) == -3
     store.close()
 
 
@@ -298,12 +315,171 @@ def test_prune_drops_old_generations_and_orphan_pages(tmp_path):
     manifests = sorted(
         p.name for p in (tmp_path / "s").glob("manifest-*.json")
     )
-    assert len(manifests) == 2  # newest + 1 retained
-    # Every surviving page file is referenced by a surviving manifest:
-    # the superseded copy-on-write pages were garbage collected.
-    reopened = PagedStore.open(tmp_path / "s", generation=5)
-    assert reopened.read_element("v", 0) == 3
+    assert manifests == ["manifest-0000004.json", "manifest-0000005.json"]
+    # Each checkpoint appended its one dirty page to a new segment.
+    # Generation 1's segment holds the other seven pages, and those of
+    # generations 4 and 5 the page each rewrote; the segments of
+    # generations 2 and 3 were superseded and deleted.
+    assert sorted(_segments(tmp_path / "s")) == [
+        "segment-0000000.bin", "segment-0000003.bin", "segment-0000004.bin"
+    ]
+    for generation, value in ((4, 2), (5, 3)):
+        with PagedStore.open(tmp_path / "s", generation=generation) as reopened:
+            assert reopened.read_element("v", 0) == value
+            assert reopened.read_slice("v", 1, 64).tolist() == list(range(1, 64))
+
+
+def _count_fsyncs(monkeypatch):
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+def test_fsyncs_do_not_grow_with_the_pages_written(tmp_path, monkeypatch):
+    # One segment per generation, fsynced once: creating 2 pages or 125,
+    # and checkpointing 1 dirty page or 50, cost the same fsyncs.
+    calls = _count_fsyncs(monkeypatch)
+    created = []
+    for entries in (10, 1000):
+        calls.clear()
+        PagedStore.create(
+            tmp_path / f"create-{entries}", {"v": range(entries)}, page_bytes=64
+        ).close()
+        created.append(len(calls))
+    checkpointed = []
+    for dirty in (1, 50):
+        store = PagedStore.create(
+            tmp_path / f"checkpoint-{dirty}", {"v": range(1000)}, page_bytes=64
+        )
+        for page in range(dirty):
+            store.write_element("v", page * 8, -page)
+        calls.clear()
+        store.checkpoint()
+        checkpointed.append(len(calls))
+        store.close()
+    assert created[0] == created[1] <= 6
+    assert checkpointed[0] == checkpointed[1] <= 6
+
+
+def _forge_version_2_store(directory, values, page_bytes=64):
+    """A store as a version-2 release wrote it: a file per page."""
+    pages_dir = directory / "pages"
+    pages_dir.mkdir(parents=True)
+    per_page = page_bytes // 8
+    pages = []
+    for physical, start in enumerate(range(0, len(values), per_page)):
+        raw = array("q", values[start : start + per_page]).tobytes()
+        (pages_dir / f"page-{physical:07d}.bin").write_bytes(raw)
+        pages.append([physical, hashlib.sha256(raw).hexdigest()])
+    atomic_write_document(
+        directory / "manifest-0000001.json",
+        {
+            "format": "repro-datagraph-frozen",
+            "version": 2,
+            "byteorder": sys.byteorder,
+            "page_bytes": page_bytes,
+            "generation": 1,
+            "next_page": len(pages),
+            "meta": {},
+            "page_table": {"v": {"entries": len(values), "pages": pages}},
+        },
+    )
+
+
+def test_a_version_2_store_reads_as_one_page_segments(tmp_path):
+    base = tmp_path / "s"
+    values = list(range(40))  # five pages, five files
+    _forge_version_2_store(base, values)
+    store = PagedStore.open(base, retain=0)
+    assert list(store.buffer("v")) == values
+    report = store.scrub()
+    assert report.ok and report.clean == report.pages_checked == 5
+    store.write_element("v", 9, -9)
+    assert store.checkpoint() == 2
+    store.close()
+    manifest = read_document(base / "manifest-0000002.json")
+    assert manifest["version"] == 3 and manifest["next_segment"] == 6
+    # The rewritten page went to a new segment, past every old id; the
+    # other four pages stay in the files the old release wrote, which
+    # the prune keeps while they are referenced.
+    entries = manifest["page_table"]["v"]["pages"]
+    assert [entry[:2] for entry in entries] == [
+        [0, 0], [5, 0], [2, 0], [3, 0], [4, 0]
+    ]
+    assert sorted(_segments(base)) == [
+        "page-0000000.bin",
+        "page-0000002.bin",
+        "page-0000003.bin",
+        "page-0000004.bin",
+        "segment-0000005.bin",
+    ]
+    values[9] = -9
+    with PagedStore.open(base) as reopened:
+        assert list(reopened.buffer("v")) == values
+        assert reopened.scrub().ok
+
+
+def test_crash_orphan_segments_are_ignored_and_pruned(tmp_path):
+    base = tmp_path / "s"
+    # A create that crashes on its second page leaves a segment with one
+    # page and half of the next, and no manifest.
+    with FaultInjector("storage.page_torn_write", "raise", trigger_on_hit=2):
+        with pytest.raises(InjectedFaultError):
+            PagedStore.create(base, {"v": range(40)}, page_bytes=64)
+    assert _segments(base) == {"segment-0000000.bin": 96}
+    with pytest.raises(PagedStoreError, match="no manifest"):
+        PagedStore.open(base)
+    # The next create takes a fresh id, and its prune deletes the orphan.
+    store = PagedStore.create(base, {"v": range(40)}, page_bytes=64)
+    assert list(_segments(base)) == ["segment-0000001.bin"]
+    # A checkpoint that crashes writing its manifest leaves a complete,
+    # sealed segment that no manifest references.
+    store.write_element("v", 0, -1)
+    with FaultInjector("store.torn_write", "raise"):
+        with pytest.raises(InjectedFaultError):
+            store.checkpoint()
+    store.close(discard_dirty=True)
+    assert sorted(_segments(base)) == [
+        "segment-0000001.bin", "segment-0000002.bin"
+    ]
+    reopened = PagedStore.open(base)
+    assert reopened.generation == 1 and reopened.read_element("v", 0) == 0
+    reopened.write_element("v", 8, -8)
+    assert reopened.checkpoint() == 2
+    assert sorted(_segments(base)) == [
+        "segment-0000001.bin", "segment-0000003.bin"
+    ]
+    assert reopened.read_slice("v", 0, 10).tolist() == [0, *range(1, 8), -8, 9]
     reopened.close()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
+)
+def test_stores_leave_no_descriptor_open(tmp_path):
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_descriptors()
+    for number in range(50):
+        base = tmp_path / f"s{number}"
+        store = PagedStore.create(
+            base, {"v": range(40)}, page_bytes=64, budget_bytes=0
+        )
+        assert store.read_slice("v", 0, 40).tolist() == list(range(40))
+        # Under a zero budget the write goes back at once, opening the
+        # next generation's segment; closing must close it too.
+        store.write_element("v", 1, -1)
+        store.close(discard_dirty=True)
+        with PagedStore.open(base) as reopened:
+            assert reopened.read_element("v", 39) == 39
+    assert open_descriptors() == before
 
 
 def test_uncheckpointed_mutation_is_not_durable(tmp_path):
@@ -331,6 +507,7 @@ def test_context_manager_discards_dirty_on_error(tmp_path):
 
 
 def _first_page(tmp_path):
+    """The store's first segment, which begins with page 0 of ``v``."""
     return sorted((tmp_path / "s" / "pages").iterdir())[0]
 
 
@@ -347,11 +524,14 @@ def test_flipped_page_bit_fails_digest(tmp_path):
 
 def test_truncated_page_detected(tmp_path):
     PagedStore.create(tmp_path / "s", {"v": range(32)}, page_bytes=64).close()
-    page = _first_page(tmp_path)
-    page.write_bytes(page.read_bytes()[:-8])
+    segment = _first_page(tmp_path)
+    segment.write_bytes(segment.read_bytes()[:-8])
     store = PagedStore.open(tmp_path / "s")
-    with pytest.raises(PagedStoreError):
-        store.read_element("v", 0)
+    # The cut shortens the segment's last page; the others still verify.
+    with pytest.raises(PagedStoreError, match="holds 56 bytes"):
+        store.read_element("v", -1)
+    assert store.read_element("v", 0) == 0
+    store.close()
 
 
 def test_corrupt_newest_manifest_falls_back_to_prior(tmp_path):
@@ -507,6 +687,18 @@ def test_paged_csr_written_by_an_older_release_opens(tmp_path):
     paged.close()
 
 
+def test_paged_index_graph_keeps_its_data_graph_label_names(tmp_path):
+    graph = DataGraph()
+    a = graph.add_node("a")
+    graph.add_edge(0, a)
+    graph.add_edge(a, graph.add_node("b"))
+    index = build_ak_index(graph, 1)
+    assert index.num_nodes == 3
+    PagedCSRGraph.create(tmp_path / "csr", index, page_bytes=64).close()
+    with PagedCSRGraph.open(tmp_path / "csr") as paged:
+        assert paged.label_names() == ("ROOT", "a", "b")
+
+
 def test_paged_csr_rejects_non_csr_store(tmp_path):
     PagedStore.create(tmp_path / "s", {"v": [1, 2, 3]}).close()
     with pytest.raises(PagedStoreError, match="lacks CSR buffers"):
@@ -608,13 +800,15 @@ def test_retained_generations_stay_fully_readable(ops):
 # Manifest loader: arbitrary and damaged manifests
 # ----------------------------------------------------------------------
 
-#: Fields of the manifest (and its CSR meta) that must be JSON integers.
+#: Fields of the manifest (and its CSR meta) that must be JSON integers:
+#: a page entry is ``[segment, offset, digest]``.
 INT_FIELDS = [
     ("generation",),
     ("page_bytes",),
-    ("next_page",),
+    ("next_segment",),
     ("page_table", "label_ids", "entries"),
     ("page_table", "label_ids", "pages", 0, 0),
+    ("page_table", "label_ids", "pages", 0, 1),
     ("meta", "num_nodes"),
 ]
 
@@ -697,6 +891,31 @@ def test_manifest_json_the_decoder_refuses_is_a_store_error(
                 open_store(directory)
     finally:
         manifest.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [-8, True, 8.0, "8", None, 4, 2**63, 10**6],
+    ids=[
+        "negative", "bool", "float", "string", "null", "unaligned",
+        "past-off_t", "past-the-end",
+    ],
+)
+def test_bad_page_offsets_are_store_errors(manifest_store, offset):
+    # Structurally bad offsets fail the open; one past the segment's
+    # end fails the first read of the page.
+    directory, manifest, text, document = manifest_store
+    field = ("page_table", "label_ids", "pages", 0, 1)
+    try:
+        manifest.write_text(
+            json.dumps(_replaced(document, field, offset)), encoding="utf-8"
+        )
+        with pytest.raises(PagedStoreError):
+            with PagedCSRGraph.open(directory) as paged:
+                paged.to_csr()
+    finally:
+        manifest.write_text(text, encoding="utf-8")
+    PagedCSRGraph.open(directory).close()
 
 
 @pytest.mark.parametrize("path", INT_FIELDS, ids=lambda path: ".".join(map(str, path)))

@@ -273,8 +273,10 @@ def test_degrade_never_absorbs_injected_crashes():
 # ----------------------------------------------------------------------
 
 
-def _page_files(directory):
-    return sorted((directory / "pages").iterdir())
+def _segment_files(directory):
+    """The store's segments, oldest first: a generation appends its new
+    pages to one segment file."""
+    return sorted((directory / "pages").glob("segment-*.bin"))
 
 
 def _flip_byte(path):
@@ -289,21 +291,29 @@ def test_scrub_repairs_from_older_generation(tmp_path):
     view = graph.freeze()
     paged = PagedCSRGraph.create(store_dir, graph, page_bytes=64)
     store = paged.store
-    # Same-value rewrite: generation 2 gets fresh physical pages with
-    # generation 1's digests — the donor twins repair relies on.
+    # Same-value rewrite: generation 2 appends the pages to a new
+    # segment with generation 1's digests — the donor twins repair
+    # relies on.
     for position in range(store.length("label_ids")):
         store.write_element(
             "label_ids", position, store.read_element("label_ids", position)
         )
     store.checkpoint()
     paged.close()
-    # Rot one generation-2 page file on disk (the newest physical ids).
-    _flip_byte(_page_files(store_dir)[-1])
+    # Rot the first page of generation 2's segment.
+    segment = _segment_files(store_dir)[-1]
+    _flip_byte(segment)
+    rotten = segment.read_bytes()
     report = scrub_store(store_dir)
     assert report.ok and not report.rebuild_required
     assert len(report.repaired) == 1
+    assert report.repaired[0].offset == 0
     assert "restored from generation 1" in report.repaired[0].detail
-    assert (store_dir / "quarantine").exists()  # evidence kept
+    # The bad bytes are kept in quarantine, and the page is mended in
+    # place: same segment, same length.
+    (evidence,) = (store_dir / "quarantine").iterdir()
+    assert evidence.read_bytes() == rotten[:64]
+    assert len(segment.read_bytes()) == len(rotten)
     with PagedCSRGraph.open(store_dir) as healed:
         assert healed.to_csr().label_ids == view.label_ids
 
@@ -311,7 +321,7 @@ def test_scrub_repairs_from_older_generation(tmp_path):
 def test_scrub_flags_rebuild_when_no_donor_exists(tmp_path):
     store_dir = tmp_path / "s"
     PagedCSRGraph.create(store_dir, _fixture_graph(), page_bytes=64).close()
-    _flip_byte(_page_files(store_dir)[0])
+    _flip_byte(_segment_files(store_dir)[0])
     report = scrub_store(store_dir)
     assert not report.ok and report.rebuild_required
     assert len(report.unrepairable) == 1
@@ -353,7 +363,7 @@ def test_cli_scrub(tmp_path, capsys):
     PagedCSRGraph.create(store_dir, _fixture_graph(), page_bytes=64).close()
     assert main(["scrub", str(store_dir)]) == 0
     assert "0 unrepairable" in capsys.readouterr().out
-    _flip_byte(_page_files(store_dir)[0])
+    _flip_byte(_segment_files(store_dir)[0])
     assert main(["scrub", str(store_dir)]) == 1
     out = capsys.readouterr().out
     assert "UNREPAIRED" in out and "rebuild from the source graph" in out
