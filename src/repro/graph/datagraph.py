@@ -458,7 +458,9 @@ class DataGraph:
 
         Rows are immutable, so the copy shares them and copies only the
         outer lists: mutating either graph replaces its own rows.  The
-        copy does not share the original's cached frozen view.
+        frozen view is immutable too, so the copy shares a current one
+        (it carries the same :attr:`mutation_version`); a mutation of
+        either graph drops only that graph's view.
         """
         clone = DataGraph.__new__(DataGraph)
         clone._label_names = list(self._label_names)
@@ -470,7 +472,7 @@ class DataGraph:
         clone._child_sets = unbuilt
         clone._num_edges = self._num_edges
         clone._version = self._version
-        clone._frozen = None
+        clone._frozen = self._frozen
         return clone
 
     def graft(self, other: "DataGraph") -> list[int]:

@@ -22,6 +22,7 @@ from repro.core.construction import build_dk_index, reindex_index_graph
 from repro.datasets.nasa import generate_nasa
 from repro.datasets.xmark import generate_xmark
 from repro.exceptions import InjectedFaultError, PagedStoreError
+from repro.graph.serialize import graph_from_dict, graph_to_dict
 from repro.indexes.akindex import build_ak_index
 from repro.indexes.base import IndexGraph
 from repro.indexes.oneindex import build_1index
@@ -272,7 +273,8 @@ def index_state(index):
 
 def quotient_states(graph, requirements, frozen):
     """The builders' indexes; on child lists, each rebuilt from its
-    partition on a copy of the graph that has no frozen view."""
+    partition on a reloaded graph that has no frozen view (a copy
+    would share the original's)."""
     dk, _ = build_dk_index(graph, requirements)
     indexes = [
         build_1index(graph),
@@ -281,7 +283,7 @@ def quotient_states(graph, requirements, frozen):
         reindex_index_graph(dk, [0] * graph.num_labels),
     ]
     if not frozen:
-        lists = graph.copy()
+        lists = graph_from_dict(graph_to_dict(graph))
         indexes = [
             IndexGraph.from_partition(lists, index.to_partition(), index.k)
             for index in indexes

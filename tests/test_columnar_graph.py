@@ -164,14 +164,31 @@ def test_unknown_freeze_mode_rejected():
         index.freeze(mode="seal")
 
 
-def test_copy_is_uncached():
+def test_copy_shares_a_current_view():
+    # The copy of a frozen graph shares its view, current for both.
     g = movie_like_graph()
     view = g.freeze()
     clone = g.copy()
+    assert clone.frozen_view is view
+    assert clone.freeze() is view
+    assert view.source_version == clone.mutation_version
+    # A graph mutated after its freeze has no view to share.
+    g.add_node("x")
+    assert g.copy().frozen_view is None
+    # Mutating the copy drops only the copy's view...
+    g = movie_like_graph()
+    view = g.freeze()
+    clone = g.copy()
+    clone.add_node("x")
     assert clone.frozen_view is None
-    assert clone.freeze() is not view
-    clone.add_node("x")  # the copy's mutation leaves the original's view
-    assert g.freeze() is view
+    assert g.frozen_view is view and g.freeze() is view
+    assert clone.freeze().num_nodes == view.num_nodes + 1
+    # ...and mutating the original drops only the original's.
+    clone = g.copy()
+    g.add_edge(0, g.add_node("y"))
+    assert g.frozen_view is None
+    assert clone.frozen_view is view and clone.freeze() is view
+    assert g.freeze().num_nodes == view.num_nodes + 1
 
 
 def test_index_graph_freeze_carries_sorted_adjacency():
