@@ -511,6 +511,15 @@ class _SegmentWriter:
         self._handle.close()
 
 
+def _page_problem(raw: bytes, digest: str, size: int) -> str | None:
+    """Why a page's bytes fail their manifest entry, or ``None``."""
+    if len(raw) != size:
+        return f"holds {len(raw)} bytes; manifest expects {size}"
+    if hashlib.sha256(raw).hexdigest() != digest:
+        return "sha256 digest mismatch against the manifest"
+    return None
+
+
 def _scan_generations(directory: Path) -> list[int]:
     """Manifest generations present on disk, newest first."""
     generations = []
@@ -1076,13 +1085,12 @@ class PagedStore:
         segment, offset, digest = pages[index]
         size = self._page_size(spec, index)
         raw = self._read_range(segment, offset, size)
-        where = f"page {name}[{index}] (segment {segment} @ {offset})"
-        if len(raw) != size:
+        problem = _page_problem(raw, digest, size)
+        if problem is not None:
             raise PagedStoreError(
-                f"{where} holds {len(raw)} bytes; manifest expects {size}"
+                f"page {name}[{index}] (segment {segment} @ {offset}): "
+                f"{problem}"
             )
-        if hashlib.sha256(raw).hexdigest() != digest:
-            raise PagedStoreError(f"{where} fails its manifest digest")
         return buffer_from_bytes(f"{name}[{index}]", raw, self._byteorder)
 
     def _append_page(self, page: "array[int]") -> list[Any]:
@@ -1260,11 +1268,7 @@ class PagedStore:
             raw = self._read_range(segment, offset, size)
         except PagedStoreError as error:
             return b"", str(error)
-        if len(raw) != size:
-            return raw, f"holds {len(raw)} bytes; manifest expects {size}"
-        if hashlib.sha256(raw).hexdigest() != digest:
-            return raw, "sha256 digest mismatch against the manifest"
-        return raw, None
+        return raw, _page_problem(raw, digest, size)
 
     def _repair_page(
         self, name: str, page_index: int, segment: int, offset: int,
