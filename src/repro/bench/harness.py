@@ -154,6 +154,10 @@ def load_dataset(name: str, config: ExperimentConfig | None = None) -> DatasetBu
         return cached
 
     document = dataset_builder(name)(config.scale, config.dataset_seed)
+    # The experiments build several indexes on this unchanged graph (the
+    # A(0..4) sweeps) and on its copies; each build borrows the one view
+    # frozen here instead of flattening the graph for itself.
+    document.graph.freeze()
     load = generate_test_paths(
         document.graph,
         WorkloadConfig(count=config.num_queries),

@@ -68,6 +68,9 @@ def build_dk_index(
         ``(index, levels)`` — the index graph, and the broadcast-adjusted
         level per label id (useful for reporting).
 
+    The build borrows the graph's frozen view when it is current and
+    drops one it had to flatten (:meth:`DataGraph.transient_view`).
+
     Example:
         >>> from repro.graph.builder import graph_from_edges
         >>> g = graph_from_edges(
@@ -82,11 +85,12 @@ def build_dk_index(
     initial = resolve_requirements(graph, requirements)
     levels = broadcast_for_graph(graph, graph.num_labels, initial)
     node_levels = [levels[label_id] for label_id in graph.label_ids]
-    partition = leveled_partition(graph, node_levels, engine=engine)
-    k_values = [
-        levels[graph.label_ids[members[0]]] for members in partition.blocks
-    ]
-    index = IndexGraph.from_partition(graph, partition, k_values)
+    with graph.transient_view():
+        partition = leveled_partition(graph, node_levels, engine=engine)
+        k_values = [
+            levels[graph.label_ids[members[0]]] for members in partition.blocks
+        ]
+        index = IndexGraph.from_partition(graph, partition, k_values)
     return index, levels
 
 

@@ -20,6 +20,7 @@ structures in this library assume stable node ids.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import groupby, islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -443,6 +444,25 @@ class DataGraph:
                 source_version=self._version,
             )
         return self._frozen
+
+    @contextmanager
+    def transient_view(self) -> Iterator[None]:
+        """Leave the frozen-view cache as the block found it.
+
+        A view that is current on entry stays cached, and a
+        :meth:`freeze` inside the block returns it; a view first built
+        inside the block is dropped on exit, without a version bump (it
+        still describes the graph).  The index builds run inside one:
+        the index they return reads the graph's rows, never its view, so
+        a view flattened only for one build would otherwise live as long
+        as the graph.  Freeze first to share one view across builds.
+        """
+        found = self._frozen
+        try:
+            yield
+        finally:
+            if found is None:
+                self._frozen = None
 
     def _mutated(self) -> None:
         """Record a structural mutation: bump the version, drop the view."""

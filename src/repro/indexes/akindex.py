@@ -29,7 +29,9 @@ def build_ak_index(
     O(k·m) for m data edges, matching the bound cited in Section 4.1.
     The default columnar engine only re-hashes nodes whose parents'
     blocks split in the previous round, which is substantially faster on
-    document-shaped graphs (see ``docs/performance.md``).
+    document-shaped graphs (see ``docs/performance.md``).  The build
+    borrows the graph's frozen view when it is current and drops one it
+    had to flatten (:meth:`DataGraph.transient_view`).
 
     Args:
         graph: the data graph.
@@ -47,5 +49,6 @@ def build_ak_index(
         >>> build_ak_index(g, 1).num_nodes   # the two x nodes split
         5
     """
-    partition = kbisim_partition(graph, k, engine=engine)
-    return IndexGraph.from_partition(graph, partition, k)
+    with graph.transient_view():
+        partition = kbisim_partition(graph, k, engine=engine)
+        return IndexGraph.from_partition(graph, partition, k)

@@ -31,7 +31,9 @@ def build_1index(
 
     Every index node's assigned local similarity is
     :data:`~repro.indexes.base.K_UNBOUNDED`, so evaluation never
-    validates: the 1-index is sound for all path expressions.
+    validates: the 1-index is sound for all path expressions.  The
+    build borrows the graph's frozen view when it is current and drops
+    one it had to flatten (:meth:`DataGraph.transient_view`).
 
     Args:
         graph: the data graph.
@@ -49,8 +51,9 @@ def build_1index(
         >>> build_1index(g).num_nodes
         5
     """
-    partition, _rounds = bisim_partition(graph, engine=engine)
-    return IndexGraph.from_partition(graph, partition, K_UNBOUNDED)
+    with graph.transient_view():
+        partition, _rounds = bisim_partition(graph, engine=engine)
+        return IndexGraph.from_partition(graph, partition, K_UNBOUNDED)
 
 
 def bisimulation_depth(graph: DataGraph) -> int:

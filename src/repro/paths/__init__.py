@@ -11,7 +11,12 @@ where ``_`` matches any single label.  This subpackage provides:
 - :mod:`repro.paths.ast` — the expression tree;
 - :mod:`repro.paths.lexer` / :mod:`repro.paths.parser` — text syntax,
   including the ``//`` descendant-axis sugar (``a//b`` ≡ ``a._*.b``) and a
-  leading ``//`` for partial-matching (unanchored) queries;
+  leading ``//`` for partial-matching (unanchored) queries; the lexer
+  scans with one compiled pattern built on the one label rule,
+  :data:`~repro.paths.lexer.LABEL`;
+- :mod:`repro.paths.query` — query objects, and ``make_query``, which
+  reads a plain label chain (the paper's test paths) with one pattern
+  match and parses only other texts;
 - :mod:`repro.paths.nfa` — Thompson construction to an ε-free NFA;
 - :mod:`repro.paths.cost` — the paper's visited-node cost model;
 - :mod:`repro.paths.evaluator` — evaluation over data graphs and index

@@ -16,15 +16,22 @@ SLASH     ``/`` (alternative sequence separator, XPath-flavoured)
 EOF       end of input
 ========  ==========================================
 
-A lone ``_`` is the wildcard; labels may contain letters, digits,
-``_`` (non-leading only when it would otherwise be the wildcard), ``-``
-and ``:``.
+A lone ``_`` is the wildcard.  A label starts with a letter
+(``str.isalpha()``) or ``_`` and continues with letters, digits
+(``str.isalnum()``), ``_``, ``-`` and ``:``.  :data:`LABEL` and
+:func:`starts_label` state that rule once, for :func:`tokenize` and for
+the plain-chain pattern of :func:`repro.paths.query.make_query`.
+
+:func:`tokenize` scans with one compiled pattern: each match skips
+whitespace (``\\s`` is exactly ``str.isspace()``) and takes one token,
+an operator, a word, or the single character no token starts with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.exceptions import PathSyntaxError
 
@@ -43,8 +50,7 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position."""
 
     kind: TokenKind
@@ -52,22 +58,37 @@ class Token:
     position: int
 
 
-_SINGLE_CHAR = {
+#: One label in ``re`` syntax.  ``\w`` is exactly ``str.isalnum()`` or
+#: ``_``, but ``re`` has no class for ``str.isalpha()``: the start class
+#: ``[^\W\d]`` also admits 1,131 numeric symbols outside ASCII (``²``,
+#: ``½``, ``Ⅷ`` …), and a match is a label only if it
+#: :func:`starts_label`.
+LABEL = r"[^\W\d][\w:-]*"
+
+
+def starts_label(word: str) -> bool:
+    """Whether ``word``, matched by :data:`LABEL`, starts as a label
+    must: with a letter or ``_``."""
+    return word[0].isalpha() or word[0] == "_"
+
+
+#: Every word whose kind is not LABEL.
+_KINDS = {
+    "//": TokenKind.DSLASH,
+    "/": TokenKind.SLASH,
     ".": TokenKind.DOT,
     "|": TokenKind.PIPE,
     "*": TokenKind.STAR,
     "?": TokenKind.QMARK,
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
+    "_": TokenKind.WILDCARD,
 }
 
-
-def _is_label_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_label_char(char: str) -> bool:
-    return char.isalnum() or char in "_-:"
+# After whitespace, the group takes an operator, a word, or a character
+# no token starts with; only the end of the text leaves it empty.  Some
+# branch matches at every position, so the scan never skips a character.
+_TOKEN = re.compile(rf"\s*(?:(//|[/.|*?()]|{LABEL}|\S)|\Z)")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -81,37 +102,17 @@ def tokenize(text: str) -> list[Token]:
         ['LABEL', 'DOT', 'LABEL', 'PIPE', 'LABEL', 'STAR', 'EOF']
     """
     tokens: list[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        char = text[position]
-        if char.isspace():
-            position += 1
-            continue
-        if char == "/":
-            if position + 1 < length and text[position + 1] == "/":
-                tokens.append(Token(TokenKind.DSLASH, "//", position))
-                position += 2
-            else:
-                tokens.append(Token(TokenKind.SLASH, "/", position))
-                position += 1
-            continue
-        kind = _SINGLE_CHAR.get(char)
-        if kind is not None:
-            tokens.append(Token(kind, char, position))
-            position += 1
-            continue
-        if _is_label_start(char):
-            start = position
-            position += 1
-            while position < length and _is_label_char(text[position]):
-                position += 1
-            word = text[start:position]
-            if word == "_":
-                tokens.append(Token(TokenKind.WILDCARD, word, start))
-            else:
-                tokens.append(Token(TokenKind.LABEL, word, start))
-            continue
-        raise PathSyntaxError(f"unexpected character {char!r}", text, position)
-    tokens.append(Token(TokenKind.EOF, "", length))
+    for match in _TOKEN.finditer(text):
+        word = match[1]
+        if word is None:
+            break
+        kind = _KINDS.get(word)
+        if kind is None:
+            if not starts_label(word):
+                raise PathSyntaxError(
+                    f"unexpected character {word[0]!r}", text, match.start(1)
+                )
+            kind = TokenKind.LABEL
+        tokens.append(Token(kind, word, match.start(1)))
+    tokens.append(Token(TokenKind.EOF, "", len(text)))
     return tokens

@@ -10,19 +10,25 @@ Two concrete query classes exist:
   NFA product traversal.
 
 Use :func:`make_query` to go from source text to the cheapest suitable
-query object.
+query object.  A plain chain — an optional leading ``//`` or ``/``, then
+labels joined by ``.`` — becomes a :class:`LabelPathQuery` from one
+pattern match, without tokens or a syntax tree; every other text goes
+through :func:`~repro.paths.parser.parse_path_expression`.  Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from repro.exceptions import WorkloadError
 from repro.paths.ast import PathExpr, label_sequence
+from repro.paths.lexer import LABEL, starts_label
 from repro.paths.nfa import NFA, compile_nfa
-from repro.paths.parser import parse_path_expression
+from repro.paths.parser import MAX_DEPTH, parse_path_expression
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,23 @@ class RegexQuery(Query):
         return self.to_text()
 
 
+#: A plain label chain: an optional leading ``//`` or ``/``, then one to
+#: :data:`~repro.paths.parser.MAX_DEPTH` labels joined by ``.``, with no
+#: whitespace.  A longer chain, ``/`` separators and whitespace do not
+#: match; :func:`make_query` also declines a match holding ``_`` (the
+#: wildcard) or a numeral that :data:`~repro.paths.lexer.LABEL` admits
+#: but that cannot start a label.
+_CHAIN = re.compile(rf"(//?)?({LABEL}(?:\.{LABEL}){{0,{MAX_DEPTH - 1}}})")
+
+
 def make_query(text: str) -> Query:
     """Parse query source text into the most specific query object.
 
     Plain chains of concrete labels become :class:`LabelPathQuery`;
-    everything else becomes :class:`RegexQuery`.
+    everything else becomes :class:`RegexQuery`.  A chain that
+    :data:`_CHAIN` takes is split on ``.`` directly; any other text is
+    tokenized and parsed, and a parse that is a chain of labels after
+    all (``a/b``, ``(a.b).c``) still yields a :class:`LabelPathQuery`.
 
     Example:
         >>> make_query("//movie.title")
@@ -120,6 +138,12 @@ def make_query(text: str) -> Query:
         >>> type(make_query("movieDB._?.movie")).__name__
         'RegexQuery'
     """
+    chain = _CHAIN.fullmatch(text)
+    if chain is not None:
+        names = chain[2].split(".")
+        # In ASCII, every label the pattern matches starts as it must.
+        if "_" not in names and (text.isascii() or all(map(starts_label, names))):
+            return LabelPathQuery(anchored=chain[1] == "/", labels=tuple(names))
     expr, anchored = parse_path_expression(text)
     labels = label_sequence(expr)
     if labels is not None:

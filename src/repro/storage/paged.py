@@ -792,14 +792,20 @@ class PagedStore:
         budget_bytes: int,
         retain: int,
         retry: RetryPolicy | None = None,
+        newer: int | None = None,
     ) -> None:
-        """Internal: use :meth:`create` or :meth:`open`."""
+        """Internal: use :meth:`create` or :meth:`open`.
+
+        ``newer`` is the newest generation on disk when :meth:`open`
+        pinned an older one, which makes the store read-only.
+        """
         self.directory = directory
         self._pages_dir = directory / PAGES_DIRNAME
         self._byteorder = byteorder
         self.page_bytes = page_bytes
         self._entries_per_page = page_bytes // ENTRY_BYTES
         self._generation = generation
+        self._newer = newer
         on_disk = _scan_segments(self._pages_dir)
         # Fresh segment ids clear every file on disk, orphans of a
         # crashed create or checkpoint included, so none is reused.
@@ -904,7 +910,11 @@ class PagedStore:
         an authority — same recovery posture as
         :class:`~repro.maintenance.store.CheckpointStore`).  Pass
         ``generation`` for a point-in-time view of a retained older
-        manifest; opening a pinned generation does not fall back.
+        manifest; opening a pinned generation does not fall back.  A
+        view pinned older than the newest manifest on disk is
+        read-only: its checkpoint would publish ``generation + 1`` over
+        a newer manifest, so :meth:`write_element` and
+        :meth:`checkpoint` raise.
         Segments no manifest references (left by a crashed create or
         checkpoint) are ignored.
 
@@ -934,8 +944,10 @@ class PagedStore:
                     f"generations: {survivors}"
                 )
             candidates = [generation]
+            newer = on_disk[0] if generation < on_disk[0] else None
         else:
             candidates = on_disk
+            newer = None
         failures: list[str] = []
         for candidate in candidates:
             path = _manifest_path(base, candidate)
@@ -963,6 +975,7 @@ class PagedStore:
                 budget_bytes=budget,
                 retain=retain,
                 retry=retry,
+                newer=newer,
             )
         detail = "; ".join(failures)
         if generation is not None:
@@ -1040,6 +1053,15 @@ class PagedStore:
     def _check_open(self) -> None:
         if self._closed:
             raise PagedStoreError(f"paged store {self.directory} is closed")
+
+    def _check_writable(self) -> None:
+        self._check_open()
+        if self._newer is not None:
+            raise PagedStoreError(
+                f"generation {self._generation} of {self.directory} is a "
+                f"read-only view: generation {self._newer} is newer; open "
+                "the store unpinned to write"
+            )
 
     # -- page I/O ------------------------------------------------------
 
@@ -1157,8 +1179,13 @@ class PagedStore:
         return self.pool.get((name, page_index))[offset]
 
     def write_element(self, name: str, position: int, value: int) -> None:
-        """Mutate one entry in place (durable at the next checkpoint)."""
-        self._check_open()
+        """Mutate one entry in place (durable at the next checkpoint).
+
+        Raises:
+            PagedStoreError: the store is closed, or is a read-only view
+                of an older generation (see :meth:`open`).
+        """
+        self._check_writable()
         page_index, offset = self._locate(name, position)
         self.pool.write((name, page_index), offset, value)
 
@@ -1195,8 +1222,12 @@ class PagedStore:
         retention window and deletes segments no retained manifest
         references.  Cost is proportional to the *dirty* set, not the
         store size.
+
+        Raises:
+            PagedStoreError: the store is closed, or is a read-only view
+                of an older generation (see :meth:`open`).
         """
-        self._check_open()
+        self._check_writable()
         self.pool.flush()
         writer, self._pending = self._pending, None
         if writer is not None:

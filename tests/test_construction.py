@@ -16,9 +16,15 @@ from repro.core.construction import (
     resolve_requirements,
 )
 from repro.core.dindex import check_dk_constraint
+from repro.core.requirements import requirements_from_queries
+from repro.datasets.nasa import generate_nasa
+from repro.datasets.xmark import generate_xmark
 from repro.graph.builder import graph_from_edges
 from repro.indexes.akindex import build_ak_index
 from repro.indexes.labelsplit import build_labelsplit_index
+from repro.indexes.oneindex import build_1index
+from repro.partition.refinement import kbisim_partition
+from repro.workload.generator import WorkloadConfig, generate_test_paths
 
 
 def paper_figure2_graph():
@@ -132,3 +138,75 @@ def test_dk_partition_between_labelsplit_and_max_bisim(graph, requirements):
     assert partition.refines(brute_force_kbisim(graph, 0))
     max_level = max(levels, default=0)
     assert brute_force_kbisim(graph, max_level).refines(partition)
+
+
+# ----------------------------------------------------------------------
+# D(k) as a read of the uniform k-bisimulation chain
+# ----------------------------------------------------------------------
+
+
+def chain_groups(graph, levels, kbisim):
+    """Nodes grouped by ``(level of their label, block of the
+    k-bisimulation at that level)``, as sorted tuples."""
+    partitions = {level: kbisim(graph, level) for level in set(levels)}
+    groups = {}
+    for node in graph.nodes():
+        level = levels[graph.label_ids[node]]
+        key = (level, partitions[level].block_of[node])
+        groups.setdefault(key, []).append(node)
+    return sorted(tuple(members) for members in groups.values())
+
+
+def extent_groups(index):
+    return sorted(tuple(sorted(extent)) for extent in index.extents)
+
+
+@given(small_graphs(), label_requirements())
+@settings(max_examples=200, deadline=None)
+def test_dk_extents_are_the_chain_at_each_label_level(graph, requirements):
+    """Each D(k) extent is one k-bisimulation class at its label's
+    broadcast level: the partition a shared chain of uniform rounds
+    would give, read at per-label levels."""
+    index, levels = build_dk_index(graph, requirements)
+    assert extent_groups(index) == chain_groups(graph, levels, brute_force_kbisim)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("generate", [generate_xmark, generate_nasa])
+def test_dk_extents_are_the_chain_on_paper_datasets(generate, seed):
+    graph = generate(scale=0.05, seed=seed).graph
+    load = generate_test_paths(graph, WorkloadConfig(count=100), seed=seed)
+    index, levels = build_dk_index(graph, requirements_from_queries(load))
+    assert extent_groups(index) == chain_groups(graph, levels, kbisim_partition)
+
+
+# ----------------------------------------------------------------------
+# Builds leave the frozen-view cache as they found it
+# ----------------------------------------------------------------------
+
+BUILDS = {
+    "dk": lambda graph: build_dk_index(graph, {"E": 2})[0],
+    "ak": lambda graph: build_ak_index(graph, 2),
+    "1index": build_1index,
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_build_drops_a_view_it_flattened(build):
+    graph = paper_figure2_graph().copy()
+    index = build(graph)
+    assert graph.frozen_view is None
+    assert index.to_partition() == build(paper_figure2_graph()).to_partition()
+    view = graph.freeze()
+    assert graph.freeze() is view
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_build_borrows_a_shared_view(build):
+    graph = paper_figure2_graph()
+    view = graph.freeze()
+    copy = graph.copy()
+    build(copy)
+    assert copy.frozen_view is view
+    assert graph.frozen_view is view
+

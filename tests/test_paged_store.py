@@ -42,6 +42,7 @@ from repro.partition.external import ExternalEngine
 from repro.storage.paged import (
     CORE_CSR_BUFFERS,
     PageCursor,
+    PagedBuffer,
     PagedBufferPool,
     PagedCSRGraph,
     PagedStore,
@@ -302,6 +303,46 @@ def test_point_in_time_open_of_prior_generation(tmp_path):
     )
     with pytest.raises(PagedStoreError):
         PagedStore.open(tmp_path / "s", generation=99)
+
+
+def _three_generations(directory):
+    """A store of ``range(32)`` at generation 3: ``v[0]`` is 111 in
+    generation 2 and 222 in generation 3."""
+    store = PagedStore.create(directory, {"v": range(32)}, page_bytes=64)
+    for value in (111, 222):
+        store.write_element("v", 0, value)
+        store.checkpoint()
+    store.close()
+
+
+def test_pinned_older_view_refuses_writes(tmp_path):
+    _three_generations(tmp_path / "s")
+    pinned = PagedStore.open(tmp_path / "s", generation=1)
+    with pytest.raises(PagedStoreError, match="generation 3 is newer"):
+        pinned.write_element("v", 1, -1)
+    with pytest.raises(PagedStoreError, match="generation 3 is newer"):
+        PagedBuffer(pinned, "v")[1] = -1
+    with pytest.raises(PagedStoreError, match="generation 3 is newer"):
+        pinned.checkpoint()
+    # Reads and scrubs of the view still work, and nothing was written.
+    assert pinned.read_slice("v", 0, 2).tolist() == [0, 1]
+    assert list(pinned.iter_buffer("v")) == list(range(32))
+    assert pinned.scrub().ok
+    assert pinned.pool.dirty_pages == 0
+    pinned.close()
+    for generation, head in ((2, [111, 1]), (3, [222, 1])):
+        with PagedStore.open(tmp_path / "s", generation=generation) as view:
+            assert view.read_slice("v", 0, 2).tolist() == head
+    assert PagedStore.open(tmp_path / "s").generation == 3
+
+
+def test_pinned_newest_generation_stays_writable(tmp_path):
+    _three_generations(tmp_path / "s")
+    with PagedStore.open(tmp_path / "s", generation=3) as store:
+        store.write_element("v", 1, -1)
+        assert store.checkpoint() == 4
+    with PagedStore.open(tmp_path / "s") as store:
+        assert store.read_slice("v", 0, 2).tolist() == [222, -1]
 
 
 def test_prune_drops_old_generations_and_orphan_pages(tmp_path):
