@@ -50,10 +50,7 @@ def resolve_requirements(
 
 
 def build_dk_index(
-    graph: DataGraph,
-    requirements: Mapping[str, int],
-    *,
-    engine: str = "auto",
+    graph: DataGraph, requirements: Mapping[str, int]
 ) -> tuple[IndexGraph, list[int]]:
     """Build the D(k)-index of ``graph`` for per-label requirements.
 
@@ -61,15 +58,14 @@ def build_dk_index(
         graph: the data graph.
         requirements: ``{label name: local similarity requirement}``
             mined from the query load; unmentioned labels default to 0.
-        engine: refinement engine (``"columnar"``/``"external"``/
-            ``"legacy"``; the default ``"auto"`` resolves to columnar).
 
     Returns:
         ``(index, levels)`` — the index graph, and the broadcast-adjusted
         level per label id (useful for reporting).
 
-    The build borrows the graph's frozen view when it is current and
-    drops one it had to flatten (:meth:`DataGraph.transient_view`).
+    The build runs the columnar engine; it borrows the graph's frozen
+    view when it is current and drops one it had to flatten
+    (:meth:`DataGraph.transient_view`).
 
     Example:
         >>> from repro.graph.builder import graph_from_edges
@@ -86,7 +82,7 @@ def build_dk_index(
     levels = broadcast_for_graph(graph, graph.num_labels, initial)
     node_levels = [levels[label_id] for label_id in graph.label_ids]
     with graph.transient_view():
-        partition = leveled_partition(graph, node_levels, engine=engine)
+        partition = leveled_partition(graph, node_levels)
         k_values = [
             levels[graph.label_ids[members[0]]] for members in partition.blocks
         ]
@@ -95,10 +91,7 @@ def build_dk_index(
 
 
 def reindex_index_graph(
-    index: IndexGraph,
-    label_levels: Sequence[int],
-    *,
-    engine: str = "auto",
+    index: IndexGraph, label_levels: Sequence[int]
 ) -> IndexGraph:
     """Re-index an index graph at (typically lower) per-label levels.
 
@@ -125,7 +118,7 @@ def reindex_index_graph(
         min(label_levels[index.label_ids[node]], index.k[node])
         for node in range(index.num_nodes)
     ]
-    quotient_partition = leveled_partition(index, node_levels, engine=engine)
+    quotient_partition = leveled_partition(index, node_levels)
 
     # Map data nodes straight to the merged blocks.
     merged_of_index = quotient_partition.block_of

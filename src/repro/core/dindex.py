@@ -118,19 +118,11 @@ class DKIndex:
 
     @classmethod
     def build(
-        cls,
-        graph: DataGraph,
-        requirements: Mapping[str, int],
-        *,
-        engine: str = "auto",
+        cls, graph: DataGraph, requirements: Mapping[str, int]
     ) -> "DKIndex":
-        """Build from explicit per-label local-similarity requirements.
-
-        ``engine`` selects the partition-refinement engine (see
-        :mod:`repro.partition.refinement`); the default is the columnar
-        engine.
-        """
-        index, _levels = build_dk_index(graph, requirements, engine=engine)
+        """Build from explicit per-label local-similarity requirements,
+        with the columnar refinement engine."""
+        index, _levels = build_dk_index(graph, requirements)
         return cls(graph, index, requirements)
 
     @classmethod

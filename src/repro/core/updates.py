@@ -180,16 +180,20 @@ def _simulate_lowering(
 ) -> tuple[dict[int, tuple[int, int]], int]:
     """Plan Algorithm 5's sweep without touching the index.
 
-    Runs the same breadth-first relaxation as :func:`lower_similarities`
+    The sweep re-establishes the D(k) constraint below ``start``:
+    breadth-first from ``start``, for an index edge W -> X with
+    ``k(W) + 1 < k(X)``, lower ``k(X)`` to ``k(W) + 1`` and continue
+    through X; otherwise stop propagating through X.  The plan runs it
     against an overlay of ``index.k`` in which ``start`` is already
     lowered to ``start_k``, and against the index adjacency as it *will*
     look after the pending update (``add_edge`` / ``drop_edge`` are
     virtual index-edge changes).  The relaxation is monotone, so the
-    planned fixpoint equals what the in-place sweep would compute.
+    planned fixpoint equals what an in-place sweep would compute.
 
     Returns:
-        ``(lowered, touched)`` exactly like :func:`lower_similarities`,
-        with ``start`` included in ``lowered`` when it drops.
+        ``(lowered, touched)`` — the nodes whose similarity drops, with
+        old and new values (``start`` included when it drops), and the
+        number of index nodes examined.
     """
     overlay: dict[int, int] = {}
     lowered: dict[int, tuple[int, int]] = {}
@@ -212,33 +216,6 @@ def _simulate_lowering(
                 previous = lowered.get(child, (index.k[child], 0))[0]
                 lowered[child] = (previous, ceiling)
                 overlay[child] = ceiling
-                queue.append(child)
-    return lowered, touched
-
-
-def lower_similarities(index: IndexGraph, start: int) -> tuple[dict[int, tuple[int, int]], int]:
-    """Algorithm 5's sweep: re-establish the D(k) constraint below ``start``.
-
-    Breadth-first from ``start``: for an edge W -> X with ``k(W) + 1 <
-    k(X)``, lower ``k(X)`` to ``k(W) + 1`` and continue; otherwise stop
-    propagating through X.
-
-    Returns:
-        ``(lowered, touched)`` — the changed nodes with old/new values,
-        and the number of index nodes examined.
-    """
-    lowered: dict[int, tuple[int, int]] = {}
-    touched = 0
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        ceiling = index.k[current] + 1
-        for child in index.children[current]:
-            touched += 1
-            if index.k[child] > ceiling:
-                previous = lowered.get(child, (index.k[child], 0))[0]
-                lowered[child] = (previous, ceiling)
-                index.k[child] = ceiling
                 queue.append(child)
     return lowered, touched
 

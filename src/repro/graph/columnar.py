@@ -28,11 +28,13 @@ zero-copy ``memoryview`` slicing and are `numpy`-wrappable via
 ``numpy.frombuffer`` without copying when the optional ``fast`` extra
 is installed.
 
-``freeze()`` caches the view on its owner (see
-:meth:`DataGraph.freeze`), stamped with the owner's mutation version;
-any mutation drops it, and the next ``freeze()`` rebuilds it.  A view
-never changes, so one read before a mutation describes the graph as it
-was.
+``DataGraph.freeze()`` caches the view in one field of the graph,
+which every mutation clears and :meth:`DataGraph.copy` shares, and the
+next ``freeze()`` rebuilds it; a rolled-back update puts back the view
+the graph held on entry.  ``IndexGraph.freeze()`` builds a fresh view
+on every call: its one reader re-indexes the index once and returns a
+new one.  A view never changes, so one read before a mutation describes
+the graph as it was.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ class CSRGraph:
     ``IndexGraph.freeze()``, and by
     :meth:`~repro.storage.paged.PagedCSRGraph.to_csr`; the columnar
     refinement engine and the paged store's page-out consume them.
-    All buffers are ``array('q')``; treat them as read-only — the owning
-    graph's mutation version is the single source of truth for staleness.
+    All buffers are ``array('q')``; treat them as read-only.  A data
+    graph's current view is its
+    :attr:`~repro.graph.datagraph.DataGraph.frozen_view`.
     """
 
     __slots__ = (
@@ -112,7 +115,6 @@ class CSRGraph:
         "parent_offsets",
         "parent_targets",
         "num_labels",
-        "source_version",
     )
 
     def __init__(
@@ -124,7 +126,6 @@ class CSRGraph:
         parent_targets: array,
         *,
         num_labels: int,
-        source_version: int = 0,
     ) -> None:
         n = len(label_ids)
         if len(child_offsets) != n + 1 or len(parent_offsets) != n + 1:
@@ -141,7 +142,6 @@ class CSRGraph:
         self.parent_offsets = parent_offsets
         self.parent_targets = parent_targets
         self.num_labels = num_labels
-        self.source_version = source_version
 
     # ------------------------------------------------------------------
     # Size and access
@@ -241,7 +241,6 @@ def csr_from_lists(
     parents: Sequence[Sequence[int]],
     *,
     num_labels: int,
-    source_version: int = 0,
 ) -> CSRGraph:
     """Build a CSR snapshot from ordered per-node adjacency rows."""
     child_offsets, child_targets = flatten_adjacency(children)
@@ -253,5 +252,4 @@ def csr_from_lists(
         parent_offsets,
         parent_targets,
         num_labels=num_labels,
-        source_version=source_version,
     )

@@ -77,7 +77,6 @@ class DataGraph:
         "parents",
         "_child_sets",
         "_num_edges",
-        "_version",
         "_frozen",
     )
 
@@ -95,9 +94,7 @@ class DataGraph:
         # loaders and copies need not allocate one set per node.
         self._child_sets: list[set[int] | None] = []
         self._num_edges = 0
-        # Frozen-view bookkeeping: the mutation version stamps every
-        # columnar snapshot; mutating drops it.
-        self._version = 0
+        # The cached columnar snapshot; every mutation drops it.
         self._frozen: "CSRGraph | None" = None
         self.add_node(ROOT_LABEL)
 
@@ -159,7 +156,6 @@ class DataGraph:
         unbuilt: list[set[int] | None] = [None] * n
         graph._child_sets = unbuilt
         graph._num_edges = 0
-        graph._version = 0
         graph._frozen = None
         graph._extend_rows(sources, targets)
         return graph
@@ -405,16 +401,6 @@ class DataGraph:
     # ------------------------------------------------------------------
 
     @property
-    def mutation_version(self) -> int:
-        """Monotone counter bumped by every structural mutation.
-
-        Columnar snapshots record the version they were taken at; a
-        snapshot is *stale* exactly when its ``source_version`` differs
-        from the owner's current ``mutation_version``.
-        """
-        return self._version
-
-    @property
     def frozen_view(self) -> "CSRGraph | None":
         """The cached columnar snapshot while it is current, else ``None``.
 
@@ -429,9 +415,9 @@ class DataGraph:
         The snapshot is cached: repeated calls without intervening
         mutation return the same object.  A mutation drops the cached
         snapshot, and the next ``freeze()`` rebuilds it.  A snapshot
-        already handed out stays readable but describes the graph
-        before the mutation: its ``source_version`` no longer equals
-        :attr:`mutation_version`.
+        already handed out never changes, so after a mutation it
+        describes the graph as it was; only :attr:`frozen_view` says
+        whether a snapshot is current.
         """
         from repro.graph.columnar import csr_from_lists
 
@@ -441,7 +427,6 @@ class DataGraph:
                 self.children,
                 self.parents,
                 num_labels=self.num_labels,
-                source_version=self._version,
             )
         return self._frozen
 
@@ -451,8 +436,8 @@ class DataGraph:
 
         A view that is current on entry stays cached, and a
         :meth:`freeze` inside the block returns it; a view first built
-        inside the block is dropped on exit, without a version bump (it
-        still describes the graph).  The index builds run inside one:
+        inside the block is dropped on exit, although it still describes
+        the graph.  The index builds run inside one:
         the index they return reads the graph's rows, never its view, so
         a view flattened only for one build would otherwise live as long
         as the graph.  Freeze first to share one view across builds.
@@ -465,8 +450,7 @@ class DataGraph:
                 self._frozen = None
 
     def _mutated(self) -> None:
-        """Record a structural mutation: bump the version, drop the view."""
-        self._version += 1
+        """Record a structural mutation: drop the view."""
         self._frozen = None
 
     # ------------------------------------------------------------------
@@ -478,9 +462,8 @@ class DataGraph:
 
         Rows are immutable, so the copy shares them and copies only the
         outer lists: mutating either graph replaces its own rows.  The
-        frozen view is immutable too, so the copy shares a current one
-        (it carries the same :attr:`mutation_version`); a mutation of
-        either graph drops only that graph's view.
+        frozen view is immutable too, so the copy shares a current one;
+        a mutation of either graph drops only that graph's view.
         """
         clone = DataGraph.__new__(DataGraph)
         clone._label_names = list(self._label_names)
@@ -491,7 +474,6 @@ class DataGraph:
         unbuilt: list[set[int] | None] = [None] * len(self._child_sets)
         clone._child_sets = unbuilt
         clone._num_edges = self._num_edges
-        clone._version = self._version
         clone._frozen = self._frozen
         return clone
 

@@ -17,18 +17,13 @@ from repro.indexes.base import IndexGraph
 from repro.partition.refinement import kbisim_partition
 
 
-def build_ak_index(
-    graph: DataGraph,
-    k: int,
-    *,
-    engine: str = "auto",
-) -> IndexGraph:
+def build_ak_index(graph: DataGraph, k: int) -> IndexGraph:
     """Build the A(k)-index of ``graph``.
 
     Construction runs ``k`` split rounds from the label-split graph —
     O(k·m) for m data edges, matching the bound cited in Section 4.1.
-    The default columnar engine only re-hashes nodes whose parents'
-    blocks split in the previous round, which is substantially faster on
+    It runs the columnar engine, which only re-hashes nodes whose
+    parents' blocks split in the previous round, substantially faster on
     document-shaped graphs (see ``docs/performance.md``).  The build
     borrows the graph's frozen view when it is current and drops one it
     had to flatten (:meth:`DataGraph.transient_view`).
@@ -36,8 +31,6 @@ def build_ak_index(
     Args:
         graph: the data graph.
         k: the uniform local-similarity bound (>= 0).
-        engine: refinement engine (``"columnar"``/``"external"``/
-            ``"legacy"``; the default ``"auto"`` resolves to columnar).
 
     Example:
         >>> from repro.graph.builder import graph_from_edges
@@ -50,5 +43,5 @@ def build_ak_index(
         5
     """
     with graph.transient_view():
-        partition = kbisim_partition(graph, k, engine=engine)
+        partition = kbisim_partition(graph, k)
         return IndexGraph.from_partition(graph, partition, k)

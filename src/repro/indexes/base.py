@@ -58,8 +58,6 @@ class IndexGraph:
         "parents",
         "k",
         "_label_index",
-        "_version",
-        "_frozen",
     )
 
     def __init__(self, graph: DataGraph) -> None:
@@ -71,9 +69,6 @@ class IndexGraph:
         self.parents: list[set[int]] = []
         self.k: list[int] = []
         self._label_index: dict[int, set[int]] = {}
-        # Frozen-view bookkeeping (mirrors DataGraph.freeze).
-        self._version = 0
-        self._frozen: "CSRGraph | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -220,12 +215,8 @@ class IndexGraph:
             parents[dst].add(src)
         self.children = children
         self.parents = parents
-        # One bump per node and per edge, as _append_node and
-        # add_index_edge would have made.
-        self._version = num_blocks + len(pairs)
 
     def _append_node(self, label_id: int, extent: list[int], k: int) -> int:
-        self._mutated()
         node = len(self.label_ids)
         self.label_ids.append(label_id)
         self.extents.append(extent)
@@ -296,14 +287,12 @@ class IndexGraph:
         """Add an index edge; returns False if it already existed."""
         if dst in self.children[src]:
             return False
-        self._mutated()
         self.children[src].add(dst)
         self.parents[dst].add(src)
         return True
 
     def remove_index_edge(self, src: int, dst: int) -> None:
         """Remove an index edge (must exist)."""
-        self._mutated()
         self.children[src].discard(dst)
         self.parents[dst].discard(src)
 
@@ -330,7 +319,6 @@ class IndexGraph:
             raise IndexInvariantError("empty part in split")
         if len(parts) == 1:
             return [node]
-        self._mutated()
 
         # Detach old incident edges; they are recomputed below.
         for child in list(self.children[node]):
@@ -418,28 +406,18 @@ class IndexGraph:
                 raise IndexInvariantError("label index incomplete")
 
     # ------------------------------------------------------------------
-    # Frozen columnar view (mirrors DataGraph.freeze)
+    # Frozen columnar view
     # ------------------------------------------------------------------
 
-    @property
-    def mutation_version(self) -> int:
-        """Monotone counter bumped by every structural mutation.
-
-        Bumped by :meth:`add_index_edge`, :meth:`remove_index_edge`,
-        :meth:`split_node` and node creation.  Non-structural attribute
-        writes (adjusting ``k[node]`` during promote/demote) do *not*
-        bump it: the snapshot carries no ``k``.
-        """
-        return self._version
-
     def freeze(self) -> "CSRGraph":
-        """Return the columnar CSR snapshot of this index graph.
+        """Return a columnar CSR snapshot of this index graph.
 
-        Same caching and invalidation contract as
-        :meth:`repro.graph.datagraph.DataGraph.freeze`.  The snapshot
-        holds labels and adjacency only, which is all refinement reads;
-        adjacency sets are flattened in sorted order so the snapshot is
-        deterministic.
+        Every call builds a fresh snapshot of the current adjacency and
+        caches nothing: its one reader,
+        :func:`~repro.core.construction.reindex_index_graph`, freezes an
+        index once and returns a new one.  The snapshot holds labels and
+        adjacency only, which is all refinement reads; adjacency sets
+        are flattened in sorted order so the snapshot is deterministic.
         """
         from repro.graph.columnar import (
             BUFFER_TYPECODE,
@@ -447,28 +425,16 @@ class IndexGraph:
             flatten_adjacency,
         )
 
-        if self._frozen is None:
-            child_offsets, child_targets = flatten_adjacency(
-                self.children, sort=True
-            )
-            parent_offsets, parent_targets = flatten_adjacency(
-                self.parents, sort=True
-            )
-            self._frozen = CSRGraph(
-                array(BUFFER_TYPECODE, self.label_ids),
-                child_offsets,
-                child_targets,
-                parent_offsets,
-                parent_targets,
-                num_labels=self.graph.num_labels,
-                source_version=self._version,
-            )
-        return self._frozen
-
-    def _mutated(self) -> None:
-        """Record a structural mutation: bump the version, drop the view."""
-        self._version += 1
-        self._frozen = None
+        child_offsets, child_targets = flatten_adjacency(self.children, sort=True)
+        parent_offsets, parent_targets = flatten_adjacency(self.parents, sort=True)
+        return CSRGraph(
+            array(BUFFER_TYPECODE, self.label_ids),
+            child_offsets,
+            child_targets,
+            parent_offsets,
+            parent_targets,
+            num_labels=self.graph.num_labels,
+        )
 
     def to_partition(self) -> Partition:
         """The data-node partition this index graph represents."""

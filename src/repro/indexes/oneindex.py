@@ -22,26 +22,18 @@ from repro.indexes.base import K_UNBOUNDED, IndexGraph
 from repro.partition.refinement import bisim_partition
 
 
-def build_1index(
-    graph: DataGraph,
-    *,
-    engine: str = "auto",
-) -> IndexGraph:
+def build_1index(graph: DataGraph) -> IndexGraph:
     """Build the 1-index of ``graph``.
 
     Every index node's assigned local similarity is
     :data:`~repro.indexes.base.K_UNBOUNDED`, so evaluation never
     validates: the 1-index is sound for all path expressions.  The
-    build borrows the graph's frozen view when it is current and drops
-    one it had to flatten (:meth:`DataGraph.transient_view`).
+    build runs the columnar engine; it borrows the graph's frozen view
+    when it is current and drops one it had to flatten
+    (:meth:`DataGraph.transient_view`).
 
     Args:
         graph: the data graph.
-        engine: refinement engine (``"columnar"``/``"external"``/
-            ``"legacy"``; ``"auto"`` picks columnar).
-
-    Raises:
-        ValueError: for an unknown engine name.
 
     Example:
         >>> from repro.graph.builder import graph_from_edges
@@ -52,7 +44,7 @@ def build_1index(
         5
     """
     with graph.transient_view():
-        partition, _rounds = bisim_partition(graph, engine=engine)
+        partition, _rounds = bisim_partition(graph)
         return IndexGraph.from_partition(graph, partition, K_UNBOUNDED)
 
 

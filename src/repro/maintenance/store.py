@@ -469,18 +469,40 @@ class CheckpointStore:
         Write order is chosen so every crash prefix recovers: sealed
         snapshot first (redundant with the old journal until the next
         step), then the fresh journal with its base, then ``CURRENT``,
-        then pruning.  When ``pipeline`` is given its journal is
-        closed and repointed at the fresh file.
+        then pruning.  Last, every journal aimed at the previous live
+        journal moves to the fresh file, so that no later commit lands
+        in a journal recovery no longer replays: ``pipeline``'s (when
+        given, wherever it was aimed), ``dk``'s own pipeline's, and the
+        ``journal_path`` of ``dk.maintenance`` and of those pipelines'
+        configs, which a pipeline created later opens.
         """
-        generation = self.current_generation() + 1
+        from repro.maintenance.journal import UpdateJournal
+
+        current = self.current_generation()
+        previous = (self.directory / journal_name(current)).resolve()
+        generation = current + 1
         info = self._write_generation(generation, dk)
         info.pruned = self._prune(generation)
-        if pipeline is not None:
-            from repro.maintenance.journal import UpdateJournal
 
-            if pipeline.journal is not None:
-                pipeline.journal.close()
-            pipeline.journal = UpdateJournal(info.journal_path)
+        def aimed_at_previous(path: str | Path | None) -> bool:
+            return path is not None and Path(path).resolve() == previous
+
+        pipelines: list[UpdatePipeline] = [] if pipeline is None else [pipeline]
+        owned = dk._pipeline
+        if (
+            owned is not None
+            and owned is not pipeline
+            and owned.journal is not None
+            and aimed_at_previous(owned.journal.path)
+        ):
+            pipelines.append(owned)
+        for each in pipelines:
+            if each.journal is not None:
+                each.journal.close()
+            each.journal = UpdateJournal(info.journal_path)
+        for config in [dk.maintenance, *(each.config for each in pipelines)]:
+            if config is not None and aimed_at_previous(config.journal_path):
+                config.journal_path = info.journal_path
         return info
 
     def _write_generation(self, generation: int, dk: "DKIndex") -> CheckpointInfo:

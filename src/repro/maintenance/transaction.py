@@ -6,9 +6,10 @@ state with no recovery.  :class:`UpdateTransaction` makes every mutating
 operation atomic: it snapshots the touched state on entry and, if the
 operation raises, restores a **bit-identical** pre-update state — same
 adjacency rows in the same order, same extent lists, same similarity
-vector — before re-raising.  Rollback also drops the frozen view of a
-structure the operation mutated, so a view frozen inside a rolled-back
-operation is never served as current.
+vector — before re-raising.  Rollback also puts back the data graph's
+frozen view as it was on entry (possibly none): that view describes the
+restored rows exactly, and a view frozen inside a rolled-back operation
+is never served as current.  An index graph caches no view.
 
 Two snapshot scopes are supported:
 
@@ -66,25 +67,12 @@ def state_fingerprint(
     )
 
 
-def _drop_view_if_mutated(owner: DataGraph | IndexGraph, version: int) -> None:
-    """After a restore, drop ``owner``'s frozen view if it was mutated
-    since mutation version ``version``.
-
-    A view frozen inside the rolled-back operation describes state that
-    no longer exists.  Versions only grow, so such a view never looks
-    current again; the next ``freeze()`` rebuilds from the restored
-    state.
-    """
-    if owner._version != version:
-        owner._version += 1
-        owner._frozen = None
-
-
 class GraphCheckpoint:
     """Restore-in-place snapshot of a :class:`DataGraph`.
 
     Rows are immutable, so capturing copies only the two outer lists and
-    restoring puts every row back by reference.
+    restoring puts every row back by reference, together with the frozen
+    view the graph held on entry.
     """
 
     def __init__(self, graph: DataGraph) -> None:
@@ -94,7 +82,7 @@ class GraphCheckpoint:
         self._children = list(graph.children)
         self._parents = list(graph.parents)
         self._num_edges = graph.num_edges
-        self._version = graph._version
+        self._view = graph._frozen
 
     def restore(self) -> None:
         """Put the graph back exactly as captured (same object, and the
@@ -110,7 +98,7 @@ class GraphCheckpoint:
         graph.parents[:] = self._parents
         graph._child_sets[:] = [None] * len(self._children)
         graph._num_edges = self._num_edges
-        _drop_view_if_mutated(graph, self._version)
+        graph._frozen = self._view
 
 
 class IndexCheckpoint:
@@ -124,7 +112,6 @@ class IndexCheckpoint:
         self._children = [set(outs) for outs in index.children]
         self._parents = [set(ins) for ins in index.parents]
         self._k = list(index.k)
-        self._version = index._version
 
     def restore(self) -> None:
         """Put the index back exactly as captured (same object)."""
@@ -138,17 +125,17 @@ class IndexCheckpoint:
         index._label_index.clear()
         for node, label_id in enumerate(self._label_ids):
             index._label_index.setdefault(label_id, set()).add(node)
-        _drop_view_if_mutated(index, self._version)
 
 
 class _EdgeDelta:
     """Minimal checkpoint for one data-edge addition or removal.
 
     Captures just enough to undo the two row replacements of
-    ``DataGraph.add_edge``/``remove_edge`` plus the index-side effects
-    an edge update may have (one quotient edge toggled, similarities
-    lowered).  Extents and ``node_of`` are never touched by edge updates
-    (the paper's headline property), so they are not captured.
+    ``DataGraph.add_edge``/``remove_edge``, the graph's frozen view on
+    entry, and the index-side effects an edge update may have (one
+    quotient edge toggled, similarities lowered).  Extents and
+    ``node_of`` are never touched by edge updates (the paper's headline
+    property), so they are not captured.
     """
 
     def __init__(
@@ -162,6 +149,7 @@ class _EdgeDelta:
         self.index = index
         self.src = src
         self.dst = dst
+        self._view = graph._frozen
         # Endpoints may be unknown (the operation will then raise before
         # its first write); capture an inert delta in that case.
         self.inert = not (
@@ -180,13 +168,12 @@ class _EdgeDelta:
         self._source = index.node_of[src]
         self._target = index.node_of[dst]
         self._had_index_edge = self._target in index.children[self._source]
-        self._graph_version = graph._version
-        self._index_version = index._version
 
     def restore(self) -> None:
+        graph, index = self.graph, self.index
+        graph._frozen = self._view
         if self.inert:
             return
-        graph, index = self.graph, self.index
         src, dst = self.src, self.dst
         if graph.children[src] is not self._child_row:
             graph.children[src] = self._child_row
@@ -199,8 +186,6 @@ class _EdgeDelta:
             index.add_index_edge(self._source, self._target)
         elif not self._had_index_edge and has_index_edge:
             index.remove_index_edge(self._source, self._target)
-        _drop_view_if_mutated(graph, self._graph_version)
-        _drop_view_if_mutated(index, self._index_version)
 
 
 class UpdateTransaction:

@@ -160,7 +160,7 @@ class ColumnarEngine:
 
     Args:
         graph: a :class:`CSRGraph` snapshot, or a ``DataGraph`` or
-            ``IndexGraph``, whose cached ``freeze()`` view is used.
+            ``IndexGraph``, whose ``freeze()`` view is used.
     """
 
     def __init__(self, graph: "LabeledAdjacency | CSRGraph") -> None:

@@ -520,6 +520,13 @@ def _page_problem(raw: bytes, digest: str, size: int) -> str | None:
     return None
 
 
+def _check_retain(retain: int) -> None:
+    """Reject a negative retention window: pruning keeps the newest
+    ``retain + 1`` manifests, so ``-1`` would delete the only one."""
+    if retain < 0:
+        raise PagedStoreError(f"retain must be >= 0, got {retain}")
+
+
 def _scan_generations(directory: Path) -> list[int]:
     """Manifest generations present on disk, newest first."""
     generations = []
@@ -850,9 +857,11 @@ class PagedStore:
         ``fsync``\\ ed once, before the manifest and ``CURRENT``.
 
         Raises:
-            PagedStoreError: empty buffer map, an invalid buffer name,
-                or the directory already holds a paged store.
+            PagedStoreError: a negative ``retain``, an empty buffer map,
+                an invalid buffer name, or the directory already holds
+                a paged store.
         """
+        _check_retain(retain)
         page_bytes = resolve_page_bytes(page_bytes)
         budget = resolve_pool_budget(budget_bytes)
         if not buffers:
@@ -919,11 +928,13 @@ class PagedStore:
         checkpoint) are ignored.
 
         Raises:
-            PagedStoreError: missing directory, no readable manifest,
-                or a pinned generation that was pruned, never existed,
-                or is present but unreadable (the error names the
-                pinned generation and the surviving ones).
+            PagedStoreError: a negative ``retain``, a missing directory,
+                no readable manifest, or a pinned generation that was
+                pruned, never existed, or is present but unreadable (the
+                error names the pinned generation and the surviving
+                ones).
         """
+        _check_retain(retain)
         budget = resolve_pool_budget(budget_bytes)
         base = Path(directory)
         if not base.is_dir():

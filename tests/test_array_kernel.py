@@ -266,7 +266,6 @@ def index_state(index):
         [list(parents) for parents in index.parents],
         index.k,
         [(label, list(nodes)) for label, nodes in index._label_index.items()],
-        index.mutation_version,
         index.num_edges,
     )
 

@@ -4,9 +4,10 @@ Covers the tentpole invariants of ``repro.graph.columnar``:
 
 - CSR buffers agree with the mutable adjacency in both directions, and
   an index graph's view holds its adjacency sorted;
-- the freeze/invalidation contract — ``freeze()`` caches the view, any
-  structural mutation drops it, and the mutation version counts every
-  structural change;
+- the freeze/invalidation contract — a data graph's ``freeze()`` caches
+  the view, any structural mutation drops it, and a copy shares a
+  current one; an index graph's ``freeze()`` builds a fresh view of its
+  current adjacency on every call;
 - a paged snapshot written on a host of the other endianness loads
   byte-swapped.
 """
@@ -23,6 +24,7 @@ from repro.graph.columnar import BUFFER_TYPECODE, CSRGraph, flatten_adjacency
 from repro.graph.datagraph import DataGraph
 from repro.indexes.base import IndexGraph
 from repro.partition.refinement import bisim_partition
+from repro.storage.paged import CORE_CSR_BUFFERS
 from test_engine_equivalence import cyclic_idref_graph
 
 
@@ -114,42 +116,53 @@ def test_check_invariants_catches_corruption():
 
 
 # ----------------------------------------------------------------------
-# Freeze contract: caching, invalidation, versions
+# Freeze contract: caching and invalidation
 # ----------------------------------------------------------------------
 
 
 def test_freeze_is_cached_until_mutation():
     g = movie_like_graph()
-    version = g.mutation_version
+    assert g.frozen_view is None  # freeze() builds on demand
     first = g.freeze()
     assert g.freeze() is first  # cached
     assert g.frozen_view is first
-    assert first.source_version == version
+    nodes = g.num_nodes
     g.add_node("x")  # invalidates the view
     assert g.frozen_view is None
-    assert g.mutation_version == version + 1
+    # The view handed out before the mutation describes the graph as
+    # it was; the next freeze() describes it as it is.
+    assert first.num_nodes == nodes
     second = g.freeze()
     assert second is not first
-    assert second.num_nodes == first.num_nodes + 1
+    assert second.num_nodes == nodes + 1
 
 
-def test_every_mutator_bumps_the_version():
+def test_every_mutator_drops_the_view():
     g = DataGraph()
-    v = g.mutation_version
     a = g.add_node("a")
-    assert g.mutation_version == v + 1
-    g.add_edge(g.root, a)
-    assert g.mutation_version == v + 2
-    assert g.add_edge_if_absent(a, g.root)
-    assert g.mutation_version == v + 3
-    assert not g.add_edge_if_absent(a, g.root)  # no-op: no bump
-    assert g.mutation_version == v + 3
-    g.remove_edge(a, g.root)
-    assert g.mutation_version == v + 4
+    mutations = [
+        lambda: g.add_node("b"),
+        lambda: g.add_edge(g.root, a),
+        lambda: g.add_edge_if_absent(a, g.root),
+        lambda: g.remove_edge(a, g.root),
+        lambda: g.add_edges([a], [g.root]),
+        lambda: g.graft(movie_like_graph()),
+    ]
+    for mutate in mutations:
+        view = g.freeze()
+        mutate()
+        assert g.frozen_view is None
+        assert g.freeze() is not view
+    # A no-op and a rejected mutation write nothing and keep the view.
     view = g.freeze()
-    g.add_edges([a], [g.root])
-    assert g.mutation_version == v + 5
-    assert g.frozen_view is None and g.freeze() is not view
+    assert not g.add_edge_if_absent(a, g.root)
+    with pytest.raises(GraphError):
+        g.add_edge(a, g.root)
+    with pytest.raises(GraphError):
+        g.remove_edge(g.root, g.root)
+    with pytest.raises(GraphError):
+        g.add_edges([a, a], [g.root, g.root])
+    assert g.frozen_view is view
 
 
 def test_unknown_freeze_mode_rejected():
@@ -171,7 +184,6 @@ def test_copy_shares_a_current_view():
     clone = g.copy()
     assert clone.frozen_view is view
     assert clone.freeze() is view
-    assert view.source_version == clone.mutation_version
     # A graph mutated after its freeze has no view to share.
     g.add_node("x")
     assert g.copy().frozen_view is None
@@ -204,17 +216,18 @@ def test_index_graph_freeze_carries_sorted_adjacency():
         assert list(view.children(node)) == sorted(index.children[node])
         assert list(view.parents(node)) == sorted(index.parents[node])
         assert view.label_ids[node] == index.label_ids[node]
-    # Local similarities are not in the view: changing one keeps it.
-    version = index.mutation_version
-    index.k[0] += 1
-    assert index.mutation_version == version
-    assert index.freeze() is view
-    # A structural mutation drops it.
+    # Each call builds a fresh view of the current adjacency; a view
+    # handed out earlier keeps describing the index as it was.
+    again = index.freeze()
+    assert again is not view
+    for name in CORE_CSR_BUFFERS:
+        assert getattr(again, name) == getattr(view, name)
     index.add_index_edge(0, 0)
-    assert index.mutation_version == version + 1
-    assert index.freeze() is not view
+    looped = index.freeze()
+    assert list(looped.children(0)) == sorted(index.children[0])
+    assert 0 in looped.children(0) and 0 not in view.children(0)
     index.remove_index_edge(0, 0)
-    assert index.mutation_version == version + 2
+    assert index.freeze().child_targets == view.child_targets
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,7 @@ from repro.maintenance.repair import repair_index
 from repro.maintenance.transaction import UpdateTransaction, state_fingerprint
 from repro.paths.evaluator import evaluate_on_data_graph
 from repro.paths.query import make_query
+from repro.storage.paged import CORE_CSR_BUFFERS
 
 
 def make_store(journal_path=None, audit="fast", auto_repair=True):
@@ -120,71 +121,81 @@ def test_full_scope_rolls_back_promote():
     assert state_fingerprint(dk.graph, dk.index) == before
 
 
+def same_buffers(left, right):
+    return all(
+        getattr(left, name) == getattr(right, name) for name in CORE_CSR_BUFFERS
+    )
+
+
 @pytest.mark.parametrize(
     "scope, edge",
     [("full", None), ("add-edge", (2, 9)), ("remove-edge", (7, 2))],
 )
 def test_rollback_never_serves_a_view_frozen_inside_it(scope, edge):
-    dk = make_store()
-    graph, index = dk.graph, dk.index
-    graph_view, index_view = graph.freeze(), index.freeze()
-    src, dst = edge or (2, 9)
-    with pytest.raises(RuntimeError):
-        with UpdateTransaction(graph, index, scope, edge):
-            if scope == "remove-edge":
-                graph.remove_edge(src, dst)
-            else:
-                graph.add_edge(src, dst)
-            # Toggle the one index edge an edge update may toggle.
-            source, target = index.node_of[src], index.node_of[dst]
-            if target in index.children[source]:
-                index.remove_index_edge(source, target)
-            else:
-                index.add_index_edge(source, target)
-            inner_graph, inner_index = graph.freeze(), index.freeze()
-            raise RuntimeError("boom after freezing")
-    # The views frozen inside the rolled-back transaction are dropped and
-    # stale; the next freeze rebuilds from the restored state.
-    for owner, inner, before in (
-        (graph, inner_graph, graph_view),
-        (index, inner_index, index_view),
-    ):
-        assert owner._frozen is None
-        assert inner.source_version != owner.mutation_version
-        view = owner.freeze()
+    for frozen in (True, False):
+        dk = make_store()
+        graph, index = dk.graph, dk.index
+        assert graph.frozen_view is None  # the build dropped its view
+        # A copy of an unfrozen graph freezes only itself.
+        graph_before = graph.freeze() if frozen else graph.copy().freeze()
+        entry = graph.frozen_view
+        assert entry is (graph_before if frozen else None)
+        index_before = index.freeze()
+        src, dst = edge or (2, 9)
+        with pytest.raises(RuntimeError):
+            with UpdateTransaction(graph, index, scope, edge):
+                if scope == "remove-edge":
+                    graph.remove_edge(src, dst)
+                else:
+                    graph.add_edge(src, dst)
+                # Toggle the one index edge an edge update may toggle.
+                source, target = index.node_of[src], index.node_of[dst]
+                if target in index.children[source]:
+                    index.remove_index_edge(source, target)
+                else:
+                    index.add_index_edge(source, target)
+                inner = graph.freeze()
+                assert graph.frozen_view is inner
+                raise RuntimeError("boom after freezing")
+        # The graph holds the view it had on entry (possibly none), never
+        # the one frozen inside, and the next freeze describes the
+        # restored state; the index caches nothing, so its next freeze
+        # does too.
+        assert graph.frozen_view is entry
+        view = graph.freeze()
         assert view is not inner
-        assert view.source_version == owner.mutation_version
-        assert view.child_offsets == before.child_offsets
-        assert view.child_targets == before.child_targets
-        assert view.parent_targets == before.parent_targets
+        assert same_buffers(view, graph_before)
+        assert same_buffers(index.freeze(), index_before)
+        # A later mutation never makes the inner view current again.
+        if scope == "remove-edge":
+            graph.remove_edge(src, dst)
+        else:
+            graph.add_edge(src, dst)
+        assert graph.frozen_view is None
+        assert graph.freeze() is not inner
 
 
-def test_rollback_keeps_versions_growing():
+def test_rollback_without_writes_keeps_the_view():
     dk = make_store()
-    graph = dk.graph
-    graph.freeze()
-    before = graph.mutation_version
-    with pytest.raises(RuntimeError):
-        with UpdateTransaction(graph, dk.index, "add-edge", edge=(2, 9)):
-            graph.add_edge(2, 9)
-            inner = graph.freeze()
-            raise RuntimeError("boom")
-    assert graph.mutation_version > inner.source_version > before
-    # A later mutation never makes the inner view look current again.
-    graph.add_edge(2, 9)
-    assert graph.frozen_view is None
-    assert inner.source_version != graph.mutation_version
-
-
-def test_rollback_without_writes_keeps_the_view_and_version():
-    dk = make_store()
-    view, version = dk.graph.freeze(), dk.graph.mutation_version
-    for scope, edge in (("full", None), ("add-edge", (2, 9))):
+    view = dk.graph.freeze()
+    for scope, edge in (("full", None), ("add-edge", (2, 9)), ("remove-edge", (7, 2))):
         with pytest.raises(RuntimeError):
             with UpdateTransaction(dk.graph, dk.index, scope, edge):
                 raise RuntimeError("boom before any write")
         assert dk.graph.frozen_view is view
-        assert dk.graph.mutation_version == version
+
+
+def test_clean_exit_keeps_the_current_view():
+    dk = make_store()
+    view = dk.graph.freeze()
+    with UpdateTransaction(dk.graph, dk.index, "add-edge", edge=(2, 9)):
+        pass
+    assert dk.graph.frozen_view is view
+    with UpdateTransaction(dk.graph, dk.index, "full"):
+        dk.graph.add_edge(2, 9)
+        inner = dk.graph.freeze()
+    assert dk.graph.frozen_view is inner
+    assert inner.num_edges == view.num_edges + 1
 
 
 def test_clean_exit_keeps_the_writes():

@@ -765,6 +765,36 @@ def test_open_pruned_generation_names_survivors(tmp_path):
     assert "surviving generations: 3, 4" in message
 
 
+def test_negative_retain_is_refused_before_the_directory_is_touched(tmp_path):
+    # Pruning keeps the newest retain + 1 manifests: retain=-1 would
+    # delete the only one and leave a store nothing can open.
+    with pytest.raises(PagedStoreError, match="retain"):
+        PagedStore.create(
+            tmp_path / "s", {"v": range(32)}, page_bytes=64, retain=-1
+        )
+    assert not (tmp_path / "s").exists()
+    view = DataGraph().freeze()
+    with pytest.raises(PagedStoreError, match="retain"):
+        PagedCSRGraph.create(tmp_path / "g", view, retain=-1)
+    assert not (tmp_path / "g").exists()
+    # retain=0 stays legal: it keeps only the newest generation.
+    store = PagedStore.create(
+        tmp_path / "s", {"v": range(32)}, page_bytes=64, retain=0
+    )
+    store.write_element("v", 0, 7)
+    assert store.checkpoint() == 2
+    store.close()
+    assert _scan_generations(tmp_path / "s") == [2]
+    listing = sorted(path.name for path in (tmp_path / "s").rglob("*"))
+    for opener in (PagedStore.open, PagedCSRGraph.open):
+        with pytest.raises(PagedStoreError, match="retain"):
+            opener(tmp_path / "s", retain=-1)
+    assert sorted(path.name for path in (tmp_path / "s").rglob("*")) == listing
+    store = PagedStore.open(tmp_path / "s")
+    assert store.buffer("v")[0] == 7
+    store.close()
+
+
 def test_open_unreadable_pinned_generation_names_it(tmp_path):
     store = PagedStore.create(tmp_path / "s", {"v": range(16)})
     store.write_element("v", 0, 5)

@@ -47,7 +47,7 @@ from repro.maintenance.journal import (
     encode_base_line,
     scan_journal,
 )
-from repro.maintenance.pipeline import UpdatePipeline
+from repro.maintenance.pipeline import MaintenanceConfig, UpdatePipeline
 from repro.maintenance.store import (
     CURRENT_NAME,
     TMP_SUFFIX,
@@ -365,6 +365,64 @@ def test_checkpoint_rotates_prunes_and_repoints(tmp_path):
     assert pruned == [1, 2]
     assert read_document(store.directory / CURRENT_NAME)["generation"] == 5
     assert store.journal_path.name == journal_name(5)
+
+
+def graph_key(graph):
+    return tuple(graph.label_ids), sorted(graph.edges())
+
+
+def test_checkpoint_repoints_the_facades_own_journal(tmp_path):
+    # Journaling through the facade's pipeline: a checkpoint that is not
+    # handed the pipeline still moves its journal to the new generation,
+    # so the commit after it is replayed.
+    dk = small_dk()
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    dk.maintenance = store.maintenance_config()
+    dk.add_edge(2, 9)
+    store.checkpoint(dk)
+    assert dk.pipeline.journal.path == store.journal_path
+    dk.add_edge(3, 5)
+    dk.pipeline.close()
+    report = CheckpointStore(store.directory).recover()
+    assert report.strategy == "snapshot-2+replay"
+    assert report.replayed == 1 and not report.data_loss
+    assert graph_key(report.dk.graph) == graph_key(dk.graph)
+
+
+def test_checkpoint_repoints_the_config_of_a_later_pipeline(tmp_path):
+    # The facade's pipeline is first created after the checkpoint: it
+    # opens the journal its maintenance config names.
+    dk = small_dk()
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    dk.maintenance = store.maintenance_config()
+    store.checkpoint(dk)
+    assert dk.maintenance.journal_path == store.journal_path
+    dk.add_edge(2, 9)
+    dk.pipeline.close()
+    # So does a pipeline built from the config of one the checkpoint
+    # was handed.
+    handed = UpdatePipeline(dk, store.maintenance_config())
+    store.checkpoint(dk, handed)
+    handed.close()
+    later = UpdatePipeline(dk, handed.config)
+    later.add_edge(3, 5)
+    later.close()
+    report = CheckpointStore(store.directory).recover()
+    assert report.strategy == "snapshot-3+replay"
+    assert report.replayed == 1 and not report.data_loss
+    assert graph_key(report.dk.graph) == graph_key(dk.graph)
+
+
+def test_checkpoint_leaves_journals_aimed_elsewhere(tmp_path):
+    dk = small_dk()
+    store = CheckpointStore.create(tmp_path / "store", dk)
+    elsewhere = tmp_path / "elsewhere.jsonl"
+    dk.maintenance = MaintenanceConfig(journal_path=elsewhere)
+    dk.add_edge(2, 9)
+    store.checkpoint(dk)
+    assert dk.maintenance.journal_path == elsewhere
+    assert dk.pipeline.journal.path == elsewhere
+    dk.pipeline.close()
 
 
 def test_recover_clean_store_replays_the_live_journal(tmp_path):
